@@ -1,7 +1,10 @@
 // Engine microbenchmarks (google-benchmark): the DES calendar, placement
-// rules (the WF/FF/BF ablation from DESIGN.md), distribution sampling, and
-// end-to-end simulation throughput per policy.
+// rules (the WF/FF/BF ablation from DESIGN.md), distribution sampling, SWF
+// trace ingest, and end-to-end simulation throughput per policy.
 #include <benchmark/benchmark.h>
+
+#include <sstream>
+#include <string>
 
 #include "cluster/placement.hpp"
 #include "core/engine.hpp"
@@ -9,6 +12,7 @@
 #include "obs/ring_recorder.hpp"
 #include "obs/swf_builder.hpp"
 #include "sim/calendar.hpp"
+#include "trace/swf.hpp"
 #include "util/rng.hpp"
 #include "workload/das_workload.hpp"
 #include "workload/job_splitter.hpp"
@@ -103,6 +107,41 @@ void BM_SampleDasT900(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SampleDasT900);
+
+// Trace ingest alone: a synthetic 100k-record log, written once with
+// write_swf (round-trip-precision submit and run times, as
+// make_archive_sample writes them), parsed from memory per iteration.
+void BM_SwfParse(benchmark::State& state) {
+  constexpr std::uint64_t kRecords = 100000;
+  Rng rng(11);
+  SwfTrace trace;
+  trace.header_comments = {"MaxProcs: 128", "Note: synthetic BM_SwfParse log"};
+  trace.records.reserve(kRecords);
+  double submit = 0.0;
+  for (std::uint64_t id = 1; id <= kRecords; ++id) {
+    TraceRecord rec;
+    rec.job_id = id;
+    submit += rng.uniform(0.0, 600.0);
+    rec.submit_time = submit;
+    rec.run_time = rng.uniform(0.0, 3600.0);
+    rec.processors = static_cast<std::uint32_t>(rng.uniform(1.0, 129.0));
+    rec.user_id = static_cast<std::uint32_t>(rng.uniform(0.0, 64.0));
+    trace.records.push_back(rec);
+  }
+  std::ostringstream out;
+  write_swf(out, trace);
+  const std::string text = out.str();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    const SwfTrace parsed = read_swf(in);
+    benchmark::DoNotOptimize(parsed.records.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords));
+}
+BENCHMARK(BM_SwfParse)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndSimulation(benchmark::State& state) {
   const auto policy = static_cast<PolicyKind>(state.range(0));

@@ -1,7 +1,12 @@
 #include "trace/swf_stream.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -54,17 +59,109 @@ void absorb_comment(SwfHeaderInfo& header, std::string_view comment,
   }
   *slot = static_cast<std::int64_t>(parsed);
 }
+
+/// Parse a whole token exactly as a full-token std::strtod would: the same
+/// tokens accepted and the same bits produced, only faster. Most SWF
+/// fields are short integers, which take an exact fast path (up to 15
+/// digits always fit a double's 53-bit mantissa); other decimals go
+/// through std::from_chars, which is correctly rounded like strtod; and
+/// whatever from_chars refuses, stops short on or makes non-finite
+/// ('+5', '0x10', '1e400', '1e-400', 'inf', 'nan') is left to strtod
+/// itself.
+bool parse_number(std::string_view token, double& value) {
+  const char* const first = token.data();
+  const char* const last = first + token.size();
+  const bool negative = first != last && *first == '-';
+  const char* const digits = first + (negative ? 1 : 0);
+  const auto digit_count = static_cast<std::size_t>(last - digits);
+  if (digit_count >= 1 && digit_count <= 15) {
+    std::int64_t magnitude = 0;
+    const char* p = digits;
+    for (; p != last; ++p) {
+      const auto digit = static_cast<unsigned>(static_cast<unsigned char>(*p)) - '0';
+      if (digit > 9) break;
+      magnitude = magnitude * 10 + static_cast<std::int64_t>(digit);
+    }
+    if (p == last) {
+      // -magnitude, not double(-magnitude): "-0" is -0.0 under strtod.
+      const auto exact = static_cast<double>(magnitude);
+      value = negative ? -exact : exact;
+      return true;
+    }
+  }
+  const std::from_chars_result parsed = std::from_chars(first, last, value);
+  if (parsed.ec == std::errc() && parsed.ptr == last && std::isfinite(value)) return true;
+  const std::string terminated{token};  // strtod needs a NUL-terminated copy
+  char* parsed_end = nullptr;
+  value = std::strtod(terminated.c_str(), &parsed_end);
+  return !terminated.empty() && parsed_end == terminated.c_str() + terminated.size();
+}
+
+/// Convert SWF field `index` (0-based) to an integer member. A plain cast
+/// of a non-finite double, or of one whose integer part the type cannot
+/// hold, is undefined behaviour, so such a value is a `file:line:` error.
+/// In range, the fraction is truncated as the cast always did.
+template <typename Int>
+Int field_integer(double value, std::size_t index, const char* name,
+                  const std::string& source, std::uint64_t line_no) {
+  constexpr double kBelow = static_cast<double>(std::numeric_limits<Int>::min()) - 1.0;
+  constexpr double kAbove =
+      static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1) * 2.0;
+  if (!(value > kBelow && value < kAbove)) {
+    parse_error(source, line_no,
+                "field " + std::to_string(index + 1) + " (" + name + ") is out of range: " +
+                    format_double_roundtrip(value));
+  }
+  return static_cast<Int>(value);
+}
 }  // namespace
 
 SwfStreamReader::SwfStreamReader(std::istream& in, std::string source)
-    : in_(in), source_(std::move(source)) {}
+    : in_(in), source_(std::move(source)), block_(kBlockBytes) {}
+
+void SwfStreamReader::refill() {
+  const std::size_t kept = end_ - begin_;
+  if (begin_ > 0) {
+    std::memmove(block_.data(), block_.data() + begin_, kept);
+  } else if (kept == block_.size()) {
+    block_.resize(block_.size() * 2);  // one line longer than the block
+  }
+  begin_ = 0;
+  end_ = kept;
+  in_.read(block_.data() + end_, static_cast<std::streamsize>(block_.size() - end_));
+  end_ += static_cast<std::size_t>(in_.gcount());
+  // A short read sets failbit, and so does an I/O error: either way the
+  // stream has nothing more to give, and what did arrive is still parsed.
+  if (!in_) exhausted_ = true;
+}
+
+bool SwfStreamReader::next_line(std::string_view& line) {
+  for (;;) {
+    const char* const start = block_.data() + begin_;
+    const std::size_t available = end_ - begin_;
+    if (const void* newline = std::memchr(start, '\n', available)) {
+      const auto length = static_cast<std::size_t>(static_cast<const char*>(newline) - start);
+      line = std::string_view(start, length);
+      begin_ += length + 1;
+      return true;
+    }
+    if (exhausted_) {
+      if (available == 0) return false;
+      line = std::string_view(start, available);  // last line, no trailing '\n'
+      begin_ = end_;
+      return true;
+    }
+    refill();
+  }
+}
 
 bool SwfStreamReader::next(TraceRecord& out) {
-  while (std::getline(in_, line_)) {
+  std::string_view line;
+  while (next_line(line)) {
     ++line_no_;
     // trim() also strips '\r', so CRLF logs (common in archive downloads)
     // parse the same as LF ones.
-    const std::string_view trimmed = trim(line_);
+    const std::string_view trimmed = trim(line);
     if (trimmed.empty()) continue;
     if (trimmed.front() == ';') {
       absorb_comment(header_, trim(trimmed.substr(1)), source_, line_no_);
@@ -84,32 +181,33 @@ bool SwfStreamReader::next(TraceRecord& out) {
       if (pos >= trimmed.size()) break;
       std::size_t end = pos;
       while (end < trimmed.size() && trimmed[end] != ' ' && trimmed[end] != '\t') ++end;
-      const std::string token{trimmed.substr(pos, end - pos)};
+      const std::string_view token = trimmed.substr(pos, end - pos);
       if (count >= 18) {
         parse_error(source_, line_no_, "expected at most 18 fields, found more");
       }
-      char* parsed_end = nullptr;
-      const double value = std::strtod(token.c_str(), &parsed_end);
-      if (parsed_end != token.c_str() + token.size() || token.empty()) {
+      if (!parse_number(token, field[count])) {
         parse_error(source_, line_no_,
                     "field " + std::to_string(count + 1) + " is not a number: '" +
-                        token + "'");
+                        std::string(token) + "'");
       }
-      field[count++] = value;
+      ++count;
       pos = end;
     }
 
     TraceRecord rec;
-    rec.job_id = static_cast<std::uint64_t>(field[0]);
+    rec.job_id = field_integer<std::uint64_t>(field[0], 0, "job id", source_, line_no_);
     rec.submit_time = field[1];
     rec.wait_time = field[2] >= 0 ? field[2] : 0.0;
     rec.run_time = field[3] >= 0 ? field[3] : 0.0;
-    const double alloc = field[4] >= 0 ? field[4] : field[7];
-    if (alloc < 0) {
+    // Allocated processors (field 5), else requested (field 8). A negative
+    // count means missing; a non-finite one is malformed, not missing.
+    const std::size_t alloc = field[4] >= 0 || !std::isfinite(field[4]) ? 4 : 7;
+    if (field[alloc] < 0 && std::isfinite(field[alloc])) {
       parse_error(source_, line_no_,
                   "no processor count (allocated and requested both missing)");
     }
-    rec.processors = static_cast<std::uint32_t>(alloc);
+    rec.processors =
+        field_integer<std::uint32_t>(field[alloc], alloc, "processors", source_, line_no_);
     // Validate against the machine the header declares: a job wider than
     // the whole system means the log is internally inconsistent, and
     // replaying it would silently misreport utilization.
@@ -121,8 +219,13 @@ bool SwfStreamReader::next(TraceRecord& out) {
                       (header_.max_procs >= 0 ? "MaxProcs: " : "MaxNodes: ") +
                       std::to_string(declared));
     }
-    rec.killed_by_limit = static_cast<int>(field[10]) == 5;
-    rec.user_id = field[11] >= 0 ? static_cast<std::uint32_t>(field[11]) : 0;
+    rec.killed_by_limit =
+        field_integer<int>(field[10], 10, "status", source_, line_no_) == 5;
+    // A negative user id (SWF's -1) means unknown and reads as user 0.
+    rec.user_id = field[11] < 0 && std::isfinite(field[11])
+                      ? 0
+                      : field_integer<std::uint32_t>(field[11], 11, "user id", source_,
+                                                     line_no_);
     ++records_read_;
     out = rec;
     return true;

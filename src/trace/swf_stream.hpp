@@ -1,11 +1,16 @@
 // Incremental SWF reader: the streaming core behind read_swf and the
 // archive-scale replay path (docs/WORKLOADS.md).
 //
-// SwfStreamReader parses one line per next() call, so a caller can walk a
-// multi-million-job Parallel Workloads Archive log at O(1) memory. It
+// SwfStreamReader hands out one record per next() call, so a caller can
+// walk a multi-million-job Parallel Workloads Archive log at O(1) memory.
+// It reads ahead in 64 KiB blocks (grown only for a line longer than a
+// block), splits lines and fields in place, and parses numbers without a
+// heap allocation; a reader therefore owns the rest of the istream it is
+// handed, and nothing else may read from that stream afterwards. It
 // carries all of read_swf's hardening (CRLF, blank lines, ';' comments
 // anywhere, truncated trailing fields read as -1, full-token number
-// parsing, `file:line:` diagnostics) and adds the archive header dialect:
+// parsing bit-identical to std::strtod, integer fields range-checked,
+// `file:line:` diagnostics) and adds the archive header dialect:
 //
 //   * `; Key: value` directive lines (MaxJobs, MaxRecords, MaxNodes,
 //     MaxProcs, MaxRuntime, MaxQueues, MaxPartitions, UnixStartTime) are
@@ -20,10 +25,12 @@
 // read_swf (trace/swf.hpp) is a thin whole-file wrapper over this class.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <istream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/record.hpp"
@@ -55,8 +62,9 @@ struct SwfHeaderInfo {
 
 class SwfStreamReader {
  public:
-  /// Parse from a caller-owned stream. `source` names the input in
-  /// diagnostics (a path, or "<swf>" style placeholder).
+  /// Parse from a caller-owned stream. The reader reads ahead of the
+  /// records it has returned, so it owns the rest of `in`. `source` names
+  /// the input in diagnostics (a path, or "<swf>" style placeholder).
   SwfStreamReader(std::istream& in, std::string source);
 
   /// Advance to the next job record, skipping blanks and comment lines
@@ -64,6 +72,11 @@ class SwfStreamReader {
   /// false at end of input. Throws std::invalid_argument with a
   /// `source:line:` prefix on malformed input.
   bool next(TraceRecord& out);
+
+  /// Bytes read from the stream per refill. One block holds ~800 records
+  /// of a typical archive log, so refills (and the copy of the partial
+  /// line they keep) are rare.
+  static constexpr std::size_t kBlockBytes = std::size_t{64} * 1024;
 
   /// Directives and comments seen so far. SWF puts the header before the
   /// first record, so after the first next() this is complete for
@@ -76,10 +89,19 @@ class SwfStreamReader {
   [[nodiscard]] const std::string& source() const { return source_; }
 
  private:
+  /// The next line without its '\n' (a view into block_, valid until the
+  /// next call); false at end of input.
+  bool next_line(std::string_view& line);
+  /// Keep the unread tail of block_ and append the next block from in_.
+  void refill();
+
   std::istream& in_;
   std::string source_;
   SwfHeaderInfo header_;
-  std::string line_;
+  std::vector<char> block_;
+  std::size_t begin_ = 0;  ///< first unread byte of block_
+  std::size_t end_ = 0;    ///< one past the last byte read into block_
+  bool exhausted_ = false;  ///< in_ has no more bytes to give
   std::uint64_t line_no_ = 0;
   std::uint64_t records_read_ = 0;
 };
