@@ -40,7 +40,7 @@ std::map<std::string, exp::ScenarioSpec> load_matrix() {
 
 TEST(MatrixCorpus, EveryScenarioLoadsAndValidates) {
   const auto specs = load_matrix();
-  EXPECT_GE(specs.size(), 24u);
+  EXPECT_GE(specs.size(), 26u);
   for (const auto& [file, spec] : specs) {
     SCOPED_TRACE(file);
     EXPECT_NO_THROW(exp::validate(spec));
@@ -97,6 +97,16 @@ TEST(MatrixCorpus, SpansThePipelineAxes) {
   EXPECT_EQ(backfills.size(), 4u) << "none, aggressive, easy, conservative";
   EXPECT_EQ(placements.size(), 4u) << "WF, FF, BF, LA";
   EXPECT_EQ(rules.size(), 3u) << "co, no-co, limit-L";
+}
+
+// Every other sealed scenario uses unordered requests; the ordered and
+// flexible generator and placement paths need bit-exact pins of their own.
+TEST(MatrixCorpus, CoversEveryMulticlusterRequestType) {
+  std::set<RequestType> types;
+  for (const auto& [file, spec] : load_matrix()) types.insert(spec.request_type);
+  EXPECT_TRUE(types.contains(RequestType::kUnordered));
+  EXPECT_TRUE(types.contains(RequestType::kOrdered));
+  EXPECT_TRUE(types.contains(RequestType::kFlexible));
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ using mcsim::QueueStructure;
 using mcsim::exp::ScenarioSpec;
 
 /// Shared run shape: one modest point run per entry. Small enough that the
-/// 24-scenario matrix verifies in seconds, long enough that every policy
+/// 26-scenario matrix verifies in seconds, long enough that every policy
 /// mechanism (backfill windows, queue reordering, whole-job placement)
 /// actually fires.
 ScenarioSpec base_spec() {
@@ -231,6 +231,22 @@ std::vector<MatrixEntry> build_matrix() {
         s.coallocation =
             CoAllocationRule{CoAllocationRule::Kind::kComponentLimit, 2};
       });
+
+  // -- request types -----------------------------------------------------
+  // The paper's study (and every other entry) uses unordered requests; the
+  // ordered and flexible variants of refs [6,7] take their own generator
+  // and placement paths, so each gets a pin of its own.
+  add("matrix_gs_ordered", "matrix GS ordered requests", [](ScenarioSpec& s) {
+    s.policy = PolicyKind::kGS;
+    s.request_type = mcsim::RequestType::kOrdered;
+    s.utilization = 0.45;
+    s.sim_jobs = 5000;
+  });
+  add("matrix_gs_flexible", "matrix GS flexible requests", [](ScenarioSpec& s) {
+    s.policy = PolicyKind::kGS;
+    s.request_type = mcsim::RequestType::kFlexible;
+    s.sim_jobs = 5000;
+  });
 
   return matrix;
 }
