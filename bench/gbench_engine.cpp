@@ -1,10 +1,13 @@
 // Engine microbenchmarks (google-benchmark): the DES calendar, placement
-// rules (the WF/FF/BF ablation from DESIGN.md), distribution sampling, SWF
-// trace ingest, and end-to-end simulation throughput per policy.
+// rules (the WF/FF/BF ablation from DESIGN.md, and the per-attempt
+// placement row), distribution sampling, SWF trace ingest, and end-to-end
+// simulation throughput per policy.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/placement.hpp"
 #include "core/engine.hpp"
@@ -92,6 +95,48 @@ BENCHMARK(BM_Placement)
     ->Arg(static_cast<int>(PlacementRule::kWorstFit))
     ->Arg(static_cast<int>(PlacementRule::kFirstFit))
     ->Arg(static_cast<int>(PlacementRule::kBestFit));
+
+// The placement layer's per-layer row: one scheduler-style attempt — the
+// in-place form Scheduler::try_place calls, with a warm scratch and a warm
+// allocation buffer — over a fixed 4x32 idle snapshot. The request mix is
+// half accepts, half rejects (in a seeded random order), so both the
+// allocation write and the early-out reject are measured. Advisory only:
+// bench/baseline.json gates the end-to-end replay rows, not this one.
+void BM_PlacementAttempt(benchmark::State& state, PlacementRule rule) {
+  const std::vector<std::uint32_t> idle{24, 17, 9, 3};
+  const std::vector<std::uint32_t> capacities{32, 32, 32, 32};
+  constexpr std::size_t kEach = 256;
+  Rng rng(9);
+  std::vector<std::vector<std::uint32_t>> accepts;
+  std::vector<std::vector<std::uint32_t>> rejects;
+  while (accepts.size() < kEach || rejects.size() < kEach) {
+    const auto size = static_cast<std::uint32_t>(das_s_128().sample(rng));
+    std::vector<std::uint32_t> request = split_job(size, 16, 4);
+    auto& bucket = components_fit(request, idle) ? accepts : rejects;
+    if (bucket.size() < kEach) bucket.push_back(std::move(request));
+  }
+  std::vector<std::vector<std::uint32_t>> requests = std::move(accepts);
+  requests.insert(requests.end(), rejects.begin(), rejects.end());
+  for (std::size_t i = requests.size() - 1; i > 0; --i) {
+    std::swap(requests[i], requests[static_cast<std::size_t>(rng.uniform_int(i + 1))]);
+  }
+  PlacementScratch scratch;
+  Allocation allocation;
+  std::size_t i = 0;
+  std::int64_t accepted = 0;
+  for (auto _ : state) {
+    const bool fits = place_components(requests[i % requests.size()], idle, capacities, rule,
+                                       scratch, allocation);
+    benchmark::DoNotOptimize(allocation.data());
+    accepted += fits ? 1 : 0;
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["accept_ratio"] =
+      static_cast<double>(accepted) / static_cast<double>(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_PlacementAttempt, WF, PlacementRule::kWorstFit);
+BENCHMARK_CAPTURE(BM_PlacementAttempt, LA, PlacementRule::kLoadAware);
 
 void BM_SampleDasS128(benchmark::State& state) {
   Rng rng(4);

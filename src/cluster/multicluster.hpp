@@ -15,6 +15,8 @@ namespace mcsim {
 struct ComponentPlacement {
   ClusterId cluster = 0;
   std::uint32_t processors = 0;
+
+  bool operator==(const ComponentPlacement&) const = default;
 };
 
 /// A full job allocation (one entry per component).

@@ -58,43 +58,49 @@ void clusters_by_idle_desc(const std::vector<std::uint32_t>& idle,
   }
 }
 
-std::optional<Allocation> place_worst_fit(const std::vector<std::uint32_t>& components,
-                                          const std::vector<std::uint32_t>& idle,
-                                          PlacementScratch& scratch) {
-  clusters_by_idle_desc(idle, scratch.order);
-  // WF pairing doubles as the complete fit test: decide before building the
-  // allocation, so a reject (the common case for a blocked head job) costs
-  // no allocation.
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    if (components[i] > idle[scratch.order[i]]) return std::nullopt;
-  }
-  Allocation allocation;
-  allocation.reserve(components.size());
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    allocation.push_back(ComponentPlacement{scratch.order[i], components[i]});
-  }
-  return allocation;
+/// No placement spans more entries than there are clusters: reserving that
+/// once means a job's allocation buffer grows at most once over its life.
+void reserve_per_cluster(const std::vector<std::uint32_t>& idle, Allocation& out) {
+  out.reserve(idle.size());
 }
 
-std::optional<Allocation> place_first_fit(const std::vector<std::uint32_t>& components,
-                                          const std::vector<std::uint32_t>& idle,
-                                          PlacementScratch& scratch) {
+/// Pair component i with cluster order[i] — the WF and LA rules, which
+/// differ only in the order. The pairing is decided before `out` is
+/// written.
+bool pair_in_order(const std::vector<std::uint32_t>& components,
+                   const std::vector<std::uint32_t>& idle, const std::vector<ClusterId>& order,
+                   Allocation& out) {
+  out.clear();
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    if (components[i] > idle[order[i]]) return false;
+  }
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    out.push_back(ComponentPlacement{order[i], components[i]});
+  }
+  return true;
+}
+
+bool place_first_fit(const std::vector<std::uint32_t>& components,
+                     const std::vector<std::uint32_t>& idle, PlacementScratch& scratch,
+                     Allocation& out) {
   scratch.used.assign(idle.size(), 0);
-  Allocation allocation;
-  allocation.reserve(components.size());
+  out.clear();
   for (std::uint32_t component : components) {
     bool placed = false;
     for (ClusterId c = 0; c < idle.size(); ++c) {
       if (scratch.used[c] == 0 && component <= idle[c]) {
         scratch.used[c] = 1;
-        allocation.push_back(ComponentPlacement{c, component});
+        out.push_back(ComponentPlacement{c, component});
         placed = true;
         break;
       }
     }
-    if (!placed) return std::nullopt;
+    if (!placed) {
+      out.clear();
+      return false;
+    }
   }
-  return allocation;
+  return true;
 }
 
 /// Fill `order` with cluster ids by (idle fraction desc, id asc). The
@@ -118,31 +124,11 @@ void clusters_by_idle_fraction_desc(const std::vector<std::uint32_t>& idle,
   }
 }
 
-std::optional<Allocation> place_load_aware(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle,
-                                           const std::vector<std::uint32_t>& capacities,
-                                           PlacementScratch& scratch) {
-  clusters_by_idle_fraction_desc(idle, capacities, scratch.order);
-  // Like WF, decide before building the allocation. Unlike WF the
-  // fraction pairing is not a complete fit test on heterogeneous layouts —
-  // a reject here is the rule's decision, not a proof nothing fits.
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    if (components[i] > idle[scratch.order[i]]) return std::nullopt;
-  }
-  Allocation allocation;
-  allocation.reserve(components.size());
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    allocation.push_back(ComponentPlacement{scratch.order[i], components[i]});
-  }
-  return allocation;
-}
-
-std::optional<Allocation> place_best_fit(const std::vector<std::uint32_t>& components,
-                                         const std::vector<std::uint32_t>& idle,
-                                         PlacementScratch& scratch) {
+bool place_best_fit(const std::vector<std::uint32_t>& components,
+                    const std::vector<std::uint32_t>& idle, PlacementScratch& scratch,
+                    Allocation& out) {
   scratch.used.assign(idle.size(), 0);
-  Allocation allocation;
-  allocation.reserve(components.size());
+  out.clear();
   for (std::uint32_t component : components) {
     ClusterId best = static_cast<ClusterId>(idle.size());
     std::uint32_t best_idle = 0;
@@ -153,54 +139,58 @@ std::optional<Allocation> place_best_fit(const std::vector<std::uint32_t>& compo
         best_idle = idle[c];
       }
     }
-    if (best == idle.size()) return std::nullopt;
+    if (best == idle.size()) {
+      out.clear();
+      return false;
+    }
     scratch.used[best] = 1;
-    allocation.push_back(ComponentPlacement{best, component});
+    out.push_back(ComponentPlacement{best, component});
   }
-  return allocation;
+  return true;
 }
 
 }  // namespace
+
+bool place_components(const std::vector<std::uint32_t>& components,
+                      const std::vector<std::uint32_t>& idle_counts,
+                      const std::vector<std::uint32_t>& capacities, PlacementRule rule,
+                      PlacementScratch& scratch, Allocation& out) {
+  MCSIM_REQUIRE(!components.empty(), "request has no components");
+  MCSIM_REQUIRE(components.size() <= idle_counts.size(),
+                "more components than clusters");
+  MCSIM_REQUIRE(is_non_increasing(components), "components must be non-increasing");
+  reserve_per_cluster(idle_counts, out);
+  switch (rule) {
+    case PlacementRule::kWorstFit:
+      // WF pairing doubles as the complete fit test.
+      clusters_by_idle_desc(idle_counts, scratch.order);
+      return pair_in_order(components, idle_counts, scratch.order, out);
+    case PlacementRule::kFirstFit:
+      return place_first_fit(components, idle_counts, scratch, out);
+    case PlacementRule::kBestFit:
+      return place_best_fit(components, idle_counts, scratch, out);
+    case PlacementRule::kLoadAware:
+      MCSIM_REQUIRE(capacities.size() == idle_counts.size(),
+                    "load-aware placement needs one capacity per cluster");
+      // Unlike WF, the fraction pairing is not a complete fit test on
+      // heterogeneous layouts: a reject is the rule's decision, not a
+      // proof that nothing fits.
+      clusters_by_idle_fraction_desc(idle_counts, capacities, scratch.order);
+      return pair_in_order(components, idle_counts, scratch.order, out);
+  }
+  out.clear();
+  return false;
+}
 
 std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
                                            const std::vector<std::uint32_t>& idle_counts,
                                            PlacementRule rule) {
   PlacementScratch scratch;
-  return place_components(components, idle_counts, rule, scratch);
-}
-
-std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle_counts,
-                                           PlacementRule rule, PlacementScratch& scratch) {
-  MCSIM_REQUIRE(!components.empty(), "request has no components");
-  MCSIM_REQUIRE(components.size() <= idle_counts.size(),
-                "more components than clusters");
-  MCSIM_REQUIRE(is_non_increasing(components), "components must be non-increasing");
-  switch (rule) {
-    case PlacementRule::kWorstFit: return place_worst_fit(components, idle_counts, scratch);
-    case PlacementRule::kFirstFit: return place_first_fit(components, idle_counts, scratch);
-    case PlacementRule::kBestFit: return place_best_fit(components, idle_counts, scratch);
-    case PlacementRule::kLoadAware:
-      MCSIM_REQUIRE(false, "load-aware placement needs cluster capacities "
-                           "(use the capacity-aware overload)");
+  Allocation allocation;
+  if (!place_components(components, idle_counts, {}, rule, scratch, allocation)) {
+    return std::nullopt;
   }
-  return std::nullopt;
-}
-
-std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle_counts,
-                                           const std::vector<std::uint32_t>& capacities,
-                                           PlacementRule rule, PlacementScratch& scratch) {
-  if (rule != PlacementRule::kLoadAware) {
-    return place_components(components, idle_counts, rule, scratch);
-  }
-  MCSIM_REQUIRE(!components.empty(), "request has no components");
-  MCSIM_REQUIRE(components.size() <= idle_counts.size(),
-                "more components than clusters");
-  MCSIM_REQUIRE(is_non_increasing(components), "components must be non-increasing");
-  MCSIM_REQUIRE(capacities.size() == idle_counts.size(),
-                "capacities must match the cluster count");
-  return place_load_aware(components, idle_counts, capacities, scratch);
+  return allocation;
 }
 
 std::optional<Allocation> place_on_cluster(std::uint32_t processors, ClusterId cluster,
@@ -210,51 +200,71 @@ std::optional<Allocation> place_on_cluster(std::uint32_t processors, ClusterId c
   return Allocation{ComponentPlacement{cluster, processors}};
 }
 
-std::optional<Allocation> place_ordered(const std::vector<std::uint32_t>& components,
-                                        const std::vector<ClusterId>& clusters,
-                                        const std::vector<std::uint32_t>& idle_counts) {
+bool place_ordered(const std::vector<std::uint32_t>& components,
+                   const std::vector<ClusterId>& clusters,
+                   const std::vector<std::uint32_t>& idle_counts, PlacementScratch& scratch,
+                   Allocation& out) {
   MCSIM_REQUIRE(!components.empty(), "request has no components");
   MCSIM_REQUIRE(components.size() == clusters.size(),
                 "ordered request needs one cluster per component");
-  Allocation allocation;
-  allocation.reserve(components.size());
-  std::vector<std::uint32_t> remaining = idle_counts;
+  std::vector<std::uint32_t>& remaining = scratch.remaining;
+  remaining.assign(idle_counts.begin(), idle_counts.end());
+  reserve_per_cluster(idle_counts, out);
+  out.clear();
   for (std::size_t i = 0; i < components.size(); ++i) {
     MCSIM_REQUIRE(clusters[i] < idle_counts.size(), "ordered request names unknown cluster");
-    if (components[i] > remaining[clusters[i]]) return std::nullopt;
+    if (components[i] > remaining[clusters[i]]) {
+      out.clear();
+      return false;
+    }
     remaining[clusters[i]] -= components[i];
-    allocation.push_back(ComponentPlacement{clusters[i], components[i]});
+    out.push_back(ComponentPlacement{clusters[i], components[i]});
+  }
+  return true;
+}
+
+std::optional<Allocation> place_ordered(const std::vector<std::uint32_t>& components,
+                                        const std::vector<ClusterId>& clusters,
+                                        const std::vector<std::uint32_t>& idle_counts) {
+  PlacementScratch scratch;
+  Allocation allocation;
+  if (!place_ordered(components, clusters, idle_counts, scratch, allocation)) {
+    return std::nullopt;
   }
   return allocation;
+}
+
+bool place_flexible(std::uint32_t total, const std::vector<std::uint32_t>& idle_counts,
+                    PlacementScratch& scratch, Allocation& out) {
+  MCSIM_REQUIRE(total > 0, "request must ask for processors");
+  // Whole-job fit on one cluster first (Worst Fit keeps big holes open).
+  clusters_by_idle_desc(idle_counts, scratch.order);
+  const std::vector<ClusterId>& order = scratch.order;
+  reserve_per_cluster(idle_counts, out);
+  out.clear();
+  if (idle_counts[order.front()] >= total) {
+    out.push_back(ComponentPlacement{order.front(), total});
+    return true;
+  }
+  // Otherwise spread greedily over clusters by decreasing idle count.
+  std::uint32_t left = total;
+  for (ClusterId cluster : order) {
+    const std::uint32_t take = std::min(left, idle_counts[cluster]);
+    if (take == 0) break;
+    out.push_back(ComponentPlacement{cluster, take});
+    left -= take;
+    if (left == 0) return true;
+  }
+  out.clear();
+  return false;
 }
 
 std::optional<Allocation> place_flexible(std::uint32_t total,
                                          const std::vector<std::uint32_t>& idle_counts) {
   PlacementScratch scratch;
-  return place_flexible(total, idle_counts, scratch);
-}
-
-std::optional<Allocation> place_flexible(std::uint32_t total,
-                                         const std::vector<std::uint32_t>& idle_counts,
-                                         PlacementScratch& scratch) {
-  MCSIM_REQUIRE(total > 0, "request must ask for processors");
-  // Whole-job fit on one cluster first (Worst Fit keeps big holes open).
-  clusters_by_idle_desc(idle_counts, scratch.order);
-  const std::vector<ClusterId>& order = scratch.order;
-  if (idle_counts[order.front()] >= total) {
-    return Allocation{ComponentPlacement{order.front(), total}};
-  }
-  // Otherwise spread greedily over clusters by decreasing idle count.
-  std::uint32_t left = total;
   Allocation allocation;
-  for (ClusterId cluster : order) {
-    const std::uint32_t take = std::min(left, idle_counts[cluster]);
-    if (take == 0) break;
-    allocation.push_back(ComponentPlacement{cluster, take});
-    left -= take;
-    if (left == 0) return allocation;
-  }
-  return std::nullopt;
+  if (!place_flexible(total, idle_counts, scratch, allocation)) return std::nullopt;
+  return allocation;
 }
 
 bool components_fit(const std::vector<std::uint32_t>& components,

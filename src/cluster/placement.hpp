@@ -33,43 +33,44 @@ PlacementRule parse_placement_rule(const std::string& name);
 /// Reusable working memory for the placement functions. The schedulers
 /// keep one per instance and pass it to every attempt: after the first few
 /// calls the buffers hold their high-water capacity and a placement
-/// attempt — in particular a *rejected* one, the common case for a blocked
-/// head-of-queue — touches no allocator at all.
+/// attempt — accepted or rejected — touches no allocator at all.
 struct PlacementScratch {
-  std::vector<ClusterId> order;      // clusters by decreasing idle
-  std::vector<std::uint8_t> used;    // FF/BF distinct-cluster marks
+  std::vector<ClusterId> order;            // clusters by decreasing idle
+  std::vector<std::uint8_t> used;          // FF/BF distinct-cluster marks
+  std::vector<std::uint32_t> remaining;    // ordered: idle left per cluster
 };
 
-/// Try to place `components` (must be non-increasing) on distinct clusters
-/// given per-cluster idle counts. Returns std::nullopt if the request does
-/// not fit. Ties on idle counts break toward the lower cluster id, keeping
-/// runs deterministic. kLoadAware needs capacities — use the overload below.
+/// Place `components` (must be non-increasing) on distinct clusters given
+/// per-cluster idle counts. On a fit, writes one entry per component into
+/// `out` (reusing its capacity) and returns true; otherwise clears `out`
+/// and returns false. Ties on idle counts break toward the lower cluster
+/// id, keeping runs deterministic. kLoadAware orders clusters by
+/// idle/capacity (exact integer cross-multiplication) and needs one
+/// capacity per cluster; the other rules ignore `capacities`.
+bool place_components(const std::vector<std::uint32_t>& components,
+                      const std::vector<std::uint32_t>& idle_counts,
+                      const std::vector<std::uint32_t>& capacities, PlacementRule rule,
+                      PlacementScratch& scratch, Allocation& out);
+
+/// Convenience form for tests and cold callers: fresh scratch, a fresh
+/// allocation or std::nullopt. No capacities, so kLoadAware throws.
 std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
                                            const std::vector<std::uint32_t>& idle_counts,
                                            PlacementRule rule = PlacementRule::kWorstFit);
-
-/// Hot-path variant: identical decisions, but sorts and marks inside
-/// `scratch` instead of fresh vectors, and builds the Allocation only once
-/// the request is known to fit.
-std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle_counts,
-                                           PlacementRule rule, PlacementScratch& scratch);
-
-/// Capacity-aware variant: required for kLoadAware (which orders clusters
-/// by idle/capacity, exact integer cross-multiplication, ties toward the
-/// lower id); the other rules ignore `capacities` and decide identically
-/// to the overloads above.
-std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle_counts,
-                                           const std::vector<std::uint32_t>& capacities,
-                                           PlacementRule rule, PlacementScratch& scratch);
 
 /// Place a single-component job on one specific cluster (LS local jobs).
 std::optional<Allocation> place_on_cluster(std::uint32_t processors, ClusterId cluster,
                                            const std::vector<std::uint32_t>& idle_counts);
 
 /// Place an ORDERED request (the authors' model, refs [6,7]): component i
-/// must go to cluster `clusters[i]` exactly; all-or-nothing.
+/// must go to cluster `clusters[i]` exactly; all-or-nothing. Writes into
+/// `out` and returns true on a fit, clears `out` otherwise.
+bool place_ordered(const std::vector<std::uint32_t>& components,
+                   const std::vector<ClusterId>& clusters,
+                   const std::vector<std::uint32_t>& idle_counts, PlacementScratch& scratch,
+                   Allocation& out);
+
+/// Convenience form of place_ordered (fresh scratch and allocation).
 std::optional<Allocation> place_ordered(const std::vector<std::uint32_t>& components,
                                         const std::vector<ClusterId>& clusters,
                                         const std::vector<std::uint32_t>& idle_counts);
@@ -77,14 +78,14 @@ std::optional<Allocation> place_ordered(const std::vector<std::uint32_t>& compon
 /// Place a FLEXIBLE request (refs [6,7]): only the total matters; the
 /// scheduler splits it over clusters as it likes. Tries one cluster first
 /// (WF), then spreads greedily over clusters by decreasing idle count.
-/// Fits iff total_idle >= total.
+/// Fits iff total_idle >= total. Writes into `out` and returns true on a
+/// fit, clears `out` otherwise.
+bool place_flexible(std::uint32_t total, const std::vector<std::uint32_t>& idle_counts,
+                    PlacementScratch& scratch, Allocation& out);
+
+/// Convenience form of place_flexible (fresh scratch and allocation).
 std::optional<Allocation> place_flexible(std::uint32_t total,
                                          const std::vector<std::uint32_t>& idle_counts);
-
-/// Hot-path variant of place_flexible (see PlacementScratch).
-std::optional<Allocation> place_flexible(std::uint32_t total,
-                                         const std::vector<std::uint32_t>& idle_counts,
-                                         PlacementScratch& scratch);
 
 /// Fit test only (no allocation construction) — cheaper on the hot path.
 bool components_fit(const std::vector<std::uint32_t>& components,

@@ -108,7 +108,7 @@ class SyntheticSource final : public JobSource {
       : generator_(std::move(config), seed) {}
 
   bool next(JobSpec& out) override {
-    out = generator_.next();
+    generator_.next_into(out);
     return true;
   }
 
@@ -298,16 +298,17 @@ SimulationResult MulticlusterSimulation::run() {
 
 void MulticlusterSimulation::schedule_next_arrival() {
   if (arrivals_generated_ >= config_.total_jobs) return;
-  JobSpec spec;
-  if (!source_->next(spec)) return;  // finite source (trace) ran dry
+  // The source fills a pooled job's spec in place, reusing the vectors a
+  // recycled job already owns, and the arrival event captures one plain
+  // pointer (the handler stays inside EventFn's inline buffer).
+  JobPtr job = pool_.acquire();
+  if (!source_->next(job->spec)) {  // finite source (trace) ran dry
+    pool_.release(job);
+    return;
+  }
   ++arrivals_generated_;
-  // Move the spec into a pooled Job now so the arrival event captures one
-  // plain pointer: the handler stays inside EventFn's inline buffer and the
-  // spec's vectors are never copied again.
-  const double when = spec.arrival_time;
-  JobPtr job = pool_.acquire(std::move(spec));
   sim_.set_event_lp(0);  // arrivals are cross-LP traffic: coordinator-owned
-  sim_.schedule_at(when, [this, job]() { on_arrival(job); });
+  sim_.schedule_at(job->spec.arrival_time, [this, job]() { on_arrival(job); });
 }
 
 void MulticlusterSimulation::on_arrival(JobPtr job) {
@@ -369,9 +370,9 @@ void MulticlusterSimulation::record_placement(Job& job, bool success,
   }
 }
 
-void MulticlusterSimulation::start_job(JobPtr job, Allocation allocation) {
+void MulticlusterSimulation::start_job(JobPtr job) {
   MCSIM_REQUIRE(!job->started(), "job started twice");
-  job->allocation = std::move(allocation);
+  MCSIM_REQUIRE(!job->allocation.empty(), "job started without a placement");
   job->start_time = sim_.now();
   system_.allocate(job->allocation);
   // A co-allocated job's tasks synchronise, so its execution stretches by

@@ -180,7 +180,7 @@ class MulticlusterSimulation final : public SchedulerContext {
   // SchedulerContext:
   [[nodiscard]] const Multicluster& system() const override { return system_; }
   [[nodiscard]] double now() const override { return sim_.now(); }
-  void start_job(JobPtr job, Allocation allocation) override;
+  void start_job(JobPtr job) override;
   void record_placement(Job& job, bool success, std::int16_t cluster) override;
 
   [[nodiscard]] const SimulationConfig& config() const { return config_; }

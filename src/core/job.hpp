@@ -20,13 +20,15 @@ enum class QueueClass : std::uint8_t { kLocal, kGlobal };
 
 struct Job {
   Job() = default;
-  explicit Job(JobSpec s) : spec(std::move(s)) {}
   // Pool-owned: handles are Job*; copying one would silently fork state.
   Job(const Job&) = delete;
   Job& operator=(const Job&) = delete;
 
+  /// Filled in place by the job source (JobSource::next) on every arrival.
   JobSpec spec;
-  Allocation allocation;     // filled when the job starts
+  /// Written by each placement attempt (cleared on a reject); the start
+  /// applies whatever the successful attempt left here.
+  Allocation allocation;
   double start_time = -1.0;  // < 0 while queued
   QueueClass queue_class = QueueClass::kGlobal;
   /// Observability: set once the scheduler first considered the job for
@@ -38,11 +40,11 @@ struct Job {
 
   [[nodiscard]] bool started() const { return start_time >= 0.0; }
 
-  /// Re-initialise a recycled pool slot for a new arrival. Keeps the
-  /// allocation vector's capacity, so a recycled job places without
-  /// touching the allocator.
-  void reset(JobSpec s) {
-    spec = std::move(s);
+  /// Re-initialise a recycled pool slot's run state for a new arrival.
+  /// Leaves `spec` for the job source to overwrite and keeps every vector's
+  /// capacity, so a recycled job is filled and placed without touching the
+  /// allocator.
+  void reset() {
     allocation.clear();
     start_time = -1.0;
     queue_class = QueueClass::kGlobal;

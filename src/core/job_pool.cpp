@@ -10,7 +10,7 @@ void JobPool::configure_shards(std::uint32_t shards) {
   free_.assign(shards, {});
 }
 
-Job* JobPool::acquire(JobSpec spec, std::uint32_t shard) {
+Job* JobPool::acquire(std::uint32_t shard) {
   MCSIM_ASSERT(shard < free_.size());
   Job* job = nullptr;
   std::vector<Job*>& lane = free_[shard];
@@ -24,7 +24,7 @@ Job* JobPool::acquire(JobSpec spec, std::uint32_t shard) {
     }
     job = &slabs_.back()[next_in_slab_++];
   }
-  job->reset(std::move(spec));
+  job->reset();
   job->pool_shard = shard;
   ++acquired_;
   return job;

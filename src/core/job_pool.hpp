@@ -6,9 +6,12 @@
 // per job plus atomic refcount traffic on each push/pop/placement, for
 // objects whose lifetime is in fact strictly engine-scoped. The pool hands
 // out stable Job* handles instead: acquire() is a free-list pop (or a bump
-// within the current slab), release() a free-list push, and a recycled job
-// keeps its allocation vector's capacity, so steady-state replay runs the
-// whole job lifecycle without touching the global allocator.
+// within the current slab) and release() a free-list push. A recycled job
+// keeps the capacity of its spec's vectors and of its allocation: the job
+// source fills the spec in place and placement writes into the allocation,
+// so once the pool and the schedulers' scratch buffers are warm a job's
+// lifecycle makes no per-job heap allocation (docs/PERFORMANCE.md,
+// "Allocation-free job lifecycle"; tests/core_engine_alloc_test.cpp).
 //
 // Determinism: recycling makes job *addresses* depend on completion order,
 // so nothing in the engine may order by pointer value (JobOrder compares
@@ -54,10 +57,12 @@ class JobPool {
     return static_cast<std::uint32_t>(free_.size());
   }
 
-  /// Hand out a job initialised from `spec` — recycled from `shard`'s free
-  /// lane when possible, otherwise bump-allocated from the current slab.
-  /// The returned pointer is stable until the pool is destroyed.
-  Job* acquire(JobSpec spec, std::uint32_t shard = 0);
+  /// Hand out a job with fresh run state (Job::reset) — recycled from
+  /// `shard`'s free lane when possible, otherwise bump-allocated from the
+  /// current slab. Its `spec` still holds the previous occupant's fields
+  /// (and buffers) until the caller fills it in place. The returned pointer
+  /// is stable until the pool is destroyed.
+  Job* acquire(std::uint32_t shard = 0);
 
   /// Return a job to the free lane of the shard it was acquired from. The
   /// caller must drop every handle: the next acquire() may recycle the

@@ -56,14 +56,17 @@ SaturationResult SaturationSimulation::run() {
 }
 
 void SaturationSimulation::refill() {
-  JobSpec spec = generator_.next_body();
-  spec.arrival_time = sim_.now();
-  scheduler_->submit(pool_.acquire(std::move(spec)));
+  // Filled in place, like the main engine's arrivals: a recycled job keeps
+  // its spec's buffers.
+  JobPtr job = pool_.acquire();
+  generator_.next_body_into(job->spec);
+  job->spec.arrival_time = sim_.now();
+  scheduler_->submit(job);
 }
 
-void SaturationSimulation::start_job(JobPtr job, Allocation allocation) {
+void SaturationSimulation::start_job(JobPtr job) {
   MCSIM_REQUIRE(!job->started(), "job started twice");
-  job->allocation = std::move(allocation);
+  MCSIM_REQUIRE(!job->allocation.empty(), "job started without a placement");
   job->start_time = sim_.now();
   system_.allocate(job->allocation);
   utilization_.on_job_start(sim_.now(), job->spec.total_size, job->spec.gross_service_time,

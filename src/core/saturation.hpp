@@ -54,7 +54,7 @@ class SaturationSimulation final : public SchedulerContext {
 
   [[nodiscard]] const Multicluster& system() const override { return system_; }
   [[nodiscard]] double now() const override { return sim_.now(); }
-  void start_job(JobPtr job, Allocation allocation) override;
+  void start_job(JobPtr job) override;
 
  private:
   void refill();

@@ -37,8 +37,7 @@ ComposedScheduler::ComposedScheduler(SchedulerContext& context, PipelineSpec pip
   }
 }
 
-std::optional<Allocation> ComposedScheduler::place_for(Job& job,
-                                                       std::int32_t local_cluster) {
+bool ComposedScheduler::place_for(Job& job, std::int32_t local_cluster) {
   switch (pipeline_.coallocation.kind) {
     case CoAllocationRule::Kind::kUnrestricted:
       return try_place(job);
@@ -60,7 +59,8 @@ std::optional<Allocation> ComposedScheduler::place_for(Job& job,
       // cluster.
       return try_place_whole(job);
   }
-  return std::nullopt;
+  job.allocation.clear();
+  return false;
 }
 
 void ComposedScheduler::submit(JobPtr job) {
@@ -124,22 +124,18 @@ void ComposedScheduler::on_departure() {
 
 // ---- kSingleGlobal (historical PolicyGs) -------------------------------
 
-void ComposedScheduler::start_at(std::size_t index, Allocation allocation) {
+void ComposedScheduler::start_at(std::size_t index) {
   JobPtr job = global_.remove_at(index);
   if (pipeline_.backfill != BackfillMode::kNone) {
     running_.on_start(context_.now() + job->spec.gross_service_time,
                       job->spec.total_size);
   }
-  context_.start_job(job, std::move(allocation));
+  context_.start_job(job);
 }
 
 void ComposedScheduler::try_schedule_single() {
   // FCFS part, common to all modes: start head jobs while they fit.
-  while (!global_.empty()) {
-    auto allocation = place_for(*global_.front(), -1);
-    if (!allocation) break;
-    start_at(0, std::move(*allocation));
-  }
+  while (!global_.empty() && place_for(*global_.front(), -1)) start_at(0);
   if (global_.size() < 2) return;
   switch (pipeline_.backfill) {
     case BackfillMode::kNone: break;
@@ -153,9 +149,8 @@ void ComposedScheduler::backfill_aggressive() {
   // Scan past the (blocked) head and start anything that fits, in order.
   std::size_t index = 1;
   while (index < global_.size()) {
-    auto allocation = place_for(*global_.at(index), -1);
-    if (allocation) {
-      start_at(index, std::move(*allocation));
+    if (place_for(*global_.at(index), -1)) {
+      start_at(index);
       // Do not advance: the next job shifted into this slot.
     } else {
       ++index;
@@ -181,13 +176,12 @@ void ComposedScheduler::backfill_easy() {
       ++index;
       continue;
     }
-    auto allocation = place_for(*global_.at(index), -1);
-    if (!allocation) {
+    if (!place_for(*global_.at(index), -1)) {
       ++index;
       continue;
     }
     if (!ends_in_time) spare -= job.spec.total_size;
-    start_at(index, std::move(*allocation));
+    start_at(index);
   }
 }
 
@@ -212,10 +206,9 @@ void ComposedScheduler::backfill_conservative() {
       continue;
     }
     if (start <= now) {
-      auto allocation = place_for(job, -1);
-      if (allocation) {
+      if (place_for(job, -1)) {
         profile_.reserve(now, job.spec.gross_service_time, job.spec.total_size);
-        start_at(index, std::move(*allocation));
+        start_at(index);
         continue;  // the next job shifted into this slot
       }
       // The aggregate count fits but the per-cluster layout does not
@@ -236,14 +229,12 @@ void ComposedScheduler::try_schedule_rotation() {
     any_started = false;
     // Snapshot: queues disabled during this round drop out of the rotation
     // for subsequent rounds but finish being skipped in this one.
-    const std::vector<std::uint32_t> round = visit_order_;
-    for (std::uint32_t qid : round) {
+    round_.assign(visit_order_.begin(), visit_order_.end());
+    for (std::uint32_t qid : round_) {
       JobQueue& queue = locals_[qid];
       if (!queue.enabled() || queue.empty()) continue;
-      Job& head = *queue.front();
-      auto allocation = place_for(head, static_cast<std::int32_t>(qid));
-      if (allocation) {
-        context_.start_job(queue.pop(), std::move(*allocation));
+      if (place_for(*queue.front(), static_cast<std::int32_t>(qid))) {
+        context_.start_job(queue.pop());
         any_started = true;
       } else {
         disable_queue(qid);
@@ -277,9 +268,8 @@ void ComposedScheduler::try_schedule_priority() {
     // at least one local queue empty and no unfitting head since the last
     // departure.
     if (global_.enabled() && !global_.empty() && some_local_empty()) {
-      auto allocation = place_for(*global_.front(), -1);
-      if (allocation) {
-        context_.start_job(global_.pop(), std::move(*allocation));
+      if (place_for(*global_.front(), -1)) {
+        context_.start_job(global_.pop());
         any_started = true;
       } else {
         global_.disable();
@@ -289,9 +279,8 @@ void ComposedScheduler::try_schedule_priority() {
     for (std::uint32_t qid = 0; qid < locals_.size(); ++qid) {
       JobQueue& queue = locals_[qid];
       if (!queue.enabled() || queue.empty()) continue;
-      auto allocation = place_for(*queue.front(), static_cast<std::int32_t>(qid));
-      if (allocation) {
-        context_.start_job(queue.pop(), std::move(*allocation));
+      if (place_for(*queue.front(), static_cast<std::int32_t>(qid))) {
+        context_.start_job(queue.pop());
         any_started = true;
       } else {
         queue.disable();

@@ -54,16 +54,18 @@ class ComposedScheduler final : public Scheduler {
   [[nodiscard]] std::size_t global_queue_length() const { return global_.size(); }
 
  private:
-  /// The co-allocation rule's placement decision for one job.
+  /// The co-allocation rule's placement decision for one job, written into
+  /// job.allocation (cleared on a reject); true when the job fits.
   /// `local_cluster` is the cluster of the queue the job waits in, or -1
   /// for the global/single queue (the job's origin cluster then stands in
   /// when the rule restricts single-component jobs).
-  [[nodiscard]] std::optional<Allocation> place_for(Job& job,
-                                                    std::int32_t local_cluster);
+  [[nodiscard]] bool place_for(Job& job, std::int32_t local_cluster);
 
   // kSingleGlobal protocol (historical PolicyGs).
   void try_schedule_single();
-  void start_at(std::size_t index, Allocation allocation);
+  /// Start the global-queue job at `index` on the allocation place_for
+  /// just wrote.
+  void start_at(std::size_t index);
   void backfill_aggressive();
   void backfill_easy();
   void backfill_conservative();
@@ -89,6 +91,9 @@ class ComposedScheduler final : public Scheduler {
   /// specifies) and the queues disabled since the last departure.
   std::vector<std::uint32_t> visit_order_;
   std::vector<std::uint32_t> disabled_order_;
+  /// One round's snapshot of visit_order_, reused across rounds so the
+  /// rotation never allocates (see try_schedule_rotation).
+  std::vector<std::uint32_t> round_;
 
   /// Backfilling state (kSingleGlobal with backfill only).
   ReservationTracker running_;

@@ -17,8 +17,6 @@
 #include "core/job.hpp"
 #include "policy/queue.hpp"
 
-#include <optional>
-
 namespace mcsim {
 
 /// Backfilling stage for the single-global-queue structure (GS, SC) — an
@@ -67,9 +65,10 @@ class SchedulerContext {
   /// Current simulation time (the backfilling variants reason about job
   /// completion times).
   [[nodiscard]] virtual double now() const = 0;
-  /// Start `job` on `allocation` now; the engine allocates the processors
-  /// and schedules the departure.
-  virtual void start_job(JobPtr job, Allocation allocation) = 0;
+  /// Start `job` now on job->allocation, which the successful placement
+  /// attempt just wrote; the engine allocates the processors and schedules
+  /// the departure.
+  virtual void start_job(JobPtr job) = 0;
   /// Observability: every placement attempt reports its outcome here
   /// (called by Scheduler::try_place / try_place_local). `cluster` is the
   /// local cluster the attempt was restricted to, or -1 for a system-wide
@@ -106,18 +105,21 @@ class Scheduler {
   [[nodiscard]] virtual std::string name() const = 0;
 
  protected:
+  // Placement attempts. Each writes its decision into job.allocation —
+  // cleared on a reject — and returns whether the job fits, so a recycled
+  // job places into the allocation buffer it already owns.
+
   /// WF (or the configured rule) placement of an unordered request over the
   /// whole system; single-component jobs are a 1-tuple.
-  [[nodiscard]] std::optional<Allocation> try_place(Job& job) const;
+  [[nodiscard]] bool try_place(Job& job) const;
 
   /// Placement of a single-component job restricted to its local cluster.
-  [[nodiscard]] std::optional<Allocation> try_place_local(Job& job,
-                                                          ClusterId cluster) const;
+  [[nodiscard]] bool try_place_local(Job& job, ClusterId cluster) const;
 
   /// Placement of the job's full size on one cluster (the most idle that
   /// fits, ties toward the lower id) — the component-limit co-allocation
   /// rule's fallback for jobs it refuses to spread.
-  [[nodiscard]] std::optional<Allocation> try_place_whole(Job& job) const;
+  [[nodiscard]] bool try_place_whole(Job& job) const;
 
   SchedulerContext& context_;
   PlacementRule placement_;

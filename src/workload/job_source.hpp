@@ -16,6 +16,15 @@ class JobSource {
 
   /// Fill `out` with the next arrival (arrival times non-decreasing).
   /// Returns false when no jobs remain; `out` is untouched in that case.
+  ///
+  /// In-place contract: `out` is usually a recycled pooled job's spec, so
+  /// an implementation overwrites *every* field of it — nothing of the
+  /// previous occupant may leak through — and refills `components` and
+  /// `ordered_clusters` in place (clear/assign/push_back), reusing their
+  /// capacity instead of replacing the vectors. That keeps a warm run's
+  /// arrivals off the heap (docs/PERFORMANCE.md, "Allocation-free job
+  /// lifecycle"); tests/workload_job_source_test.cpp pins the contract for
+  /// both sources.
   virtual bool next(JobSpec& out) = 0;
 };
 

@@ -22,7 +22,13 @@ namespace mcsim {
 std::uint32_t component_count(std::uint32_t total_size, std::uint32_t component_limit,
                               std::uint32_t num_clusters);
 
-/// Component sizes, non-increasing, summing to `total_size`.
+/// Component sizes, non-increasing, summing to `total_size`, written into
+/// `out` (replacing its contents, reusing its capacity) — the job sources'
+/// per-arrival path.
+void split_job_into(std::uint32_t total_size, std::uint32_t component_limit,
+                    std::uint32_t num_clusters, std::vector<std::uint32_t>& out);
+
+/// split_job_into as a fresh vector, for cold callers.
 std::vector<std::uint32_t> split_job(std::uint32_t total_size, std::uint32_t component_limit,
                                      std::uint32_t num_clusters);
 

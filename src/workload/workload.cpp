@@ -62,18 +62,26 @@ WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, std::uint64_t master
   queue_cumulative_.back() = 1.0;
 }
 
+void WorkloadGenerator::next_into(JobSpec& out) {
+  clock_ += arrival_rng_.exponential_mean(1.0 / config_.arrival_rate);
+  out.arrival_time = clock_;
+  fill_body(out);
+}
+
+void WorkloadGenerator::next_body_into(JobSpec& out) {
+  out.arrival_time = 0.0;
+  fill_body(out);
+}
+
 JobSpec WorkloadGenerator::next() {
   JobSpec job;
-  clock_ += arrival_rng_.exponential_mean(1.0 / config_.arrival_rate);
-  job.arrival_time = clock_;
-  fill_body(job);
+  next_into(job);
   return job;
 }
 
 JobSpec WorkloadGenerator::next_body() {
   JobSpec job;
-  job.arrival_time = 0.0;
-  fill_body(job);
+  next_body_into(job);
   return job;
 }
 
@@ -81,40 +89,44 @@ void WorkloadGenerator::fill_body(JobSpec& job) {
   job.id = next_id_++;
   job.total_size = static_cast<std::uint32_t>(config_.size_distribution.sample(size_rng_));
   MCSIM_ASSERT(job.total_size > 0);
+  // Only ordered requests name clusters; clear what a recycled spec held.
+  job.ordered_clusters.clear();
 
   if (!config_.split_jobs) {
     job.request_type = RequestType::kTotal;
-    job.components = {job.total_size};
+    job.components.assign(1, job.total_size);
     job.wide_area = false;
   } else {
     job.request_type = config_.request_type;
     switch (config_.request_type) {
       case RequestType::kTotal:
       case RequestType::kUnordered:
-        job.components =
-            split_job(job.total_size, config_.component_limit, config_.num_clusters);
+        split_job_into(job.total_size, config_.component_limit, config_.num_clusters,
+                       job.components);
         job.wide_area = job.components.size() > 1;
         break;
       case RequestType::kOrdered: {
-        job.components =
-            split_job(job.total_size, config_.component_limit, config_.num_clusters);
+        split_job_into(job.total_size, config_.component_limit, config_.num_clusters,
+                       job.components);
         job.wide_area = job.components.size() > 1;
         // Assign the components to distinct random clusters (a random
         // prefix of a Fisher-Yates shuffle).
-        std::vector<std::uint32_t> clusters(config_.num_clusters);
+        std::vector<std::uint32_t>& clusters = cluster_scratch_;
+        clusters.resize(config_.num_clusters);
         for (std::uint32_t i = 0; i < config_.num_clusters; ++i) clusters[i] = i;
         for (std::size_t i = 0; i < job.components.size(); ++i) {
           const auto j = i + static_cast<std::size_t>(
                                  placement_rng_.uniform_int(clusters.size() - i));
           std::swap(clusters[i], clusters[j]);
         }
+        job.ordered_clusters.reserve(config_.num_clusters);
         job.ordered_clusters.assign(clusters.begin(),
                                     clusters.begin() + static_cast<long>(job.components.size()));
         break;
       }
       case RequestType::kFlexible:
         // Split decided at placement time; only the total travels.
-        job.components = {job.total_size};
+        job.components.assign(1, job.total_size);
         job.wide_area = job.total_size > config_.flexible_local_threshold;
         break;
     }

@@ -94,11 +94,18 @@ class WorkloadGenerator {
  public:
   WorkloadGenerator(WorkloadConfig config, std::uint64_t master_seed);
 
-  /// Generate the next arrival (arrival times strictly increase).
-  JobSpec next();
+  /// Generate the next arrival (arrival times strictly increase) into
+  /// `out`, overwriting every field and reusing the capacity of its
+  /// vectors — the JobSource in-place contract (workload/job_source.hpp).
+  void next_into(JobSpec& out);
 
   /// Generate a job body without advancing the arrival clock (used by the
-  /// constant-backlog saturation driver, which ignores arrival times).
+  /// constant-backlog saturation driver, which ignores arrival times);
+  /// arrival_time is 0. Fills `out` in place like next_into.
+  void next_body_into(JobSpec& out);
+
+  /// next_into / next_body_into as a fresh JobSpec, for cold callers.
+  JobSpec next();
   JobSpec next_body();
 
   [[nodiscard]] const WorkloadConfig& config() const { return config_; }
@@ -114,6 +121,9 @@ class WorkloadGenerator {
   Rng queue_rng_;
   Rng placement_rng_;
   std::vector<double> queue_cumulative_;
+  /// Ordered requests: the cluster permutation the Fisher-Yates prefix
+  /// shuffle works in, kept across draws.
+  std::vector<std::uint32_t> cluster_scratch_;
   double clock_ = 0.0;
   std::uint64_t next_id_ = 0;
 };

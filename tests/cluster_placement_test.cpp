@@ -162,14 +162,14 @@ TEST(LoadAware, OrdersByIdleFractionNotAbsoluteIdle) {
   const std::vector<std::uint32_t> idle{20, 18};
   const std::vector<std::uint32_t> capacities{64, 32};
   PlacementScratch scratch;
-  const auto la =
-      place_components({10}, idle, capacities, PlacementRule::kLoadAware, scratch);
-  ASSERT_TRUE(la.has_value());
-  EXPECT_EQ((*la)[0].cluster, 1u);
-  const auto wf =
-      place_components({10}, idle, capacities, PlacementRule::kWorstFit, scratch);
-  ASSERT_TRUE(wf.has_value());
-  EXPECT_EQ((*wf)[0].cluster, 0u);
+  Allocation la;
+  ASSERT_TRUE(
+      place_components({10}, idle, capacities, PlacementRule::kLoadAware, scratch, la));
+  EXPECT_EQ(la[0].cluster, 1u);
+  Allocation wf;
+  ASSERT_TRUE(
+      place_components({10}, idle, capacities, PlacementRule::kWorstFit, scratch, wf));
+  EXPECT_EQ(wf[0].cluster, 0u);
 }
 
 TEST(LoadAware, MatchesWorstFitOnHomogeneousCapacities) {
@@ -187,16 +187,17 @@ TEST(LoadAware, MatchesWorstFitOnHomogeneousCapacities) {
       components.push_back(1 + static_cast<std::uint32_t>(rng.uniform_int(24)));
     }
     std::sort(components.rbegin(), components.rend());
-    const auto la = place_components(components, idle, capacities,
-                                     PlacementRule::kLoadAware, scratch);
-    const auto wf = place_components(components, idle, capacities,
-                                     PlacementRule::kWorstFit, scratch);
-    ASSERT_EQ(la.has_value(), wf.has_value());
-    if (la) {
-      for (std::size_t i = 0; i < la->size(); ++i) {
-        EXPECT_EQ((*la)[i].cluster, (*wf)[i].cluster);
-        EXPECT_EQ((*la)[i].processors, (*wf)[i].processors);
-      }
+    Allocation la;
+    Allocation wf;
+    const bool la_fits = place_components(components, idle, capacities,
+                                          PlacementRule::kLoadAware, scratch, la);
+    const bool wf_fits = place_components(components, idle, capacities,
+                                          PlacementRule::kWorstFit, scratch, wf);
+    ASSERT_EQ(la_fits, wf_fits);
+    ASSERT_EQ(la.size(), wf.size());
+    for (std::size_t i = 0; i < la.size(); ++i) {
+      EXPECT_EQ(la[i].cluster, wf[i].cluster);
+      EXPECT_EQ(la[i].processors, wf[i].processors);
     }
   }
 }
@@ -206,10 +207,10 @@ TEST(LoadAware, FractionTieBreaksTowardLowerClusterId) {
   const std::vector<std::uint32_t> idle{32, 16};
   const std::vector<std::uint32_t> capacities{64, 32};
   PlacementScratch scratch;
-  const auto alloc =
-      place_components({8}, idle, capacities, PlacementRule::kLoadAware, scratch);
-  ASSERT_TRUE(alloc.has_value());
-  EXPECT_EQ((*alloc)[0].cluster, 0u);
+  Allocation alloc;
+  ASSERT_TRUE(
+      place_components({8}, idle, capacities, PlacementRule::kLoadAware, scratch, alloc));
+  EXPECT_EQ(alloc[0].cluster, 0u);
 }
 
 TEST(LoadAware, RequiresTheCapacityAwareOverload) {
@@ -217,9 +218,42 @@ TEST(LoadAware, RequiresTheCapacityAwareOverload) {
   EXPECT_THROW(place_components({8}, {32, 32}, PlacementRule::kLoadAware),
                std::invalid_argument);
   PlacementScratch scratch;
+  Allocation alloc;
   EXPECT_THROW(
-      place_components({8}, {32, 32}, PlacementRule::kLoadAware, scratch),
+      place_components({8}, {32, 32}, {}, PlacementRule::kLoadAware, scratch, alloc),
       std::invalid_argument);
+}
+
+// The in-place form used by the schedulers: a reject clears whatever the
+// caller's allocation held, an accept replaces it, and a warm buffer is
+// reused rather than reallocated.
+TEST(PlacementInPlace, AcceptReplacesAndRejectClearsTheAllocation) {
+  const std::vector<std::uint32_t> capacities{32, 32, 32, 32};
+  PlacementScratch scratch;
+  Allocation out{ComponentPlacement{3, 99}, ComponentPlacement{2, 99},
+                 ComponentPlacement{1, 99}, ComponentPlacement{0, 99}};
+  const auto* buffer = out.data();
+  for (const PlacementRule rule : {PlacementRule::kWorstFit, PlacementRule::kFirstFit,
+                                   PlacementRule::kBestFit, PlacementRule::kLoadAware}) {
+    SCOPED_TRACE(placement_rule_name(rule));
+    ASSERT_TRUE(place_components({20, 10}, {5, 30, 25, 32}, capacities, rule, scratch, out));
+    EXPECT_EQ(out.size(), 2u);
+    EXPECT_EQ(out, *place_components({20, 10}, {5, 30, 25, 32},
+                                     rule == PlacementRule::kLoadAware
+                                         ? PlacementRule::kWorstFit
+                                         : rule));
+    EXPECT_FALSE(place_components({33}, {32, 32, 32, 32}, capacities, rule, scratch, out));
+    EXPECT_TRUE(out.empty());
+  }
+  EXPECT_TRUE(place_ordered({10, 8}, {2, 0}, {32, 32, 32, 32}, scratch, out));
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_FALSE(place_ordered({17, 16}, {0, 0}, {32, 0, 0, 0}, scratch, out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(place_flexible(40, {32, 8, 16, 4}, scratch, out));
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_FALSE(place_flexible(61, {32, 8, 16, 4}, scratch, out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(out.data(), buffer);
 }
 
 }  // namespace

@@ -16,14 +16,15 @@
 namespace mcsim {
 namespace {
 
-JobSpec spec_with_id(std::uint64_t id) {
-  JobSpec spec;
-  spec.id = id;
-  spec.components = {4};
-  spec.total_size = 4;
-  spec.service_time = 10.0;
-  spec.gross_service_time = 10.0;
-  return spec;
+/// Acquire a job and fill its spec the way a job source does: in place.
+Job* acquire_with_id(JobPool& pool, std::uint64_t id, std::uint32_t shard = 0) {
+  Job* job = pool.acquire(shard);
+  job->spec.id = id;
+  job->spec.components.assign(1, 4);
+  job->spec.total_size = 4;
+  job->spec.service_time = 10.0;
+  job->spec.gross_service_time = 10.0;
+  return job;
 }
 
 TEST(JobPool, AcquireHandsOutDistinctStableAddresses) {
@@ -32,7 +33,7 @@ TEST(JobPool, AcquireHandsOutDistinctStableAddresses) {
   std::vector<Job*> jobs;
   // Cross several slab boundaries; nothing may alias and nothing may move.
   for (std::uint64_t i = 0; i < 3 * JobPool::kSlabCapacity + 7; ++i) {
-    Job* job = pool.acquire(spec_with_id(i));
+    Job* job = acquire_with_id(pool, i);
     EXPECT_TRUE(seen.insert(job).second) << "aliased live job at i=" << i;
     jobs.push_back(job);
   }
@@ -46,36 +47,42 @@ TEST(JobPool, AcquireHandsOutDistinctStableAddresses) {
 
 TEST(JobPool, ReleaseRecyclesLastInFirstOut) {
   JobPool pool;
-  Job* first = pool.acquire(spec_with_id(1));
-  Job* second = pool.acquire(spec_with_id(2));
+  Job* first = acquire_with_id(pool, 1);
+  Job* second = acquire_with_id(pool, 2);
   pool.release(first);
   pool.release(second);
   // LIFO: the most recently released slot is reused first. This order is a
   // pure function of the (deterministic) departure order, which is what
   // makes recycled addresses replay identically run over run.
-  EXPECT_EQ(pool.acquire(spec_with_id(3)), second);
-  EXPECT_EQ(pool.acquire(spec_with_id(4)), first);
+  EXPECT_EQ(acquire_with_id(pool, 3), second);
+  EXPECT_EQ(acquire_with_id(pool, 4), first);
   EXPECT_EQ(pool.live(), 2u);
   EXPECT_EQ(pool.total_acquired(), 4u);
 }
 
 TEST(JobPool, RecycledJobIsFullyReset) {
   JobPool pool;
-  Job* job = pool.acquire(spec_with_id(1));
+  Job* job = acquire_with_id(pool, 1);
+  job->spec.components.assign({2, 1, 1});
+  job->spec.ordered_clusters.assign({3, 0, 1});
   job->allocation.push_back(ComponentPlacement{0, 4});
   job->start_time = 12.5;
   job->queue_class = QueueClass::kLocal;
   job->considered = true;
   const std::size_t capacity = job->allocation.capacity();
+  const std::size_t components_capacity = job->spec.components.capacity();
+  const std::size_t clusters_capacity = job->spec.ordered_clusters.capacity();
   pool.release(job);
 
-  Job* recycled = pool.acquire(spec_with_id(2));
+  Job* recycled = pool.acquire();
   ASSERT_EQ(recycled, job);
-  EXPECT_EQ(recycled->spec.id, 2u);
   EXPECT_TRUE(recycled->allocation.empty());
-  // reset() clears but keeps the vector's buffer: a recycled job places
-  // again without touching the allocator.
+  // The run state is cleared but every buffer is kept: the job source
+  // refills the spec in place and placement writes into the allocation
+  // without touching the allocator.
   EXPECT_GE(recycled->allocation.capacity(), capacity);
+  EXPECT_GE(recycled->spec.components.capacity(), components_capacity);
+  EXPECT_GE(recycled->spec.ordered_clusters.capacity(), clusters_capacity);
   EXPECT_FALSE(recycled->started());
   EXPECT_EQ(recycled->queue_class, QueueClass::kGlobal);
   EXPECT_FALSE(recycled->considered);
@@ -84,12 +91,12 @@ TEST(JobPool, RecycledJobIsFullyReset) {
 TEST(JobPool, CapacityCountsConstructedJobs) {
   JobPool pool;
   EXPECT_EQ(pool.capacity(), 0u);
-  Job* job = pool.acquire(spec_with_id(1));
+  Job* job = acquire_with_id(pool, 1);
   EXPECT_EQ(pool.capacity(), 1u);
   EXPECT_EQ(pool.slab_count(), 1u);
   // Recycling does not grow capacity.
   pool.release(job);
-  (void)pool.acquire(spec_with_id(2));
+  (void)acquire_with_id(pool, 2);
   EXPECT_EQ(pool.capacity(), 1u);
 }
 
@@ -102,9 +109,9 @@ TEST(JobPool, ShardedFreeLanesRecycleIndependently) {
   pool.configure_shards(3);
   EXPECT_EQ(pool.shard_count(), 3u);
 
-  Job* a = pool.acquire(spec_with_id(1), /*shard=*/0);
-  Job* b = pool.acquire(spec_with_id(2), /*shard=*/1);
-  Job* c = pool.acquire(spec_with_id(3), /*shard=*/1);
+  Job* a = acquire_with_id(pool, 1, 0);
+  Job* b = acquire_with_id(pool, 2, 1);
+  Job* c = acquire_with_id(pool, 3, 1);
   EXPECT_EQ(a->pool_shard, 0u);
   EXPECT_EQ(b->pool_shard, 1u);
 
@@ -113,10 +120,10 @@ TEST(JobPool, ShardedFreeLanesRecycleIndependently) {
   pool.release(a);
   // Shard 1's lane is LIFO on its own: c then b; shard 0 returns a; shard
   // 2's empty lane falls back to fresh slab slots.
-  EXPECT_EQ(pool.acquire(spec_with_id(4), 1), c);
-  EXPECT_EQ(pool.acquire(spec_with_id(5), 1), b);
-  EXPECT_EQ(pool.acquire(spec_with_id(6), 0), a);
-  Job* fresh = pool.acquire(spec_with_id(7), 2);
+  EXPECT_EQ(acquire_with_id(pool, 4, 1), c);
+  EXPECT_EQ(acquire_with_id(pool, 5, 1), b);
+  EXPECT_EQ(acquire_with_id(pool, 6, 0), a);
+  Job* fresh = acquire_with_id(pool, 7, 2);
   EXPECT_NE(fresh, a);
   EXPECT_NE(fresh, b);
   EXPECT_NE(fresh, c);
@@ -125,7 +132,7 @@ TEST(JobPool, ShardedFreeLanesRecycleIndependently) {
 
 TEST(JobPool, ConfigureShardsRequiresFreshPool) {
   JobPool pool;
-  (void)pool.acquire(spec_with_id(1));
+  (void)acquire_with_id(pool, 1);
   EXPECT_THROW(pool.configure_shards(2), std::invalid_argument);
 }
 

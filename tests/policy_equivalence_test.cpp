@@ -73,20 +73,20 @@ class ReferenceGs final : public Scheduler {
     std::uint32_t processors;
   };
 
-  void start_at(std::size_t index, Allocation allocation) {
+  void start_at(std::size_t index) {
     JobPtr job = queue_.remove_at(index);
     if (backfill_ != BackfillMode::kNone) {
       running_.push_back(RunningJob{context_.now() + job->spec.gross_service_time,
                                     job->spec.total_size});
     }
-    context_.start_job(job, std::move(allocation));
+    context_.start_job(job);
   }
 
   void try_schedule() {
     while (!queue_.empty()) {
-      auto allocation = try_place(*queue_.front());
-      if (!allocation) break;
-      start_at(0, std::move(*allocation));
+      const bool placed = try_place(*queue_.front());
+      if (!placed) break;
+      start_at(0);
     }
     if (queue_.size() < 2) return;
     switch (backfill_) {
@@ -105,9 +105,9 @@ class ReferenceGs final : public Scheduler {
   void backfill_aggressive() {
     std::size_t index = 1;
     while (index < queue_.size()) {
-      auto allocation = try_place(*queue_.at(index));
-      if (allocation) {
-        start_at(index, std::move(*allocation));
+      const bool placed = try_place(*queue_.at(index));
+      if (placed) {
+        start_at(index);
       } else {
         ++index;
       }
@@ -147,13 +147,13 @@ class ReferenceGs final : public Scheduler {
         ++index;
         continue;
       }
-      auto allocation = try_place(*queue_.at(index));
-      if (!allocation) {
+      const bool placed = try_place(*queue_.at(index));
+      if (!placed) {
         ++index;
         continue;
       }
       if (!ends_in_time) spare -= job.spec.total_size;
-      start_at(index, std::move(*allocation));
+      start_at(index);
     }
   }
 
@@ -225,11 +225,11 @@ class ReferenceLs final : public Scheduler {
         JobQueue& queue = queues_[qid];
         if (!queue.enabled() || queue.empty()) continue;
         Job& head = *queue.front();
-        auto allocation = head.spec.needs_coallocation()
-                              ? try_place(head)
-                              : try_place_local(head, qid);
-        if (allocation) {
-          context_.start_job(queue.pop(), std::move(*allocation));
+        const bool placed = head.spec.needs_coallocation()
+                                 ? try_place(head)
+                                 : try_place_local(head, qid);
+        if (placed) {
+          context_.start_job(queue.pop());
           any_started = true;
         } else {
           disable_queue(qid);
@@ -316,9 +316,9 @@ class ReferenceLp final : public Scheduler {
       any_started = false;
 
       if (global_.enabled() && !global_.empty() && some_local_empty()) {
-        auto allocation = try_place(*global_.front());
-        if (allocation) {
-          context_.start_job(global_.pop(), std::move(*allocation));
+        const bool placed = try_place(*global_.front());
+        if (placed) {
+          context_.start_job(global_.pop());
           any_started = true;
         } else {
           global_.disable();
@@ -328,9 +328,9 @@ class ReferenceLp final : public Scheduler {
       for (std::uint32_t qid = 0; qid < locals_.size(); ++qid) {
         JobQueue& queue = locals_[qid];
         if (!queue.enabled() || queue.empty()) continue;
-        auto allocation = try_place_local(*queue.front(), qid);
-        if (allocation) {
-          context_.start_job(queue.pop(), std::move(*allocation));
+        const bool placed = try_place_local(*queue.front(), qid);
+        if (placed) {
+          context_.start_job(queue.pop());
           any_started = true;
         } else {
           queue.disable();

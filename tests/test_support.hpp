@@ -27,8 +27,7 @@ class FakeContext : public SchedulerContext {
   [[nodiscard]] const Multicluster& system() const override { return system_; }
   [[nodiscard]] double now() const override { return clock; }
 
-  void start_job(JobPtr job, Allocation allocation) override {
-    job->allocation = std::move(allocation);
+  void start_job(JobPtr job) override {
     job->start_time = clock;
     system_.allocate(job->allocation);
     started.push_back(job);
@@ -65,8 +64,9 @@ inline JobPtr make_job(std::uint64_t id, std::vector<std::uint32_t> components,
   spec.gross_service_time = spec.wide_area ? service * 1.25 : service;
   spec.origin_queue = origin_queue;
   static std::deque<Job> arena;
-  arena.emplace_back(std::move(spec));
-  return &arena.back();
+  Job& job = arena.emplace_back();
+  job.spec = std::move(spec);
+  return &job;
 }
 
 /// A paper policy as its canonical pipeline composition — the successor to

@@ -121,6 +121,15 @@ def main():
             "normalized_to": CALIBRATION,
             "ratios": {name: round(ratio, 4) for name, ratio in ratios.items()},
         }
+        # The ratios are all a run measures; policy objects such as
+        # "parallel" are configuration and survive the refresh.
+        try:
+            with open(args.baseline) as f:
+                previous = json.load(f)
+        except FileNotFoundError:
+            previous = {}
+        for key, value in previous.items():
+            baseline.setdefault(key, value)
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2)
             f.write("\n")

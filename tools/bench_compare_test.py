@@ -120,6 +120,19 @@ class BenchCompareTest(unittest.TestCase):
         proc = self.run_gate(results, baseline)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
+    def test_update_keeps_the_parallel_policy(self):
+        results = self.write("results.json",
+                             gbench_json({CALIBRATION: 10e6, GS: 5e6, LS: 3e6}))
+        policy = {"benchmark": PARALLEL, "speedup_over": GS, "min_speedup": 1.5,
+                  "min_cores": 4}
+        baseline = self.write("baseline.json",
+                              {"ratios": {GS: 0.4, LS: 0.3}, "parallel": policy})
+        proc = self.run_gate(results, baseline, "--update")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        written = json.loads(baseline.read_text())
+        self.assertAlmostEqual(written["ratios"][GS], 0.5)
+        self.assertEqual(written["parallel"], policy)
+
     # -- the parallel-engine speedup assertion ---------------------------
 
     def test_speedup_met_on_big_runner_passes(self):
