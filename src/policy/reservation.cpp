@@ -14,16 +14,21 @@ void ReservationTracker::prune(double now) {
 std::pair<double, std::uint32_t> ReservationTracker::head_reservation(
     std::uint32_t idle, std::uint32_t needed) const {
   MCSIM_ASSERT(idle < needed || !running_.empty());
-  // Identical to the historical PolicyGS implementation (the EASY goldens
-  // are sealed on its exact accumulation order): sort a copy by end time
-  // and accumulate returning processors until the head fits.
+  // Sort a copy by end time and accumulate returning processors until the
+  // head fits. Every job ending at that instant frees its processors then,
+  // so the whole tie group counts towards the spare: the result does not
+  // depend on the order the sort leaves equal end times in.
   std::vector<RunningJob> by_end = running_;
   std::sort(by_end.begin(), by_end.end(),
             [](const RunningJob& a, const RunningJob& b) { return a.end_time < b.end_time; });
-  for (const RunningJob& job : by_end) {
-    idle += job.processors;
+  for (std::size_t i = 0; i < by_end.size(); ++i) {
+    idle += by_end[i].processors;
     if (idle >= needed) {
-      return {job.end_time, idle - needed};
+      const double t_res = by_end[i].end_time;
+      while (++i < by_end.size() && by_end[i].end_time == t_res) {
+        idle += by_end[i].processors;
+      }
+      return {t_res, idle - needed};
     }
   }
   // A head larger than the machine cannot happen (the workload is bounded),

@@ -39,8 +39,9 @@ class ReservationTracker {
 
   /// EASY head reservation: the earliest completion time at which at least
   /// `needed` processors are free given `idle` free now, and the processors
-  /// spare at that moment. {infinity, 0} when the ledger can never free
-  /// enough (the scheduler then degrades to plain FCFS).
+  /// spare at that moment, counting every job that ends then. {infinity, 0}
+  /// when the ledger can never free enough (the scheduler then degrades to
+  /// plain FCFS).
   [[nodiscard]] std::pair<double, std::uint32_t> head_reservation(
       std::uint32_t idle, std::uint32_t needed) const;
 

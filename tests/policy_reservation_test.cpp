@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace mcsim {
 namespace {
@@ -45,6 +47,22 @@ TEST(ReservationTracker, HeadReservationUsesUnsortedLedgerCorrectly) {
   const auto [time, spare] = tracker.head_reservation(/*idle=*/0, /*needed=*/10);
   EXPECT_DOUBLE_EQ(time, 5.0);
   EXPECT_EQ(spare, 0u);
+}
+
+TEST(ReservationTracker, HeadReservationFreesTheWholeTieGroup) {
+  // 2 idle, the head needs 10. +4 at t=5 (6 free); the crossing falls
+  // inside the t=10 tie group (+3, +5, +6), so all three jobs ending then
+  // count: 20 free at t=10, 10 spare, whatever order the ledger lists them.
+  const auto reserve_with = [](const std::vector<std::pair<double, std::uint32_t>>& ledger) {
+    ReservationTracker tracker;
+    for (const auto& [end_time, processors] : ledger) tracker.on_start(end_time, processors);
+    return tracker.head_reservation(/*idle=*/2, /*needed=*/10);
+  };
+  const auto forward = reserve_with({{5.0, 4}, {10.0, 3}, {10.0, 5}, {10.0, 6}, {20.0, 8}});
+  const auto reversed = reserve_with({{20.0, 8}, {10.0, 6}, {10.0, 5}, {10.0, 3}, {5.0, 4}});
+  EXPECT_DOUBLE_EQ(forward.first, 10.0);
+  EXPECT_EQ(forward.second, 10u);
+  EXPECT_EQ(forward, reversed);
 }
 
 TEST(ReservationTracker, ImpossibleHeadDegradesToInfinity) {
