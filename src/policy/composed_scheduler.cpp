@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -191,12 +192,27 @@ void ComposedScheduler::backfill_conservative() {
   // earliest slot is now, so no start can delay any reservation made for a
   // job ahead of it — the no-starvation guarantee aggressive backfilling
   // gives up.
+  //
+  // The round ends as soon as no job left in the scan window can start.
+  // A job starts only if its size fits profile_.free_now(), which
+  // reservations only lower, so once the smallest remaining size exceeds
+  // it the rest of the scan would only carve reservations into the
+  // scratch profile — never read, never reaching place_for. Stopping there
+  // changes no start and no placement attempt.
   const double now = context_.now();
-  profile_.reset(now, context_.system().total_idle(), running_.running());
+  profile_.reset(now, context_.system().total_idle(), running_);
+  // Each iteration visits the next job of the round's initial queue (a
+  // start removes the job in place, anything else advances), so
+  // min_size_from_[k] bounds the sizes of every job from iteration k on.
+  const std::size_t window = std::min(global_.size(), kConservativeScanDepth);
+  min_size_from_.resize(window + 1);
+  min_size_from_[window] = std::numeric_limits<std::uint32_t>::max();
+  for (std::size_t k = window; k-- > 0;) {
+    min_size_from_[k] = std::min(min_size_from_[k + 1], global_.at(k)->spec.total_size);
+  }
   std::size_t index = 0;
-  std::size_t scanned = 0;
-  while (index < global_.size() && scanned < kConservativeScanDepth) {
-    ++scanned;
+  for (std::size_t scanned = 0; scanned < window; ++scanned) {
+    if (min_size_from_[scanned] > profile_.free_now()) break;
     Job& job = *global_.at(index);
     const double start =
         profile_.earliest_fit(job.spec.total_size, job.spec.gross_service_time);

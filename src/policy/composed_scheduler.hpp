@@ -98,6 +98,10 @@ class ComposedScheduler final : public Scheduler {
   /// Backfilling state (kSingleGlobal with backfill only).
   ReservationTracker running_;
   AvailabilityProfile profile_;
+  /// Conservative round scratch: min_size_from_[k] is the smallest total
+  /// size among the scan window's jobs k and later (see
+  /// backfill_conservative), reused across rounds.
+  std::vector<std::uint32_t> min_size_from_;
 };
 
 }  // namespace mcsim

@@ -7,26 +7,36 @@
 
 namespace mcsim {
 
+namespace {
+/// Upper-bound predicate: a time sorts before a ledger entry ending later.
+bool ends_after(double time, const ReservationTracker::RunningJob& job) {
+  return time < job.end_time;
+}
+}  // namespace
+
+void ReservationTracker::on_start(double end_time, std::uint32_t processors) {
+  running_.insert(std::upper_bound(running_.begin(), running_.end(), end_time, ends_after),
+                  RunningJob{end_time, processors});
+}
+
 void ReservationTracker::prune(double now) {
-  std::erase_if(running_, [now](const RunningJob& r) { return r.end_time <= now; });
+  running_.erase(running_.begin(),
+                 std::upper_bound(running_.begin(), running_.end(), now, ends_after));
 }
 
 std::pair<double, std::uint32_t> ReservationTracker::head_reservation(
     std::uint32_t idle, std::uint32_t needed) const {
   MCSIM_ASSERT(idle < needed || !running_.empty());
-  // Sort a copy by end time and accumulate returning processors until the
-  // head fits. Every job ending at that instant frees its processors then,
-  // so the whole tie group counts towards the spare: the result does not
-  // depend on the order the sort leaves equal end times in.
-  std::vector<RunningJob> by_end = running_;
-  std::sort(by_end.begin(), by_end.end(),
-            [](const RunningJob& a, const RunningJob& b) { return a.end_time < b.end_time; });
-  for (std::size_t i = 0; i < by_end.size(); ++i) {
-    idle += by_end[i].processors;
+  // Accumulate returning processors in end-time order until the head fits.
+  // Every job ending at that instant frees its processors then, so the
+  // whole tie group counts towards the spare: the result does not depend
+  // on the order equal end times were recorded in.
+  for (std::size_t i = 0; i < running_.size(); ++i) {
+    idle += running_[i].processors;
     if (idle >= needed) {
-      const double t_res = by_end[i].end_time;
-      while (++i < by_end.size() && by_end[i].end_time == t_res) {
-        idle += by_end[i].processors;
+      const double t_res = running_[i].end_time;
+      while (++i < running_.size() && running_[i].end_time == t_res) {
+        idle += running_[i].processors;
       }
       return {t_res, idle - needed};
     }
@@ -37,68 +47,67 @@ std::pair<double, std::uint32_t> ReservationTracker::head_reservation(
 }
 
 void AvailabilityProfile::reset(double now, std::uint32_t idle,
-                                const std::vector<ReservationTracker::RunningJob>& running) {
+                                const ReservationTracker& ledger) {
   points_.clear();
   points_.emplace_back(now, idle);
-  std::vector<std::pair<double, std::uint32_t>> ends;
-  ends.reserve(running.size());
-  for (const ReservationTracker::RunningJob& job : running) {
+  // The ledger is sorted by end time, so jobs already completed (the
+  // departure releasing them is being processed) come first and join the
+  // free count at `now`; every later end time opens one breakpoint, with
+  // equal end times summed into it whatever order they were recorded in.
+  for (const ReservationTracker::RunningJob& job : ledger.running()) {
     if (job.end_time <= now) {
-      // Already completed (the departure releasing it is being processed);
-      // its processors are part of the free count from now on.
       points_.front().second += job.processors;
+    } else if (points_.back().first == job.end_time) {
+      points_.back().second += job.processors;
     } else {
-      ends.emplace_back(job.end_time, job.processors);
-    }
-  }
-  // Sorting pairs (time, processors) merges ties deterministically whatever
-  // order the ledger listed them in.
-  std::sort(ends.begin(), ends.end());
-  for (const auto& [time, processors] : ends) {
-    if (points_.back().first == time) {
-      points_.back().second += processors;
-    } else {
-      points_.emplace_back(time, points_.back().second + processors);
+      points_.emplace_back(job.end_time, points_.back().second + job.processors);
     }
   }
 }
 
 double AvailabilityProfile::earliest_fit(std::uint32_t size, double duration) const {
   // Free counts only change at breakpoints, so the earliest feasible start
-  // is at one. The profile ends at full capacity (every running job and
-  // reservation expires), so any job that fits the machine finds a slot.
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (points_[i].second < size) continue;
-    const double end = points_[i].first + duration;
-    bool fits = true;
-    for (std::size_t j = i + 1; j < points_.size(); ++j) {
-      if (points_[j].first >= end) break;
-      if (points_[j].second < size) {
-        fits = false;
-        break;
-      }
+  // is at one. A candidate i blocked at breakpoint j rules out every
+  // candidate in (i, j] as well: each starts no later than j and its window
+  // ends no earlier than i's, so j lies inside it. The scan resumes past j
+  // and visits each breakpoint once. The profile ends at full capacity
+  // (every running job and reservation expires), so any job that fits the
+  // machine finds a slot.
+  const std::size_t n = points_.size();
+  std::size_t i = 0;
+  while (i < n) {
+    if (points_[i].second < size) {
+      ++i;
+      continue;
     }
-    if (fits) return points_[i].first;
+    const double end = points_[i].first + duration;
+    std::size_t j = i + 1;
+    while (j < n && points_[j].first < end && points_[j].second >= size) ++j;
+    if (j == n || points_[j].first >= end) return points_[i].first;
+    i = j + 1;
   }
   return std::numeric_limits<double>::infinity();
 }
 
 void AvailabilityProfile::reserve(double start, double duration, std::uint32_t size) {
   MCSIM_ASSERT(!points_.empty());
-  const double end = start + duration;
-  const auto insert_point = [this](double time) {
-    if (time <= points_.front().first) return;
-    auto it = points_.begin();
-    while (it != points_.end() && it->first < time) ++it;
-    if (it != points_.end() && it->first == time) return;
-    const std::uint32_t free_before = std::prev(it)->second;
-    points_.insert(it, {time, free_before});
+  using Point = std::pair<double, std::uint32_t>;
+  // Index of the first breakpoint at or after `time`, after opening one at
+  // `time` (carrying the free count of the step it splits) unless it exists
+  // or `time` precedes the profile.
+  const auto split_at = [this](double time) {
+    auto it = std::lower_bound(points_.begin(), points_.end(), time,
+                               [](const Point& p, double t) { return p.first < t; });
+    if (it != points_.begin() && (it == points_.end() || it->first != time)) {
+      it = points_.insert(it, Point{time, std::prev(it)->second});
+    }
+    return static_cast<std::size_t>(it - points_.begin());
   };
-  insert_point(start);
-  insert_point(end);
-  for (auto& [time, free] : points_) {
-    if (time >= end) break;
-    if (time >= start) free = free >= size ? free - size : 0;
+  const std::size_t first = split_at(start);
+  const std::size_t last = split_at(start + duration);
+  for (std::size_t k = first; k < last; ++k) {
+    std::uint32_t& free = points_[k].second;
+    free = free >= size ? free - size : 0;
   }
 }
 

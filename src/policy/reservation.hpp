@@ -11,6 +11,10 @@
 // AvailabilityProfile is the conservative stage's working state: a
 // piecewise-constant free-processor profile over future time, built from
 // the tracker and carved down by one reservation per queued job.
+//
+// The ledger is kept sorted by end time, so no kernel sorts or copies it,
+// and every kernel is linear in the ledger or profile length. Once their
+// vectors have grown to a run's peak population, neither class allocates.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +30,15 @@ class ReservationTracker {
     std::uint32_t processors;
   };
 
-  /// Record a started job occupying `processors` until `end_time`.
-  void on_start(double end_time, std::uint32_t processors) {
-    running_.push_back(RunningJob{end_time, processors});
-  }
+  /// Record a started job occupying `processors` until `end_time`. It is
+  /// filed after every job ending no later, keeping the ledger sorted.
+  void on_start(double end_time, std::uint32_t processors);
 
   /// Drop jobs that have completed by `now` (called at departures).
   void prune(double now);
 
   [[nodiscard]] bool empty() const { return running_.empty(); }
+  /// The running jobs, sorted by end time (start order among equal ends).
   [[nodiscard]] const std::vector<RunningJob>& running() const { return running_; }
 
   /// EASY head reservation: the earliest completion time at which at least
@@ -53,8 +57,7 @@ class AvailabilityProfile {
  public:
   /// Rebuild the profile: `idle` processors free at `now`, plus each
   /// running job's processors returning at its end time.
-  void reset(double now, std::uint32_t idle,
-             const std::vector<ReservationTracker::RunningJob>& running);
+  void reset(double now, std::uint32_t idle, const ReservationTracker& ledger);
 
   /// Earliest time t >= now with at least `size` processors free over the
   /// whole window [t, t + duration). Infinity when `size` never fits (a job
@@ -62,8 +65,13 @@ class AvailabilityProfile {
   [[nodiscard]] double earliest_fit(std::uint32_t size, double duration) const;
 
   /// Subtract `size` processors over [start, start + duration) — the
-  /// reservation held for one queued job.
+  /// reservation held for one queued job. `start` is at or after the
+  /// profile's first breakpoint, so the free count there never rises.
   void reserve(double start, double duration, std::uint32_t size);
+
+  /// Processors free at the profile's first breakpoint (`now` at reset).
+  /// Reservations only subtract, so within a round this never rises.
+  [[nodiscard]] std::uint32_t free_now() const { return points_.front().second; }
 
   /// The profile's breakpoints (time, processors free from then on), for
   /// tests.

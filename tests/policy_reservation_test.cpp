@@ -74,9 +74,11 @@ TEST(ReservationTracker, ImpossibleHeadDegradesToInfinity) {
 }
 
 TEST(AvailabilityProfile, ResetBuildsStepwiseFreeCounts) {
+  ReservationTracker ledger;
+  ledger.on_start(20.0, 6);  // started out of end-time order on purpose
+  ledger.on_start(10.0, 4);
   AvailabilityProfile profile;
-  profile.reset(/*now=*/0.0, /*idle=*/10,
-                {{20.0, 6}, {10.0, 4}});  // unsorted on purpose
+  profile.reset(/*now=*/0.0, /*idle=*/10, ledger);
   // 10 free at t=0, 14 from t=10, 20 from t=20.
   EXPECT_DOUBLE_EQ(profile.earliest_fit(10, 5.0), 0.0);
   EXPECT_DOUBLE_EQ(profile.earliest_fit(12, 5.0), 10.0);
@@ -84,8 +86,10 @@ TEST(AvailabilityProfile, ResetBuildsStepwiseFreeCounts) {
 }
 
 TEST(AvailabilityProfile, EarliestFitHonoursTheWholeWindow) {
+  ReservationTracker ledger;
+  ledger.on_start(10.0, 16);
   AvailabilityProfile profile;
-  profile.reset(0.0, 16, {{10.0, 16}});
+  profile.reset(0.0, 16, ledger);
   // 16 free now, 32 from t=10. A job of 16 fits immediately whatever its
   // duration; after reserving 16 over [0, 8) a second 16 must wait until
   // the window [t, t+duration) clears the reservation.
@@ -97,7 +101,7 @@ TEST(AvailabilityProfile, EarliestFitHonoursTheWholeWindow) {
 
 TEST(AvailabilityProfile, ReserveCarvesTheProfile) {
   AvailabilityProfile profile;
-  profile.reset(0.0, 8, {});
+  profile.reset(0.0, 8, ReservationTracker{});
   profile.reserve(0.0, 3.0, 4);  // 4 of 8 booked over [0, 3)
   // A job within the remaining 4 starts immediately; anything wider waits
   // for the reservation to expire.
@@ -111,8 +115,10 @@ TEST(AvailabilityProfile, ReserveCarvesTheProfile) {
 }
 
 TEST(AvailabilityProfile, OversizeNeverFits) {
+  ReservationTracker ledger;
+  ledger.on_start(5.0, 8);
   AvailabilityProfile profile;
-  profile.reset(0.0, 8, {{5.0, 8}});
+  profile.reset(0.0, 8, ledger);
   EXPECT_TRUE(std::isinf(profile.earliest_fit(64, 1.0)));
 }
 
