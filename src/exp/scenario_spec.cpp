@@ -297,6 +297,21 @@ void validate(const ScenarioSpec& spec) {
       MCSIM_REQUIRE(spec.cluster_speeds.empty(),
                     "scenario: the saturation estimator does not support "
                     "heterogeneous speeds");
+      {
+        // The constant-backlog estimator runs the policy alias's canonical
+        // pipeline with only the placement rule configurable; a stage
+        // override would be dropped without a word, so name it instead.
+        const auto reject = [](bool overridden, const char* field) {
+          MCSIM_REQUIRE(!overridden,
+                        std::string("scenario: the saturation estimator runs the "
+                                    "policy's canonical pipeline; ") +
+                            field + " is not supported in saturation mode");
+        };
+        reject(spec.backfill != BackfillMode::kNone, "policy.backfill");
+        reject(spec.discipline != QueueDiscipline::kFcfs, "policy.discipline");
+        reject(spec.queue_structure.has_value(), "policy.pipeline.queue");
+        reject(spec.coallocation.has_value(), "policy.pipeline.coallocation");
+      }
       break;
   }
 }

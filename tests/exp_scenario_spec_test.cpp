@@ -191,6 +191,47 @@ TEST(ScenarioSpecValidate, RejectsInconsistentSpecs) {
   }
 }
 
+TEST(ScenarioSpecValidate, SaturationRejectsPipelineOverrides) {
+  // The constant-backlog estimator runs the alias's canonical pipeline;
+  // each override it would drop is an error naming the field.
+  const auto rejection = [](const exp::ScenarioSpec& spec) -> std::string {
+    try {
+      exp::validate(spec);
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "";
+  };
+  exp::ScenarioSpec base;
+  base.mode = exp::RunMode::kSaturation;
+  EXPECT_NO_THROW(exp::validate(base));
+  {
+    exp::ScenarioSpec spec = base;
+    spec.placement = PlacementRule::kFirstFit;  // placement is honoured
+    EXPECT_NO_THROW(exp::validate(spec));
+  }
+  {
+    exp::ScenarioSpec spec = base;
+    spec.backfill = BackfillMode::kConservative;
+    EXPECT_NE(rejection(spec).find("policy.backfill"), std::string::npos);
+  }
+  {
+    exp::ScenarioSpec spec = base;
+    spec.discipline = QueueDiscipline::kShortestJobFirst;
+    EXPECT_NE(rejection(spec).find("policy.discipline"), std::string::npos);
+  }
+  {
+    exp::ScenarioSpec spec = base;
+    spec.queue_structure = QueueStructure::kSingleGlobal;
+    EXPECT_NE(rejection(spec).find("policy.pipeline.queue"), std::string::npos);
+  }
+  {
+    exp::ScenarioSpec spec = base;
+    spec.coallocation = CoAllocationRule{CoAllocationRule::Kind::kUnrestricted, 0};
+    EXPECT_NE(rejection(spec).find("policy.pipeline.coallocation"), std::string::npos);
+  }
+}
+
 // The heart of the refactor: the legacy helper is a translator onto the
 // spec path, so both must produce the identical run.
 TEST(ScenarioSpecEquivalence, FromPaperMatchesLegacyConfigBitExactly) {

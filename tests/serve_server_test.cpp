@@ -272,6 +272,22 @@ TEST(ServeServer, MalformedLinesGetStructuredErrorsAndTheConnectionSurvives) {
   EXPECT_TRUE(client->stats().at("ok").as_bool());
 }
 
+TEST(ServeServer, SaturationPipelineOverridesAreInvalidScenarios) {
+  const fs::path dir = scratch_dir("satbf");
+  ServerHarness harness(make_config(dir));
+  auto client = harness.client();
+
+  try {
+    client->request(
+        "{\"op\":\"submit\",\"spec\":{\"policy\":{\"kind\":\"GS\","
+        "\"backfill\":\"conservative\"},\"run\":{\"mode\":\"saturation\"}}}");
+    FAIL() << "expected ServeError";
+  } catch (const ServeError& error) {
+    EXPECT_EQ(error.code(), kErrInvalidScenario);
+    EXPECT_NE(std::string(error.what()).find("policy.backfill"), std::string::npos);
+  }
+}
+
 TEST(ServeServer, UnknownRunsAndLateCancelsAreStructuredErrors) {
   const fs::path dir = scratch_dir("unknown");
   ServerHarness harness(make_config(dir));
