@@ -53,6 +53,7 @@
 // lifecycle events in the binary ring format.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -204,13 +205,18 @@ int execute_point(const exp::ScenarioSpec& spec, const CliParser& parser,
   const std::string events_out = parser.get("events-out");
 
   MulticlusterSimulation simulation(config);
-  obs::RingRecorder recorder(parser.get_uint("ring"));
+  // The ring is 2 MiB at the default capacity: build it only when
+  // --trace-out or --events-out reads it.
+  std::optional<obs::RingRecorder> recorder;
   obs::SwfTraceBuilder builder;
   obs::MetricsRegistry metrics;
-  if (!trace_out.empty()) {
-    recorder.add_emitter([&builder](const obs::TraceEvent& event) { builder.record(event); });
+  if (!trace_out.empty() || !events_out.empty()) {
+    recorder.emplace(parser.get_uint("ring"));
+    if (!trace_out.empty()) {
+      recorder->add_emitter([&builder](const obs::TraceEvent& event) { builder.record(event); });
+    }
+    simulation.set_trace_sink(&*recorder);
   }
-  if (!trace_out.empty() || !events_out.empty()) simulation.set_trace_sink(&recorder);
   if (!metrics_out.empty()) simulation.set_metrics(&metrics);
 
   const auto result = simulation.run();
@@ -236,9 +242,9 @@ int execute_point(const exp::ScenarioSpec& spec, const CliParser& parser,
       std::cerr << "mcsim: cannot open " << events_out << '\n';
       return 1;
     }
-    recorder.write_binary(out);
-    std::cout << "events: " << recorder.size() << " of " << recorder.total_recorded()
-              << " recorded (" << recorder.dropped() << " dropped) -> " << events_out
+    recorder->write_binary(out);
+    std::cout << "events: " << recorder->size() << " of " << recorder->total_recorded()
+              << " recorded (" << recorder->dropped() << " dropped) -> " << events_out
               << '\n';
   }
   if (!metrics_out.empty()) {
@@ -251,8 +257,8 @@ int execute_point(const exp::ScenarioSpec& spec, const CliParser& parser,
     info.command_line = command_line;
     info.trace_path = trace_out;
     info.trace_records = builder.trace().records.size();
-    info.events_recorded = recorder.total_recorded();
-    info.events_dropped = recorder.dropped();
+    info.events_recorded = recorder ? recorder->total_recorded() : 0;
+    info.events_dropped = recorder ? recorder->dropped() : 0;
     info.scenario = &spec;
     write_run_manifest(out, config, result, &metrics, info);
     std::cout << "manifest -> " << metrics_out << '\n';
