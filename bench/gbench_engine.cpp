@@ -1,9 +1,11 @@
 // Engine microbenchmarks (google-benchmark): the DES calendar, placement
 // rules (the WF/FF/BF ablation from DESIGN.md, and the per-attempt
-// placement row), distribution sampling, SWF trace ingest, and end-to-end
-// simulation throughput per policy.
+// placement row), one backfilling scheduler round, distribution sampling,
+// SWF trace ingest, and end-to-end simulation throughput per policy.
 #include <benchmark/benchmark.h>
 
+#include <deque>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +16,7 @@
 #include "exp/scenario.hpp"
 #include "obs/ring_recorder.hpp"
 #include "obs/swf_builder.hpp"
+#include "policy/scheduler_factory.hpp"
 #include "sim/calendar.hpp"
 #include "trace/swf.hpp"
 #include "util/rng.hpp"
@@ -137,6 +140,57 @@ void BM_PlacementAttempt(benchmark::State& state, PlacementRule rule) {
 }
 BENCHMARK_CAPTURE(BM_PlacementAttempt, WF, PlacementRule::kWorstFit);
 BENCHMARK_CAPTURE(BM_PlacementAttempt, LA, PlacementRule::kLoadAware);
+
+// One scheduling round of a backfilling stage (docs/PERFORMANCE.md,
+// "Backfilling rounds"), over a state frozen at t=0 on 4x32. Eight running
+// 14-processor jobs (ending at 100, 200, ..., 800 s) leave 4 processors
+// idle per cluster. The queue holds a blocked 64-processor head, 15 long
+// jobs of 9-16 processors that fit the 16 idle processors in aggregate but
+// would delay the head's reservation, and 16 jobs wider than 16. Nothing
+// starts, so every on_departure() replays the same round: the FCFS head
+// attempt, then EASY's head reservation and scan, or conservative's
+// profile rebuild and reservations up to its early exit. Advisory only.
+class FrozenContext final : public SchedulerContext {
+ public:
+  FrozenContext() : system_({32, 32, 32, 32}) {}
+  [[nodiscard]] const Multicluster& system() const override { return system_; }
+  [[nodiscard]] double now() const override { return 0.0; }
+  void start_job(JobPtr job) override { system_.allocate(job->allocation); }
+
+ private:
+  Multicluster system_;
+};
+
+void BM_BackfillRound(benchmark::State& state, BackfillMode backfill) {
+  FrozenContext context;
+  const std::unique_ptr<Scheduler> scheduler = make_scheduler(
+      PolicyKind::kGS, context, PlacementRule::kWorstFit, backfill);
+  std::deque<Job> jobs;
+  const auto submit = [&](std::uint32_t size, double service) {
+    Job& job = jobs.emplace_back();
+    job.spec.id = jobs.size();
+    job.spec.total_size = size;
+    split_job_into(size, 16, 4, job.spec.components);
+    job.spec.wide_area = job.spec.components.size() > 1;
+    job.spec.service_time = service;
+    job.spec.gross_service_time = job.spec.wide_area ? service * 1.25 : service;
+    scheduler->submit(&job);
+  };
+  for (int k = 1; k <= 8; ++k) submit(14, 100.0 * k);
+  submit(64, 500.0);
+  for (std::uint32_t size = 9; size <= 16; ++size) submit(size, 5000.0);
+  for (std::uint32_t size = 9; size <= 15; ++size) submit(size, 6000.0);
+  for (std::uint32_t size = 17; size <= 64; size += 3) submit(size, 5000.0);
+  if (scheduler->queued_jobs() != 32 || context.system().total_idle() != 16) {
+    state.SkipWithError("backfill round: unexpected frozen state");
+    return;
+  }
+  for (auto _ : state) scheduler->on_departure();
+  if (scheduler->queued_jobs() != 32) state.SkipWithError("backfill round: a job started");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_BackfillRound, easy, BackfillMode::kEasy);
+BENCHMARK_CAPTURE(BM_BackfillRound, conservative, BackfillMode::kConservative);
 
 void BM_SampleDasS128(benchmark::State& state) {
   Rng rng(4);

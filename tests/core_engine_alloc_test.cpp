@@ -12,12 +12,8 @@
 // one new 512-byte block per 64 jobs (~0.016 per job).
 //
 // Scope: the paper's four policies on both job sources, the ordered and
-// flexible request types, and the constant-backlog saturation driver. The
-// EASY and conservative backfill stages are outside the bound: each
-// scheduling round still copies the running-job ledger (EASY's
-// head_reservation sorts a copy; conservative's AvailabilityProfile::reset
-// builds a fresh end-time list), so they allocate per round rather than per
-// job. Aggressive backfilling keeps no per-round state and is pinned here.
+// flexible request types, every backfilling stage, and the constant-backlog
+// saturation driver.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -151,6 +147,20 @@ TEST(RequestTypeLifecycle, OrderedAndFlexibleCostNoAllocations) {
 TEST(BackfillLifecycle, AggressiveCostsNoAllocations) {
   exp::ScenarioSpec spec = spec_for(PolicyKind::kGS);
   spec.backfill = BackfillMode::kAggressive;
+  expect_allocation_free(config_for(spec, kJobs), config_for(spec, 2 * kJobs));
+}
+
+// EASY and conservative keep a sorted running-job ledger and a reused
+// availability profile, so a round copies and sorts nothing.
+TEST(BackfillLifecycle, EasyCostsNoAllocations) {
+  exp::ScenarioSpec spec = spec_for(PolicyKind::kGS);
+  spec.backfill = BackfillMode::kEasy;
+  expect_allocation_free(config_for(spec, kJobs), config_for(spec, 2 * kJobs));
+}
+
+TEST(BackfillLifecycle, ConservativeCostsNoAllocations) {
+  exp::ScenarioSpec spec = spec_for(PolicyKind::kGS);
+  spec.backfill = BackfillMode::kConservative;
   expect_allocation_free(config_for(spec, kJobs), config_for(spec, 2 * kJobs));
 }
 

@@ -120,6 +120,10 @@ class ReferenceGs final : public Scheduler {
     std::uint32_t idle = context_.system().total_idle();
     MCSIM_ASSERT(idle < needed || !running_.empty());
 
+    // Historical tie handling: the spare comes from whichever tied entry
+    // crosses `needed`. The composed stage counts the whole tie group
+    // (policy/reservation.cpp); the synthetic runs compared here have
+    // continuous end times, which do not tie.
     std::vector<RunningJob> by_end = running_;
     std::sort(by_end.begin(), by_end.end(),
               [](const RunningJob& a, const RunningJob& b) {

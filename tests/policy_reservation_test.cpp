@@ -1,15 +1,22 @@
 // Unit tests for the backfilling stages' reservation bookkeeping
 // (policy/reservation.hpp): the running-job ledger shared by every
 // backfilling composition and the conservative stage's availability
-// profile.
+// profile. The differential test at the end pins the sorted-ledger,
+// linear kernels against reference copies of the sort- and quadratic-based
+// versions they replaced.
 #include "policy/reservation.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace mcsim {
 namespace {
@@ -120,6 +127,171 @@ TEST(AvailabilityProfile, OversizeNeverFits) {
   AvailabilityProfile profile;
   profile.reset(0.0, 8, ledger);
   EXPECT_TRUE(std::isinf(profile.earliest_fit(64, 1.0)));
+}
+
+// ---------------------------------------------------------------------------
+// Reference kernels: the sort-based ledger and quadratic profile scans the
+// sorted ledger replaced, unchanged except that head_reservation carries
+// the tie rule (the whole tie group frees at t_res). The ledger here is a
+// plain start-order vector, as on_start used to append it.
+namespace reference {
+
+using Ledger = std::vector<ReservationTracker::RunningJob>;
+using Points = std::vector<std::pair<double, std::uint32_t>>;
+
+std::pair<double, std::uint32_t> head_reservation(const Ledger& running, std::uint32_t idle,
+                                                  std::uint32_t needed) {
+  Ledger by_end = running;
+  std::sort(by_end.begin(), by_end.end(),
+            [](const auto& a, const auto& b) { return a.end_time < b.end_time; });
+  for (std::size_t i = 0; i < by_end.size(); ++i) {
+    idle += by_end[i].processors;
+    if (idle >= needed) {
+      const double t_res = by_end[i].end_time;
+      while (++i < by_end.size() && by_end[i].end_time == t_res) {
+        idle += by_end[i].processors;
+      }
+      return {t_res, idle - needed};
+    }
+  }
+  return {std::numeric_limits<double>::infinity(), 0};
+}
+
+Points reset(double now, std::uint32_t idle, const Ledger& running) {
+  Points points{{now, idle}};
+  Points ends;
+  for (const auto& job : running) {
+    if (job.end_time <= now) {
+      points.front().second += job.processors;
+    } else {
+      ends.emplace_back(job.end_time, job.processors);
+    }
+  }
+  std::sort(ends.begin(), ends.end());
+  for (const auto& [time, processors] : ends) {
+    if (points.back().first == time) {
+      points.back().second += processors;
+    } else {
+      points.emplace_back(time, points.back().second + processors);
+    }
+  }
+  return points;
+}
+
+double earliest_fit(const Points& points, std::uint32_t size, double duration) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].second < size) continue;
+    const double end = points[i].first + duration;
+    bool fits = true;
+    for (std::size_t j = i + 1; j < points.size(); ++j) {
+      if (points[j].first >= end) break;
+      if (points[j].second < size) {
+        fits = false;
+        break;
+      }
+    }
+    if (fits) return points[i].first;
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+void reserve(Points& points, double start, double duration, std::uint32_t size) {
+  const double end = start + duration;
+  const auto insert_point = [&points](double time) {
+    if (time <= points.front().first) return;
+    auto it = points.begin();
+    while (it != points.end() && it->first < time) ++it;
+    if (it != points.end() && it->first == time) return;
+    const std::uint32_t free_before = std::prev(it)->second;
+    points.insert(it, {time, free_before});
+  };
+  insert_point(start);
+  insert_point(end);
+  for (auto& [time, free] : points) {
+    if (time >= end) break;
+    if (time >= start) free = free >= size ? free - size : 0;
+  }
+}
+
+}  // namespace reference
+
+TEST(ReservationKernels, MatchTheSortAndQuadraticReferences) {
+  // Random ledgers and reservation sequences. Three trials in four use
+  // integer times, so equal end times, equal breakpoints and reservations
+  // starting or ending exactly on a breakpoint are common; durations are
+  // zero one time in four.
+  Rng rng(20031128);
+  const auto below = [&rng](std::uint64_t n) {
+    return static_cast<std::uint32_t>(rng.uniform_int(n));
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const bool integral = trial % 4 != 0;
+    const auto span = [&](double length) {
+      return integral ? static_cast<double>(below(static_cast<std::uint64_t>(length) + 1))
+                      : rng.uniform(0.0, length);
+    };
+    const double now = static_cast<double>(below(20));
+
+    // The ledger, including jobs already at or past their end (a departure
+    // being processed, or a round before the pruning one).
+    ReservationTracker tracker;
+    reference::Ledger ledger;
+    std::uint32_t busy = 0;
+    const std::uint32_t jobs = below(13);
+    for (std::uint32_t k = 0; k < jobs; ++k) {
+      const double end_time = now - 3.0 + span(30.0);
+      const std::uint32_t processors = 1 + below(16);
+      tracker.on_start(end_time, processors);
+      ledger.push_back({end_time, processors});
+      busy += processors;
+    }
+    if (below(3) == 0) {
+      const double cut = now - static_cast<double>(below(4));
+      tracker.prune(cut);
+      std::erase_if(ledger, [cut](const auto& job) { return job.end_time <= cut; });
+    }
+    // Sorted by end time, start order among equal ends: exactly a stable
+    // sort of the start-order reference.
+    reference::Ledger by_end = ledger;
+    std::stable_sort(by_end.begin(), by_end.end(),
+                     [](const auto& a, const auto& b) { return a.end_time < b.end_time; });
+    ASSERT_EQ(tracker.running().size(), by_end.size());
+    for (std::size_t k = 0; k < by_end.size(); ++k) {
+      ASSERT_EQ(tracker.running()[k].end_time, by_end[k].end_time);
+      ASSERT_EQ(tracker.running()[k].processors, by_end[k].processors);
+    }
+
+    const std::uint32_t idle = below(17);
+    for (int query = 0; query < 4; ++query) {
+      const std::uint32_t needed = 1 + below(idle + busy + 8);
+      if (idle >= needed && tracker.empty()) continue;  // no reservation asked
+      ASSERT_EQ(tracker.head_reservation(idle, needed),
+                reference::head_reservation(ledger, idle, needed));
+    }
+
+    AvailabilityProfile profile;
+    profile.reset(now, idle, tracker);
+    reference::Points points = reference::reset(now, idle, ledger);
+    ASSERT_EQ(profile.points(), points);
+    std::uint32_t free_now = profile.free_now();
+    for (int step = 0; step < 12; ++step) {
+      const std::uint32_t size = 1 + below(idle + busy + 8);
+      const double duration = below(4) == 0 ? 0.0 : span(40.0);
+      const double fit = profile.earliest_fit(size, duration);
+      ASSERT_EQ(fit, reference::earliest_fit(points, size, duration));
+      // Reserve where the conservative stage would, or at an arbitrary
+      // later start.
+      double start = std::isfinite(fit) ? std::max(fit, now) : now + span(30.0);
+      if (below(4) == 0) start = now + span(30.0);
+      profile.reserve(start, duration, size);
+      reference::reserve(points, start, duration, size);
+      ASSERT_EQ(profile.points(), points);
+      // The early-exit invariant: the free count at `now` never rises.
+      ASSERT_LE(profile.free_now(), free_now);
+      free_now = profile.free_now();
+    }
+  }
 }
 
 }  // namespace
