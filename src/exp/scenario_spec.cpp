@@ -301,16 +301,15 @@ void validate(const ScenarioSpec& spec) {
         // The constant-backlog estimator runs the policy alias's canonical
         // pipeline with only the placement rule configurable; a stage
         // override would be dropped without a word, so name it instead.
-        const auto reject = [](bool overridden, const char* field) {
-          MCSIM_REQUIRE(!overridden,
-                        std::string("scenario: the saturation estimator runs the "
-                                    "policy's canonical pipeline; ") +
-                            field + " is not supported in saturation mode");
-        };
-        reject(spec.backfill != BackfillMode::kNone, "policy.backfill");
-        reject(spec.discipline != QueueDiscipline::kFcfs, "policy.discipline");
-        reject(spec.queue_structure.has_value(), "policy.pipeline.queue");
-        reject(spec.coallocation.has_value(), "policy.pipeline.coallocation");
+        const char* dropped = spec.backfill != BackfillMode::kNone ? "policy.backfill"
+                              : spec.discipline != QueueDiscipline::kFcfs ? "policy.discipline"
+                              : spec.queue_structure ? "policy.pipeline.queue"
+                              : spec.coallocation ? "policy.pipeline.coallocation"
+                                                  : nullptr;
+        MCSIM_REQUIRE(dropped == nullptr,
+                      std::string("scenario: the saturation estimator runs the policy's "
+                                  "canonical pipeline; ") +
+                          dropped + " is not supported in saturation mode");
       }
       break;
   }

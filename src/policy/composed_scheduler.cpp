@@ -9,16 +9,6 @@
 
 namespace mcsim {
 
-namespace {
-/// Conservative backfilling reserves a profile slot for every queued job it
-/// scans; bounding the scan keeps one scheduling round O(depth^2) even when
-/// a run is driven into instability (queues of tens of thousands of jobs).
-/// Jobs beyond the window neither start nor hold reservations that round —
-/// deterministic, and irrelevant at the stable utilizations the scenarios
-/// run at.
-constexpr std::size_t kConservativeScanDepth = 256;
-}  // namespace
-
 ComposedScheduler::ComposedScheduler(SchedulerContext& context, PipelineSpec pipeline,
                                      std::string display_name)
     : Scheduler(context, pipeline.placement),
@@ -205,7 +195,6 @@ void ComposedScheduler::backfill_conservative() {
   // start removes the job in place, anything else advances), so
   // min_size_from_[k] bounds the sizes of every job from iteration k on.
   const std::size_t window = std::min(global_.size(), kConservativeScanDepth);
-  min_size_from_.resize(window + 1);
   min_size_from_[window] = std::numeric_limits<std::uint32_t>::max();
   for (std::size_t k = window; k-- > 0;) {
     min_size_from_[k] = std::min(min_size_from_[k + 1], global_.at(k)->spec.total_size);
