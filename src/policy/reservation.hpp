@@ -65,8 +65,7 @@ class AvailabilityProfile {
   [[nodiscard]] double earliest_fit(std::uint32_t size, double duration) const;
 
   /// Subtract `size` processors over [start, start + duration) — the
-  /// reservation held for one queued job. `start` is at or after the
-  /// profile's first breakpoint, so the free count there never rises.
+  /// reservation held for one queued job.
   void reserve(double start, double duration, std::uint32_t size);
 
   /// Processors free at the profile's first breakpoint (`now` at reset).
