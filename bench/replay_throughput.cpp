@@ -16,10 +16,8 @@
 //     a fixed workload does.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <thread>
 
 #include "core/engine.hpp"
 #include "sim/calendar.hpp"
@@ -88,39 +86,6 @@ BENCHMARK_CAPTURE(BM_ReplayThroughput, GS, PolicyKind::kGS)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ReplayThroughput, LS, PolicyKind::kLS)
     ->Unit(benchmark::kMillisecond);
-
-// The same replay on the parallel engine (per-cluster LPs, full hardware
-// worker crew; docs/PARALLEL.md). Results are bit-identical to the serial
-// rows by contract — this row measures wall-clock only. The "workers"
-// counter records the crew size so the gate (tools/bench_compare.py) can
-// skip — not silently pass — the speedup assertion on small runners.
-void BM_ReplayThroughputParallel(benchmark::State& state, PolicyKind policy) {
-  SimulationConfig config = replay_config(policy);
-  config.engine = EngineKind::kParallel;
-  config.engine_threads = 0;  // all hardware threads
-  std::uint64_t events = 0;
-  std::uint64_t jobs = 0;
-  for (auto _ : state) {
-    SimulationResult result = run_simulation(config);
-    benchmark::DoNotOptimize(result);
-    events += result.events_executed;
-    jobs += result.completed_jobs;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["events/sec"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["jobs/sec"] =
-      benchmark::Counter(static_cast<double>(jobs), benchmark::Counter::kIsRate);
-  state.counters["workers"] = static_cast<double>(
-      std::max(1U, std::thread::hardware_concurrency()));
-}
-
-// UseRealTime: a crew's throughput is a wall-clock property — the main
-// thread's CPU time would not see the workers. (The serial rows keep the
-// default CPU clock; single-threaded, the two clocks agree.)
-BENCHMARK_CAPTURE(BM_ReplayThroughputParallel, GS, PolicyKind::kGS)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // Machine-speed yardstick for the regression gate: a fixed calendar
 // hold-model loop (push one, pop one, at a steady occupancy) whose cost is

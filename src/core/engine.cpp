@@ -2,25 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 #include "util/rusage.hpp"
-#include "util/strings.hpp"
 
 namespace mcsim {
-
-const char* engine_kind_name(EngineKind engine) {
-  return engine == EngineKind::kParallel ? "parallel" : "serial";
-}
-
-EngineKind parse_engine_kind(const std::string& text) {
-  const std::string lower = to_lower(text);
-  if (lower == "serial") return EngineKind::kSerial;
-  if (lower == "parallel") return EngineKind::kParallel;
-  throw std::invalid_argument("unknown engine '" + text + "' (serial, parallel)");
-}
 
 std::uint32_t SimulationConfig::total_processors() const {
   std::uint32_t total = 0;
@@ -122,33 +109,6 @@ std::unique_ptr<JobSource> make_source(const SimulationConfig& config) {
   }
   return std::make_unique<SyntheticSource>(config.workload, config.seed);
 }
-
-// The service-time extension bound (docs/PARALLEL.md, "Lookahead bound"):
-// a job started at time t cannot produce a departure before
-// t + min gross service / fastest cluster speed, so no LP can affect
-// another LP's timeline inside that interval. Traces expose their minimum
-// runtime from the pre-scan; synthetic service distributions are
-// unbounded below, so the hint degrades to 0 and the horizon adapts from
-// window density alone. Either way the value only seeds window batching —
-// the spill merge keeps dispatch order exact whatever the hint.
-double conservative_lookahead(const SimulationConfig& config) {
-  double fastest = 1.0;
-  for (const double speed : config.cluster_speeds) fastest = std::max(fastest, speed);
-  const double min_gross =
-      config.trace_workload != nullptr ? config.trace_workload->min_gross_service : 0.0;
-  return min_gross > 0.0 ? min_gross / fastest : 0.0;
-}
-
-// Departures of single-cluster jobs belong to that cluster's LP; a
-// co-allocated departure touches several clusters, so it becomes a
-// cross-LP barrier event owned by the coordinator LP 0 — as do arrivals,
-// which feed the (possibly global) queue.
-std::uint32_t departure_lp(const Allocation& allocation) {
-  if (allocation.size() == 1) {
-    return 1U + static_cast<std::uint32_t>(allocation.front().cluster);
-  }
-  return 0;
-}
 }  // namespace
 
 MulticlusterSimulation::MulticlusterSimulation(SimulationConfig config)
@@ -156,17 +116,6 @@ MulticlusterSimulation::MulticlusterSimulation(SimulationConfig config)
       system_(make_system(config_)),
       source_(make_source(config_)),
       utilization_(system_.total_processors(), 0.0) {
-  if (config_.engine == EngineKind::kParallel) {
-    ParallelConfig parallel;
-    parallel.lp_count = system_.num_clusters() + 1;  // clusters + coordinator
-    parallel.worker_threads =
-        config_.engine_threads != 0
-            ? config_.engine_threads
-            : std::max(1U, std::thread::hardware_concurrency());
-    parallel.lookahead_hint = conservative_lookahead(config_);
-    sim_.configure_parallel(parallel);
-    pool_.configure_shards(parallel.lp_count);
-  }
   if (config_.scheduler_factory) {
     scheduler_ = config_.scheduler_factory(*this);
   } else if (config_.pipeline) {
@@ -307,7 +256,6 @@ void MulticlusterSimulation::schedule_next_arrival() {
     return;
   }
   ++arrivals_generated_;
-  sim_.set_event_lp(0);  // arrivals are cross-LP traffic: coordinator-owned
   sim_.schedule_at(job->spec.arrival_time, [this, job]() { on_arrival(job); });
 }
 
@@ -389,7 +337,6 @@ void MulticlusterSimulation::start_job(JobPtr job) {
     emit(obs::EventKind::kStart, *job, sim_.now() - job->spec.arrival_time,
          static_cast<std::int16_t>(job->allocation.front().cluster));
   }
-  sim_.set_event_lp(departure_lp(job->allocation));
   sim_.schedule_in(runtime, [this, job]() { on_departure(job); });
 }
 

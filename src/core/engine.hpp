@@ -35,16 +35,6 @@
 
 namespace mcsim {
 
-/// Which event core drives the run. Serial is the canonical reference;
-/// the parallel engine (docs/PARALLEL.md) shards the calendar into
-/// per-cluster logical processes and must reproduce serial results
-/// bit-exactly (`mcsim verify --engine=parallel`).
-enum class EngineKind : std::uint8_t { kSerial, kParallel };
-
-[[nodiscard]] const char* engine_kind_name(EngineKind engine);
-/// Parse "serial" / "parallel"; throws std::invalid_argument otherwise.
-[[nodiscard]] EngineKind parse_engine_kind(const std::string& text);
-
 struct SimulationConfig {
   PolicyKind policy = PolicyKind::kGS;
   /// Multicluster layout. For SC use a single entry with all processors.
@@ -87,15 +77,6 @@ struct SimulationConfig {
   double instability_backlog_fraction = 0.02;
   /// Batches for the response-time confidence interval.
   std::uint64_t batch_count = 20;
-  /// Event core selection (docs/PARALLEL.md). Results are identical by
-  /// contract; only wall-clock speed differs.
-  EngineKind engine = EngineKind::kSerial;
-  /// Worker-thread budget for the parallel engine, including the
-  /// coordinating thread; 0 = all hardware threads. Callers fanning runs
-  /// out across an exp::Runner pool must pass 1 here so the shared
-  /// `--jobs` budget is not oversubscribed (docs/PARALLEL.md, "One worker
-  /// budget").
-  unsigned engine_threads = 0;
 
   [[nodiscard]] std::uint32_t total_processors() const;
 

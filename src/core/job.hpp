@@ -34,9 +34,6 @@ struct Job {
   /// Observability: set once the scheduler first considered the job for
   /// placement (the trace layer's head-of-queue event fires then).
   bool considered = false;
-  /// Owning JobPool shard (core/job_pool.hpp, "Sharding"); a released job
-  /// returns to the shard it was acquired from. 0 on the serial path.
-  std::uint32_t pool_shard = 0;
 
   [[nodiscard]] bool started() const { return start_time >= 0.0; }
 

@@ -46,27 +46,15 @@ class JobPool {
   JobPool(const JobPool&) = delete;
   JobPool& operator=(const JobPool&) = delete;
 
-  /// Sharding (parallel engine, docs/PARALLEL.md): split the free list
-  /// into `shards` independent LIFO lanes so each logical process can
-  /// recycle jobs through its own lane with no cross-LP traffic. Slab
-  /// growth stays pool-global (it only happens in serial phases). Must be
-  /// called before the first acquire; the default single shard is the
-  /// serial engine's exact historical LIFO behaviour.
-  void configure_shards(std::uint32_t shards);
-  [[nodiscard]] std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(free_.size());
-  }
-
-  /// Hand out a job with fresh run state (Job::reset) — recycled from
-  /// `shard`'s free lane when possible, otherwise bump-allocated from the
+  /// Hand out a job with fresh run state (Job::reset) — recycled from the
+  /// LIFO free list when possible, otherwise bump-allocated from the
   /// current slab. Its `spec` still holds the previous occupant's fields
   /// (and buffers) until the caller fills it in place. The returned pointer
   /// is stable until the pool is destroyed.
-  Job* acquire(std::uint32_t shard = 0);
+  Job* acquire();
 
-  /// Return a job to the free lane of the shard it was acquired from. The
-  /// caller must drop every handle: the next acquire() may recycle the
-  /// object for an unrelated arrival.
+  /// Return a job to the free list. The caller must drop every handle:
+  /// the next acquire() may recycle the object for an unrelated arrival.
   void release(Job* job);
 
   /// Jobs currently acquired and not yet released.
@@ -85,8 +73,7 @@ class JobPool {
 
  private:
   std::vector<std::unique_ptr<Job[]>> slabs_;
-  /// Per-shard free lanes; one lane until configure_shards says otherwise.
-  std::vector<std::vector<Job*>> free_{1};
+  std::vector<Job*> free_;
   /// Next unused index in slabs_.back(); kSlabCapacity when a new slab is
   /// needed (or none exists yet).
   std::size_t next_in_slab_ = kSlabCapacity;

@@ -1,8 +1,5 @@
 #include "core/saturation.hpp"
 
-#include <algorithm>
-#include <thread>
-
 #include "util/assert.hpp"
 
 namespace mcsim {
@@ -14,18 +11,6 @@ SaturationSimulation::SaturationSimulation(SaturationConfig config)
       utilization_(system_.total_processors(), 0.0) {
   MCSIM_REQUIRE(config_.backlog > 0, "backlog must be positive");
   MCSIM_REQUIRE(config_.total_completions > 0, "need completions to measure");
-  if (config_.engine == EngineKind::kParallel) {
-    ParallelConfig parallel;
-    parallel.lp_count = system_.num_clusters() + 1;
-    parallel.worker_threads =
-        config_.engine_threads != 0
-            ? config_.engine_threads
-            : std::max(1U, std::thread::hardware_concurrency());
-    // Saturation draws synthetic service times (unbounded below): no
-    // usable service-time bound, so the horizon adapts from density.
-    sim_.configure_parallel(parallel);
-    pool_.configure_shards(parallel.lp_count);
-  }
   scheduler_ = make_scheduler(config_.policy, *this, config_.placement);
   warmup_completions_ = static_cast<std::uint64_t>(config_.warmup_fraction *
                                                    static_cast<double>(config_.total_completions));
@@ -74,11 +59,6 @@ void SaturationSimulation::start_job(JobPtr job) {
   if (measuring_) {
     net_work_started_ += static_cast<double>(job->spec.total_size) * job->spec.service_time;
   }
-  // Saturation jobs never co-allocate across clusters under GS/SC, but LS
-  // and LP layouts can: the same LP rule as the main engine applies.
-  sim_.set_event_lp(job->allocation.size() == 1
-                        ? 1U + static_cast<std::uint32_t>(job->allocation.front().cluster)
-                        : 0U);
   sim_.schedule_in(job->spec.gross_service_time, [this, job]() { on_departure(job); });
 }
 

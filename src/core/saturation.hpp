@@ -28,11 +28,6 @@ struct SaturationConfig {
   /// Completions to simulate.
   std::uint64_t total_completions = 50000;
   double warmup_fraction = 0.2;
-  /// Event core selection, mirroring SimulationConfig (docs/PARALLEL.md);
-  /// the saturation goldens verify bit-exactly under either engine.
-  EngineKind engine = EngineKind::kSerial;
-  /// Parallel worker budget incl. the coordinator; 0 = all hardware threads.
-  unsigned engine_threads = 0;
 };
 
 struct SaturationResult {

@@ -211,17 +211,11 @@ void write_replications_observation(obs::JsonWriter& json, const ScenarioSpec& s
 
 }  // namespace
 
-std::string canonical_observation(const ScenarioSpec& spec, EngineKind engine) {
+std::string canonical_observation(const ScenarioSpec& spec) {
   // Results are parallelism-invariant (exp_runner_test pins this), so run
-  // serially: verify parallelises across scenarios, not inside one. The
-  // parallel-engine override instead gets a two-thread budget — the
-  // smallest that spawns a real worker next to the coordinator — because
-  // results are worker-count-invariant by contract and the point of the
-  // override is to exercise genuine cross-thread barriers against the
-  // serial goldens (docs/PARALLEL.md).
+  // serially: verify parallelises across scenarios, not inside one.
   ScenarioSpec serial = spec;
-  serial.engine = engine;
-  serial.parallelism = engine == EngineKind::kParallel ? 2 : 1;
+  serial.parallelism = 1;
   validate(serial);
 
   std::ostringstream out;
@@ -553,7 +547,7 @@ ScenarioVerdict verify_one(const fs::path& scenario_path,
 
   std::string observation;
   try {
-    observation = canonical_observation(spec, options.engine);
+    observation = canonical_observation(spec);
   } catch (const std::exception& error) {
     verdict.status = VerifyStatus::kError;
     verdict.detail = error.what();
@@ -640,10 +634,6 @@ VerifyReport verify_goldens(const std::string& scenario_dir,
                             const VerifyOptions& options) {
   MCSIM_REQUIRE(fs::is_directory(scenario_dir),
                 "verify: " + scenario_dir + " is not a directory");
-  MCSIM_REQUIRE(!options.update || options.engine == EngineKind::kSerial,
-                "verify: goldens are sealed from the serial reference engine "
-                "only; --engine=parallel verifies against them, it does not "
-                "regenerate them");
   std::vector<fs::path> scenarios;
   for (const auto& entry : fs::directory_iterator(scenario_dir)) {
     if (entry.is_regular_file() && entry.path().extension() == ".json") {

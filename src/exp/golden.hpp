@@ -96,13 +96,7 @@ struct CompareOutcome {
 ///   replications -> per-replication means, CI, busy fraction
 /// Runs serially (spec.parallelism is ignored: results are
 /// parallelism-invariant, and verify parallelises across scenarios).
-/// `engine` overrides the spec's event core: kParallel re-runs the
-/// scenario on the parallel engine with a real two-thread worker crew —
-/// the output must still match the serial golden byte-for-byte, which is
-/// how `mcsim verify --engine=parallel` proves the bit-exactness contract
-/// (docs/PARALLEL.md).
-std::string canonical_observation(const ScenarioSpec& spec,
-                                  EngineKind engine = EngineKind::kSerial);
+std::string canonical_observation(const ScenarioSpec& spec);
 
 /// Digest of an observation tree: FNV-1a over its flattened
 /// `path=value` lines — formatting-independent, so a golden file survives
@@ -186,12 +180,6 @@ struct VerifyOptions {
   unsigned parallelism = 0;
   /// Regenerate goldens instead of comparing.
   bool update = false;
-  /// Event core used to reproduce each observation. The goldens are always
-  /// sealed from the serial reference; kParallel re-runs every scenario on
-  /// the parallel engine and demands the same bytes — the end-to-end
-  /// bit-exactness gate (`mcsim verify --engine=parallel`). Rejected with
-  /// --update: goldens are sealed from the canonical serial engine only.
-  EngineKind engine = EngineKind::kSerial;
 };
 
 /// Run every `*.json` scenario under `scenario_dir` (sorted by name) and

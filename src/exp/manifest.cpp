@@ -132,12 +132,6 @@ void write_run_manifest(std::ostream& out, const SimulationConfig& config,
   json.key("git_describe").value(git_describe());
   if (!info.command_line.empty()) json.key("command_line").value(info.command_line);
   json.key("seed").value(config.seed);
-  // Which event core produced the run. Results are engine-invariant by
-  // contract, so this is provenance, not configuration; serial is the
-  // implied default, keeping pre-engine manifests byte-identical.
-  if (config.engine != EngineKind::kSerial) {
-    json.key("engine").value(engine_kind_name(config.engine));
-  }
   json.end_object();
 
   json.key("clocks").begin_object();

@@ -28,12 +28,7 @@ ReplicationResult run_replications(const exp::ScenarioSpec& spec) {
   const auto runs = runner.map(spec.replications, [&](std::size_t r) {
     exp::ScenarioSpec replication = spec;
     replication.seed = spec.seed + static_cast<std::uint64_t>(r);
-    SimulationConfig config =
-        exp::to_simulation_config(replication, spec.utilization);
-    // Split the shared --jobs budget across the runner fan-out so the
-    // parallel engine never oversubscribes (docs/PARALLEL.md).
-    config.engine_threads = spec.engine_threads_for(runner.jobs());
-    return run_simulation(config);
+    return run_simulation(exp::to_simulation_config(replication, spec.utilization));
   });
 
   // Fold in replication order so the accumulated statistics (and their

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <ostream>
-#include <thread>
 
 #include "exp/sweep.hpp"
 #include "obs/json.hpp"
@@ -97,16 +96,6 @@ WorkloadConfig make_workload(const ScenarioSpec& spec, std::size_t num_clusters)
 }
 
 }  // namespace
-
-unsigned ScenarioSpec::engine_threads_for(unsigned runner_jobs) const {
-  // One budget for both layers (docs/PARALLEL.md, "One worker budget"):
-  // a lone run hands it all to the engine crew; runs fanned out across an
-  // N-way Runner pool split it, bottoming out at 1 (inline, no threads).
-  const unsigned budget =
-      parallelism != 0 ? parallelism
-                       : std::max(1U, std::thread::hardware_concurrency());
-  return std::max(1U, budget / std::max(1U, runner_jobs));
-}
 
 std::string ScenarioSpec::label() const {
   if (!name.empty()) return name;
@@ -373,7 +362,6 @@ SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilizati
     trace->split_jobs = config.workload.split_jobs;
     trace->source_path = spec.trace_path;
     trace->skipped_records = scan.summary.total_records - scan.summary.usable_records;
-    trace->min_gross_service = scan.summary.min_run_time;
     if (spec.trace_lookahead != 0) trace->lookahead_window = spec.trace_lookahead;
     if (spec.trace_whole_file) {
       // Test-only legacy mode: everything in memory (the equivalence
@@ -413,10 +401,6 @@ SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilizati
   config.seed = spec.seed;
   config.warmup_fraction = spec.warmup_fraction;
   config.batch_count = spec.batch_count;
-  config.engine = spec.engine;
-  // Lone-run budget by default; Runner fan-out callers (sweep/replications)
-  // re-split it per worker before building engines.
-  config.engine_threads = spec.engine_threads_for(1);
   return config;
 }
 
@@ -430,8 +414,6 @@ SaturationConfig to_saturation_config(const ScenarioSpec& spec) {
   config.seed = spec.seed;
   config.backlog = spec.saturation_backlog;
   config.total_completions = spec.saturation_completions;
-  config.engine = spec.engine;
-  config.engine_threads = spec.engine_threads_for(1);
   // SaturationConfig keeps its own warmup default (0.2): the constant-
   // backlog estimator warms up differently from a steady-state run.
   return config;
@@ -532,11 +514,6 @@ void write_scenario_json(obs::JsonWriter& json, const ScenarioSpec& spec) {
   json.key("warmup_fraction").value(spec.warmup_fraction);
   json.key("batch_count").value(spec.batch_count);
   json.key("parallelism").value(static_cast<std::uint64_t>(spec.parallelism));
-  // Emitted only for the parallel engine so pre-engine scenario files and
-  // manifests stay byte-identical (results are too, by contract).
-  if (spec.engine != EngineKind::kSerial) {
-    json.key("engine").value(engine_kind_name(spec.engine));
-  }
   json.end_object();
 
   json.end_object();
@@ -708,8 +685,6 @@ void read_run(const obs::JsonValue& value, ScenarioSpec& spec) {
       spec.batch_count = v.as_uint();
     } else if (key == "parallelism") {
       spec.parallelism = static_cast<unsigned>(v.as_uint());
-    } else if (key == "engine") {
-      spec.engine = parse_engine_kind(v.as_string());
     } else {
       MCSIM_REQUIRE(false, "scenario: unknown run key \"" + key + "\"");
     }

@@ -136,23 +136,9 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
   double warmup_fraction = 0.1;
   std::uint64_t batch_count = 20;
-  /// The scenario's worker-thread budget (`--jobs`; 0 = all cores). One
-  /// budget covers both layers of parallelism: sweep/replications fan runs
-  /// out across an exp::Runner pool of this size (each run's engine then
-  /// gets one thread), while single-run modes hand the whole budget to the
-  /// parallel engine's worker crew. Either way at most this many cores are
-  /// busy (docs/PARALLEL.md, "One worker budget").
+  /// exp::Runner width for sweep/replications fan-out (`--jobs`; 0 = all
+  /// cores). Single-run modes ignore it: each run is one serial engine.
   unsigned parallelism = 1;
-  /// Event core: serial (the canonical reference) or parallel
-  /// (docs/PARALLEL.md). Results are bit-identical by contract — `mcsim
-  /// verify --engine=parallel` re-proves it against the sealed goldens —
-  /// so the key is omitted from scenario JSON when serial.
-  EngineKind engine = EngineKind::kSerial;
-
-  /// Engine worker threads for a single run at the given runner fan-out,
-  /// under the shared budget above: a lone run gets the whole budget, runs
-  /// inside an N-way Runner pool get budget/N (at least 1, i.e. inline).
-  [[nodiscard]] unsigned engine_threads_for(unsigned runner_jobs) const;
 
   /// True when this spec replays a recorded trace instead of drawing the
   /// synthetic workload.

@@ -65,13 +65,8 @@ SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
   series.scenario = spec.paper_scenario();
   const std::string label = spec.label();
   const std::vector<double> grid = spec.sweep_grid();
-  // The shared --jobs budget covers runner workers times engine workers:
-  // each fanned-out run's engine gets budget/N threads (inline at N ==
-  // budget), so `--engine=parallel --jobs=N` never oversubscribes.
-  const auto run_point = [&](std::size_t i, unsigned runner_jobs) {
-    SimulationConfig config = exp::to_simulation_config(spec, grid[i]);
-    config.engine_threads = spec.engine_threads_for(runner_jobs);
-    return run_simulation(config);
+  const auto run_point = [&](std::size_t i) {
+    return run_simulation(exp::to_simulation_config(spec, grid[i]));
   };
 
   if (spec.parallelism == 1) {
@@ -79,7 +74,7 @@ SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
     for (std::size_t i = 0; i < grid.size(); ++i) {
       SweepPoint point;
       point.target_gross_utilization = grid[i];
-      point.result = run_point(i, 1);
+      point.result = run_point(i);
       log_point(label, grid[i], point.result);
       const bool unstable = point.result.unstable;
       series.points.push_back(std::move(point));
@@ -92,8 +87,7 @@ SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
   // the same prefix the serial loop would have produced. Each point depends
   // only on its own config, so the kept points are bit-identical.
   exp::Runner runner(spec.parallelism);
-  auto results = runner.map(
-      grid.size(), [&](std::size_t i) { return run_point(i, runner.jobs()); });
+  auto results = runner.map(grid.size(), run_point);
   for (std::size_t i = 0; i < results.size(); ++i) {
     SweepPoint point;
     point.target_gross_utilization = grid[i];

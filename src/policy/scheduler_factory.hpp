@@ -19,8 +19,6 @@ const char* policy_name(PolicyKind kind);
 /// Parse a policy name ("GS", "ls", ...; case-insensitive). Throws
 /// std::invalid_argument on anything else.
 PolicyKind parse_policy_kind(const std::string& name);
-/// Deprecated spelling of parse_policy_kind.
-inline PolicyKind parse_policy(const std::string& name) { return parse_policy_kind(name); }
 
 /// Whether the policy runs on a single cluster holding all processors (SC)
 /// rather than the multicluster.

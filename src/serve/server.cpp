@@ -122,8 +122,8 @@ struct Server::Impl {
                             "server is draining; submissions are closed");
     }
     exp::ScenarioSpec spec = std::move(request.spec);
-    // One engine thread per served run: the --jobs budget fans out across
-    // runs (the Runner pool), exactly like a sweep under `mcsim run`.
+    // No nested fan-out inside a served run: the --jobs budget fans out
+    // across runs (the Runner pool), exactly like a sweep under `mcsim run`.
     spec.parallelism = 1;
     try {
       exp::validate(spec);

@@ -2,28 +2,11 @@
 
 #include <utility>
 
-#include "sim/parallel_simulator.hpp"
 #include "util/assert.hpp"
 
 namespace mcsim {
 
-Simulator::Simulator() = default;
-Simulator::~Simulator() = default;
-
-void Simulator::configure_parallel(const ParallelConfig& config) {
-  MCSIM_REQUIRE(par_ == nullptr, "parallel backend already configured");
-  MCSIM_REQUIRE(pending_events() == 0 && executed_ == 0,
-                "configure_parallel requires a fresh simulator");
-  MCSIM_REQUIRE(config.lp_count >= 1, "need at least the coordinator LP");
-  par_ = std::make_unique<ParallelSimulator>(*this, config);
-}
-
-void Simulator::set_event_lp(std::uint32_t lp) {
-  if (par_) par_->set_current_lp(lp);
-}
-
 std::size_t Simulator::pending_events() const {
-  if (par_) return par_->pending();
   return calendar_.size() + batch_live_;
 }
 
@@ -41,7 +24,6 @@ std::uint32_t Simulator::alloc_slot() {
 EventId Simulator::schedule_at(double when, EventHandler handler) {
   MCSIM_REQUIRE(when >= now_, "cannot schedule an event in the past");
   MCSIM_REQUIRE(handler != nullptr, "event handler must be callable");
-  if (par_) return par_->schedule_at(when, std::move(handler));
   const std::uint32_t slot = alloc_slot();
   slots_[slot] = std::move(handler);
   return calendar_.push(when, slot);
@@ -53,7 +35,6 @@ EventId Simulator::schedule_in(double delay, EventHandler handler) {
 }
 
 bool Simulator::cancel(EventId id) {
-  if (par_) return par_->cancel(id);
   // The common case: the event is still buried in the calendar. Its slot
   // comes back through drain_reclaimed_slots when the dead entry surfaces;
   // the handler is destroyed when the slot is next reused (see the lazy-
@@ -93,7 +74,6 @@ void Simulator::start_batch() {
 }
 
 bool Simulator::step() {
-  if (par_) return par_->step();
   if (drain_batch_one()) return true;
   if (calendar_.empty()) return false;
   start_batch();
@@ -102,10 +82,6 @@ bool Simulator::step() {
 }
 
 void Simulator::run() {
-  if (par_) {
-    par_->run();
-    return;
-  }
   stop_requested_ = false;
   while (!stop_requested_ && step()) {
   }
@@ -113,10 +89,6 @@ void Simulator::run() {
 
 void Simulator::run_until(double until) {
   MCSIM_REQUIRE(until >= now_, "cannot run backwards");
-  if (par_) {
-    par_->run_until(until);
-    return;
-  }
   stop_requested_ = false;
   while (!stop_requested_) {
     // A batch remnant (from a stop() mid-batch) is at a timestamp already
@@ -130,7 +102,6 @@ void Simulator::run_until(double until) {
 }
 
 void Simulator::reset() {
-  if (par_) par_->reset();
   calendar_.clear();
   slots_.clear();
   free_slots_.clear();
@@ -144,10 +115,6 @@ void Simulator::reset() {
 }
 
 void Simulator::reserve_events(std::size_t expected_total, std::size_t expected_pending) {
-  if (par_) {
-    par_->reserve(expected_total, expected_pending);
-    return;
-  }
   calendar_.reserve(expected_total, expected_pending);
   slots_.reserve(expected_pending);
   free_slots_.reserve(expected_pending);

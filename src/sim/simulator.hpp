@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/calendar.hpp"
@@ -38,25 +37,9 @@
 
 namespace mcsim {
 
-class ParallelSimulator;
-
 /// Observability hook invoked after dispatched events with the advanced
 /// clock and the number of still-pending events (calendar occupancy).
 using StepHook = std::function<void(double now, std::size_t pending)>;
-
-/// Configuration for the parallel (conservative-synchronization) backend,
-/// passed to Simulator::configure_parallel. See docs/PARALLEL.md.
-struct ParallelConfig {
-  /// Logical processes sharding the pending events: the coordinator LP 0
-  /// (cross-LP traffic) plus typically one LP per cluster.
-  std::uint32_t lp_count = 1;
-  /// Total worker budget including the coordinating thread; <= 1 runs
-  /// every barrier task inline (full LP machinery, zero extra threads).
-  unsigned worker_threads = 1;
-  /// Conservative lookahead seed (seconds) from the model's service-time
-  /// bound; 0 lets the horizon adapt purely from window density.
-  double lookahead_hint = 0.0;
-};
 
 /// The event-driven simulation core: a clock, a cancellable calendar and
 /// handler dispatch. One Simulator drives one run; it is not thread-safe
@@ -64,30 +47,12 @@ struct ParallelConfig {
 /// (docs/ARCHITECTURE.md, "Threading model").
 class Simulator {
  public:
-  // Both out of line: ParallelSimulator is incomplete at this point.
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulation time (seconds).
   [[nodiscard]] double now() const { return now_; }
-
-  /// Switch this simulator to the parallel backend (sharded calendars +
-  /// barrier-synchronized windows, docs/PARALLEL.md). Must be called on a
-  /// fresh simulator, before anything is scheduled. The serial engine
-  /// stays the canonical reference; the parallel backend reproduces its
-  /// event order — and therefore every result — bit-exactly.
-  void configure_parallel(const ParallelConfig& config);
-  [[nodiscard]] bool parallel_engine() const { return par_ != nullptr; }
-
-  /// Tag subsequent schedule_at/schedule_in calls with the logical
-  /// process that owns them. No-op on the serial path, so model code can
-  /// tag unconditionally.
-  void set_event_lp(std::uint32_t lp);
-
-  /// Introspection into the parallel backend; nullptr on the serial path.
-  [[nodiscard]] const ParallelSimulator* parallel_backend() const { return par_.get(); }
 
   /// Schedule `handler` at absolute time `when` (>= now). Returns the event id.
   EventId schedule_at(double when, EventHandler handler);
@@ -134,8 +99,6 @@ class Simulator {
   void set_step_hook(StepHook hook, std::uint64_t stride = 1);
 
  private:
-  friend class ParallelSimulator;  // shares now_/executed_/stop/hook state
-
   void dispatch(const Calendar::Entry& entry);
   /// Dispatch the next live entry of the current batch, if any.
   bool drain_batch_one();
@@ -154,9 +117,6 @@ class Simulator {
   std::vector<Calendar::Entry> batch_;
   std::size_t batch_next_ = 0;
   std::size_t batch_live_ = 0;  // live undispatched entries in batch_
-  /// Engaged by configure_parallel; when set, the calendar/batch members
-  /// above lie fallow and every schedule/cancel/run call routes here.
-  std::unique_ptr<ParallelSimulator> par_;
   StepHook step_hook_;
   std::uint64_t hook_stride_ = 1;
   std::uint64_t events_since_hook_ = 0;

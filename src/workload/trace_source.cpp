@@ -17,11 +17,9 @@ TraceStreamSummary summarize_trace_source(TraceRecordSource& source) {
     if (summary.usable_records == 0) {
       summary.first_submit = record.submit_time;
       summary.last_submit = record.submit_time;
-      summary.min_run_time = record.run_time;
     } else {
       summary.first_submit = std::min(summary.first_submit, record.submit_time);
       summary.last_submit = std::max(summary.last_submit, record.submit_time);
-      summary.min_run_time = std::min(summary.min_run_time, record.run_time);
     }
     ++summary.usable_records;
     summary.gross_work += static_cast<double>(record.processors) * record.run_time;

@@ -57,10 +57,6 @@ struct TraceStreamSummary {
   /// Sum over usable records of processors * run_time, in source order.
   double gross_work = 0.0;
   std::uint32_t max_processors = 0;  ///< over usable records
-  /// Minimum run_time over usable records (0 when there are none): the
-  /// service-time bound seeding the parallel engine's conservative
-  /// lookahead (docs/PARALLEL.md).
-  double min_run_time = 0.0;
 };
 
 /// Drain `source` and accumulate the summary (the pre-scan pass).

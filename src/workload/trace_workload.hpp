@@ -93,11 +93,6 @@ struct TraceWorkloadConfig {
   std::string source_path;
   /// How many raw records the usable filter dropped (provenance).
   std::uint64_t skipped_records = 0;
-  /// Minimum gross service time over the replayable records (from the
-  /// pre-scan's min_run_time; 0 = unknown). Seeds the parallel engine's
-  /// conservative lookahead — purely a batching hint, never correctness
-  /// (docs/PARALLEL.md, "Lookahead bound").
-  double min_gross_service = 0.0;
 
   static constexpr std::uint32_t kDefaultLookaheadWindow = 4096;
 

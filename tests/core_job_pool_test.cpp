@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <stdexcept>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -17,8 +16,8 @@ namespace mcsim {
 namespace {
 
 /// Acquire a job and fill its spec the way a job source does: in place.
-Job* acquire_with_id(JobPool& pool, std::uint64_t id, std::uint32_t shard = 0) {
-  Job* job = pool.acquire(shard);
+Job* acquire_with_id(JobPool& pool, std::uint64_t id) {
+  Job* job = pool.acquire();
   job->spec.id = id;
   job->spec.components.assign(1, 4);
   job->spec.total_size = 4;
@@ -98,42 +97,6 @@ TEST(JobPool, CapacityCountsConstructedJobs) {
   pool.release(job);
   (void)acquire_with_id(pool, 2);
   EXPECT_EQ(pool.capacity(), 1u);
-}
-
-// Sharded free lanes (the parallel engine's pool layout): release returns
-// a job to the lane of the shard that acquired it, each lane recycles
-// LIFO independently, and the default single shard is exactly the
-// historical pool.
-TEST(JobPool, ShardedFreeLanesRecycleIndependently) {
-  JobPool pool;
-  pool.configure_shards(3);
-  EXPECT_EQ(pool.shard_count(), 3u);
-
-  Job* a = acquire_with_id(pool, 1, 0);
-  Job* b = acquire_with_id(pool, 2, 1);
-  Job* c = acquire_with_id(pool, 3, 1);
-  EXPECT_EQ(a->pool_shard, 0u);
-  EXPECT_EQ(b->pool_shard, 1u);
-
-  pool.release(b);
-  pool.release(c);
-  pool.release(a);
-  // Shard 1's lane is LIFO on its own: c then b; shard 0 returns a; shard
-  // 2's empty lane falls back to fresh slab slots.
-  EXPECT_EQ(acquire_with_id(pool, 4, 1), c);
-  EXPECT_EQ(acquire_with_id(pool, 5, 1), b);
-  EXPECT_EQ(acquire_with_id(pool, 6, 0), a);
-  Job* fresh = acquire_with_id(pool, 7, 2);
-  EXPECT_NE(fresh, a);
-  EXPECT_NE(fresh, b);
-  EXPECT_NE(fresh, c);
-  EXPECT_EQ(fresh->pool_shard, 2u);
-}
-
-TEST(JobPool, ConfigureShardsRequiresFreshPool) {
-  JobPool pool;
-  (void)acquire_with_id(pool, 1);
-  EXPECT_THROW(pool.configure_shards(2), std::invalid_argument);
 }
 
 // The end-to-end consequence: two runs of the same scenario in the same

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "exp/manifest.hpp"
 #include "exp/replications.hpp"
@@ -114,6 +115,18 @@ TEST(ScenarioSpecJson, UnknownKeysAreRejected) {
   EXPECT_THROW(exp::scenario_from_json(
                    obs::parse_json(R"({"workload": {"sizemodel": "das-s-128"}})")),
                std::invalid_argument);
+  // `engine` is not a run key: any value fails instead of being ignored.
+  for (const char* value : {"serial", "parallel"}) {
+    try {
+      (void)exp::scenario_from_json(obs::parse_json(
+          std::string(R"({"run": {"engine": ")") + value + R"("}})"));
+      FAIL() << "run.engine = " << value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(R"(unknown run key "engine")"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(ScenarioSpecJson, WrongSchemaIsRejected) {
@@ -305,6 +318,37 @@ TEST(ScenarioSpecEquivalence, ManifestRerunIsBitIdentical) {
   EXPECT_EQ(result.mean_response(), rerun.mean_response());
   EXPECT_EQ(result.completed_jobs, rerun.completed_jobs);
   EXPECT_EQ(result.busy_fraction, rerun.busy_fraction);
+}
+
+TEST(ScenarioSpecEquivalence, ManifestScenarioWithEngineKeyIsRejected) {
+  exp::ScenarioSpec spec;
+  spec.sim_jobs = 500;
+  const auto config = exp::to_simulation_config(spec);
+  const auto result = run_simulation(config);
+  std::ostringstream manifest;
+  ManifestInfo info;
+  info.scenario = &spec;
+  write_run_manifest(manifest, config, result, /*metrics=*/nullptr, info);
+
+  // Splice an `engine` key into the embedded scenario's run object.
+  std::string text = manifest.str();
+  const std::size_t at = text.find(R"("parallelism")");
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(text.find(R"("parallelism")", at + 1), std::string::npos);
+  text.insert(at, R"("engine": "serial", )");
+  TempFile file("mcsim_scenario_spec_test_engine_manifest.json");
+  {
+    std::ofstream out(file.path());
+    out << text;
+  }
+  try {
+    (void)exp::load_scenario(file.path());
+    FAIL() << "a manifest scenario with run.engine was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(R"(unknown run key "engine")"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ScenarioSpecEquivalence, ManifestWithoutScenarioIsRejected) {

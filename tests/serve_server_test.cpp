@@ -288,6 +288,28 @@ TEST(ServeServer, SaturationPipelineOverridesAreInvalidScenarios) {
   }
 }
 
+// `engine` is not a run key: a submit naming it, with any value, is an
+// invalid scenario rather than a run that ignores it.
+TEST(ServeServer, RemovedEngineSelectorIsAnInvalidScenario) {
+  const fs::path dir = scratch_dir("engine");
+  ServerHarness harness(make_config(dir));
+  auto client = harness.client();
+
+  for (const char* value : {"serial", "parallel"}) {
+    try {
+      client->request(std::string("{\"op\":\"submit\",\"spec\":{\"run\":{\"mode\":"
+                                  "\"point\",\"sim_jobs\":100,\"engine\":\"") +
+                      value + "\"}}}");
+      FAIL() << "run.engine = " << value << " was accepted";
+    } catch (const ServeError& error) {
+      EXPECT_EQ(error.code(), kErrInvalidScenario);
+      EXPECT_NE(std::string(error.what()).find("unknown run key \"engine\""),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(ServeServer, UnknownRunsAndLateCancelsAreStructuredErrors) {
   const fs::path dir = scratch_dir("unknown");
   ServerHarness harness(make_config(dir));

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -58,6 +60,16 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_FALSE(sim.cancel(id));
 }
 
+TEST(Simulator, CancelOfFiredOrUnknownEventReportsFalse) {
+  Simulator sim;
+  const EventId id = sim.schedule_at(1.0, [] {});
+  sim.run();
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_FALSE(sim.cancel(kNoEvent));
+  EXPECT_FALSE(sim.cancel(EventId{12345}));  // never issued
+  EXPECT_EQ(sim.executed_events(), 1u);
+}
+
 TEST(Simulator, CancelFromWithinHandler) {
   Simulator sim;
   bool second_fired = false;
@@ -94,6 +106,22 @@ TEST(Simulator, RunUntilStopsAtBoundaryInclusive) {
   sim.run_until(10.0);
   EXPECT_EQ(seen.size(), 4u);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);  // clock advances to the boundary
+}
+
+TEST(Simulator, RunUntilLeavesLaterEventsPending) {
+  Simulator sim;
+  std::vector<double> seen;
+  for (int i = 1; i <= 9; ++i) {
+    sim.schedule_at(static_cast<double>(i), [&seen, &sim] { seen.push_back(sim.now()); });
+  }
+  sim.run_until(4.5);
+  EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
+  EXPECT_DOUBLE_EQ(sim.now(), 4.5);
+  EXPECT_EQ(sim.pending_events(), 5u);
+  sim.run_until(9.0);
+  EXPECT_EQ(seen.size(), 9u);
+  EXPECT_DOUBLE_EQ(sim.now(), 9.0);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Simulator, SchedulingInThePastThrows) {
@@ -207,6 +235,28 @@ TEST(Simulator, StopMidBatchResumesRemnantsInOrder) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// The observability hook sees the advanced clock and the calendar
+// occupancy after every stride-th dispatched event, batch remnants included.
+TEST(Simulator, StepHookSeesClockAndPendingCount) {
+  Simulator sim;
+  std::vector<std::pair<double, std::size_t>> every;
+  sim.set_step_hook([&](double now, std::size_t pending) { every.emplace_back(now, pending); });
+  sim.schedule_at(1.0, [&] { sim.schedule_in(2.0, [] {}); });
+  sim.schedule_at(1.0, [] {});
+  sim.schedule_at(2.0, [] {});
+  sim.run();
+  using Sample = std::pair<double, std::size_t>;
+  EXPECT_EQ(every, (std::vector<Sample>{{1.0, 3}, {1.0, 2}, {2.0, 1}, {3.0, 0}}));
+
+  sim.reset();
+  std::vector<double> strided;
+  sim.set_step_hook([&](double now, std::size_t) { strided.push_back(now); }, 2);
+  for (int i = 1; i <= 5; ++i) sim.schedule_at(static_cast<double>(i), [] {});
+  sim.run();
+  EXPECT_EQ(strided, (std::vector<double>{2.0, 4.0}));
+  EXPECT_THROW(sim.set_step_hook(nullptr, 0), std::invalid_argument);
 }
 
 TEST(Simulator, MMOneQueueMatchesTheory) {

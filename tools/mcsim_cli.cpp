@@ -121,9 +121,6 @@ void add_scenario_options(CliParser& parser) {
   parser.add_option("coallocation", "",
                     "pipeline override: co-allocation rule (co, no-co, limit-<L>)");
   parser.add_option("seed", "1", "master random seed");
-  parser.add_option("engine", "serial",
-                    "event core: serial (the canonical reference) or parallel "
-                    "(per-cluster LPs, bit-identical results; docs/PARALLEL.md)");
   parser.add_option("emit-spec", "", "write these flags as a scenario file and exit");
   parser.add_flag("unbalanced", "one local queue gets 40% of local submissions");
   parser.add_flag("das64", "cap total job sizes at 64 (DAS-s-64)");
@@ -150,7 +147,6 @@ exp::ScenarioSpec spec_from(const CliParser& parser) {
   spec.balanced_queues = !parser.get_flag("unbalanced");
   spec.size_model = parser.get_flag("das64") ? "das-s-64" : "das-s-128";
   spec.seed = parser.get_uint("seed");
-  spec.engine = parse_engine_kind(parser.get("engine"));
   return spec;
 }
 
@@ -330,9 +326,6 @@ int cmd_point(int argc, const char* const* argv) {
   add_scenario_options(parser);
   parser.add_option("utilization", "0.5", "target gross utilization");
   parser.add_option("sim-jobs", "30000", "simulated jobs");
-  parser.add_option("jobs", "1",
-                    "worker-thread budget (0 = all cores); a single run "
-                    "hands it to --engine=parallel's crew");
   add_point_output_options(parser);
   if (!parser.parse(argc, argv)) return 0;
 
@@ -340,7 +333,6 @@ int cmd_point(int argc, const char* const* argv) {
   spec.mode = exp::RunMode::kPoint;
   spec.utilization = parser.get_double("utilization");
   spec.sim_jobs = parser.get_uint("sim-jobs");
-  spec.parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
   int code = 0;
   if (emit_spec_requested(parser, spec, &code)) return code;
   return execute_point(spec, parser, join_command_line(argc, argv));
@@ -485,8 +477,8 @@ int cmd_replay(int argc, const char* const* argv) {
   parser.add_flag("update-goldens",
                   "corpus mode: regenerate the sealed per-log summaries");
   parser.add_option("jobs", "1",
-                    "worker-thread budget (0 = all cores); a single replay "
-                    "hands it to --engine=parallel's crew");
+                    "corpus mode: logs replayed at once (worker threads, "
+                    "0 = all cores); a single replay is one serial run");
   add_point_output_options(parser);
   if (!parser.parse(argc, argv)) return 0;
 
@@ -507,7 +499,6 @@ int cmd_replay(int argc, const char* const* argv) {
   }
 
   exp::ScenarioSpec spec = as_usage([&] { return spec_from(parser); });
-  spec.parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
   spec.mode = exp::RunMode::kPoint;
   spec.trace_path = parser.positional().front();
   spec.trace_scale = parser.get_double("scale");
@@ -553,15 +544,11 @@ int cmd_saturation(int argc, const char* const* argv) {
   CliParser parser("mcsim saturation: maximal utilization by constant backlog");
   add_scenario_options(parser);
   parser.add_option("completions", "40000", "jobs to complete");
-  parser.add_option("jobs", "1",
-                    "worker-thread budget (0 = all cores); the single "
-                    "saturation run hands it to --engine=parallel's crew");
   if (!parser.parse(argc, argv)) return 0;
 
   exp::ScenarioSpec spec = as_usage([&] { return spec_from(parser); });
   spec.mode = exp::RunMode::kSaturation;
   spec.saturation_completions = parser.get_uint("completions");
-  spec.parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
   int code = 0;
   if (emit_spec_requested(parser, spec, &code)) return code;
   return execute_saturation(spec);
@@ -609,10 +596,9 @@ void add_run_options(CliParser& parser) {
   add_point_output_options(parser);
   parser.add_option("gnuplot", "", "sweep mode: write .dat/.gp into this directory");
   parser.add_option("seed", "", "override the scenario's master seed");
-  parser.add_option("jobs", "", "override the scenario's worker-thread budget");
-  parser.add_option("engine", "",
-                    "override the scenario's event core (serial, parallel); "
-                    "results are bit-identical either way (docs/PARALLEL.md)");
+  parser.add_option("jobs", "",
+                    "override the scenario's worker threads (sweep and "
+                    "replications fan-out)");
   parser.add_option("trace-in", "",
                     "replay this SWF trace instead of the scenario's workload");
   parser.add_option("scale", "", "trace replay: override the arrival-time scale");
@@ -630,9 +616,6 @@ void apply_run_overrides(const CliParser& parser, exp::ScenarioSpec* spec) {
   if (!parser.get("seed").empty()) spec->seed = parser.get_uint("seed");
   if (!parser.get("jobs").empty()) {
     spec->parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
-  }
-  if (!parser.get("engine").empty()) {
-    spec->engine = parse_engine_kind(parser.get("engine"));
   }
   if (!parser.get("trace-in").empty()) spec->trace_path = parser.get("trace-in");
   if (!parser.get("scale").empty()) spec->trace_scale = parser.get_double("scale");
@@ -699,10 +682,6 @@ int cmd_verify(int argc, const char* const* argv) {
   parser.add_option("abs-tol", "1e-9", "statistical tier: absolute tolerance");
   parser.add_option("jobs", std::to_string(exp::Runner::default_jobs()),
                     "parallel scenario runs (worker threads)");
-  parser.add_option("engine", "serial",
-                    "event core reproducing the observations: serial (the "
-                    "reference the goldens were sealed from) or parallel (the "
-                    "bit-exactness gate; docs/PARALLEL.md)");
   parser.add_flag("update", "regenerate the goldens from the current build");
   if (!parser.parse(argc, argv)) return 0;
 
@@ -715,7 +694,6 @@ int cmd_verify(int argc, const char* const* argv) {
   options.compare.abs_tol = parser.get_double("abs-tol");
   options.parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
   options.update = parser.get_flag("update");
-  options.engine = as_usage([&] { return parse_engine_kind(parser.get("engine")); });
 
   const exp::VerifyReport report =
       exp::verify_goldens(parser.get("scenarios"), golden_dir, options);
@@ -733,9 +711,8 @@ int cmd_verify(int argc, const char* const* argv) {
   std::cout << table.render();
   std::cout << (options.update ? "updated " : "verified ") << passed << '/'
             << report.verdicts.size() << " scenarios ("
-            << exp::compare_mode_name(options.compare.mode) << " tier"
-            << (options.engine == EngineKind::kParallel ? ", parallel engine" : "")
-            << ") against " << golden_dir << '\n';
+            << exp::compare_mode_name(options.compare.mode) << " tier) against "
+            << golden_dir << '\n';
   if (!report.ok()) {
     std::cerr << "mcsim verify: FAILED — " << (report.verdicts.size() - passed)
               << " scenario(s) diverge from their goldens\n";
