@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     scenario.component_limit = 16;
     scenario.limit_total_size_64 = das64;
     auto config = make_paper_config(scenario, rho, options->sim_jobs, options->seed);
-    config.backfill = mode;
+    config.pipeline.backfill = mode;
     return run_simulation(config);
   };
 

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     PaperScenario scenario;
     scenario.policy = PolicyKind::kSC;
     auto config = make_paper_config(scenario, rho, options->sim_jobs, options->seed);
-    config.discipline = discipline;
+    config.pipeline.discipline = discipline;
     return run_simulation(config);
   };
 

@@ -164,7 +164,8 @@ class FrozenContext final : public SchedulerContext {
 void BM_BackfillRound(benchmark::State& state, BackfillMode backfill) {
   FrozenContext context;
   const std::unique_ptr<Scheduler> scheduler = make_scheduler(
-      PolicyKind::kGS, context, PlacementRule::kWorstFit, backfill);
+      PolicyKind::kGS, expand_policy(PolicyKind::kGS, PlacementRule::kWorstFit, backfill),
+      context);
   std::deque<Job> jobs;
   const auto submit = [&](std::uint32_t size, double service) {
     Job& job = jobs.emplace_back();

@@ -59,6 +59,7 @@ const std::shared_ptr<const TraceWorkloadConfig>& bench_trace() {
 SimulationConfig replay_config(PolicyKind policy) {
   SimulationConfig config;
   config.policy = policy;
+  config.pipeline = expand_policy(policy);
   config.cluster_sizes = {32, 32, 32, 32};
   config.trace_workload = bench_trace();
   config.total_jobs = kReplayJobs;

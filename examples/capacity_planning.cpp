@@ -4,14 +4,13 @@
 // wide-area communication?"
 //
 // The machine and workload are described as a ScenarioSpec in saturation
-// mode — the same vocabulary `mcsim run` executes — and turned into the
-// estimator's config with exp::to_saturation_config.
+// mode — the same vocabulary `mcsim run` executes — and turned into a
+// constant-backlog engine config with exp::to_simulation_config.
 //
 //   $ ./examples/capacity_planning --clusters=4 --cluster-size=32 --limit=16
 //   $ ./examples/capacity_planning --policy=SC
 #include <iostream>
 
-#include "core/saturation.hpp"
 #include "exp/scenario_spec.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -44,8 +43,8 @@ int main(int argc, char** argv) {
   spec.saturation_completions = parser.get_uint("completions");
   spec.seed = parser.get_uint("seed");
 
-  const auto config = exp::to_saturation_config(spec);
-  const auto result = run_saturation(config);
+  const auto config = exp::to_simulation_config(spec);
+  const auto result = run_simulation(config);
 
   std::uint32_t total = 0;
   for (auto s : config.cluster_sizes) total += s;
@@ -55,12 +54,11 @@ int main(int argc, char** argv) {
             << format_double(config.workload.extension_factor, 2) << "\n\n";
 
   TextTable table({"metric", "value"});
-  table.add_row({"maximal gross utilization", format_util(result.maximal_gross_utilization)});
-  table.add_row({"maximal net utilization", format_util(result.maximal_net_utilization)});
+  table.add_row({"maximal gross utilization", format_util(result.busy_fraction)});
+  table.add_row({"maximal net utilization", format_util(result.carried_net_utilization)});
   table.add_row({"capacity lost to wide-area comm",
-                 format_util(result.maximal_gross_utilization -
-                             result.maximal_net_utilization)});
-  table.add_row({"completions simulated", std::to_string(result.completions)});
+                 format_util(result.busy_fraction - result.carried_net_utilization)});
+  table.add_row({"completions simulated", std::to_string(result.completed_jobs)});
   std::cout << table.render();
 
   if (!single) {

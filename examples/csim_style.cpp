@@ -74,6 +74,7 @@ int main() {
   // --- the same system on the event-driven engine ---
   SimulationConfig config;
   config.policy = PolicyKind::kSC;
+  config.pipeline = expand_policy(PolicyKind::kSC);
   config.cluster_sizes = {128};
   config.workload = workload;
   config.total_jobs = kJobs;

@@ -26,6 +26,7 @@ int main() {
   // 2. Describe the run: policy, machine, load, length.
   SimulationConfig config;
   config.policy = PolicyKind::kLS;               // local queues + co-allocation
+  config.pipeline = expand_policy(config.policy);  // LS's scheduling stages
   config.cluster_sizes = {32, 32, 32, 32};
   config.workload = workload;
   config.workload.arrival_rate =

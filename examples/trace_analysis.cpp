@@ -88,6 +88,7 @@ int main(int argc, char** argv) {
   // 4. Simulate LS on the 4x32 multicluster with the trace-derived workload.
   SimulationConfig config;
   config.policy = PolicyKind::kLS;
+  config.pipeline = expand_policy(PolicyKind::kLS);
   config.cluster_sizes = {32, 32, 32, 32};
   config.workload.size_distribution = sizes_128;
   config.workload.service_distribution = services;

@@ -38,6 +38,9 @@ void SimulationConfig::validate() const {
                 "config: extension_factor must be >= 1");
   MCSIM_REQUIRE(instability_backlog_fraction >= 0.0 && instability_backlog_fraction <= 1.0,
                 "config: instability_backlog_fraction must be in [0,1]");
+  MCSIM_REQUIRE(backlog == 0 || trace_workload == nullptr,
+                "config: a constant backlog draws synthetic jobs; a trace cannot "
+                "be replayed at constant backlog");
   if (trace_workload != nullptr) {
     MCSIM_REQUIRE(!(trace_workload->streaming() && !trace_workload->records.empty()),
                   "config: trace workload has both in-memory records and a "
@@ -88,26 +91,33 @@ Multicluster make_system(const SimulationConfig& config) {
 }
 
 // Adapts the synthetic WorkloadGenerator to the pull-based JobSource the
-// engine consumes; never exhausts.
+// engine consumes; never exhausts. A backlog run draws job bodies only (no
+// arrival clock): the engine stamps each job when it submits it.
 class SyntheticSource final : public JobSource {
  public:
-  SyntheticSource(WorkloadConfig config, std::uint64_t seed)
-      : generator_(std::move(config), seed) {}
+  SyntheticSource(WorkloadConfig config, std::uint64_t seed, bool bodies_only)
+      : generator_(std::move(config), seed), bodies_only_(bodies_only) {}
 
   bool next(JobSpec& out) override {
-    generator_.next_into(out);
+    if (bodies_only_) {
+      generator_.next_body_into(out);
+    } else {
+      generator_.next_into(out);
+    }
     return true;
   }
 
  private:
   WorkloadGenerator generator_;
+  bool bodies_only_;
 };
 
 std::unique_ptr<JobSource> make_source(const SimulationConfig& config) {
   if (config.trace_workload != nullptr) {
     return std::make_unique<TraceWorkload>(config.trace_workload);
   }
-  return std::make_unique<SyntheticSource>(config.workload, config.seed);
+  return std::make_unique<SyntheticSource>(config.workload, config.seed,
+                                           config.backlog > 0);
 }
 }  // namespace
 
@@ -116,14 +126,9 @@ MulticlusterSimulation::MulticlusterSimulation(SimulationConfig config)
       system_(make_system(config_)),
       source_(make_source(config_)),
       utilization_(system_.total_processors(), 0.0) {
-  if (config_.scheduler_factory) {
-    scheduler_ = config_.scheduler_factory(*this);
-  } else if (config_.pipeline) {
-    scheduler_ = make_scheduler(config_.policy, *config_.pipeline, *this);
-  } else {
-    scheduler_ = make_scheduler(config_.policy, *this, config_.placement,
-                                config_.backfill, config_.discipline);
-  }
+  scheduler_ = config_.scheduler_factory
+                   ? config_.scheduler_factory(*this)
+                   : make_scheduler(config_.policy, config_.pipeline, *this);
   queue_length_.start(0.0, 0.0);
   cluster_busy_.resize(system_.num_clusters());
   for (auto& stat : cluster_busy_) stat.start(0.0, 0.0);
@@ -208,7 +213,13 @@ SimulationResult MulticlusterSimulation::run() {
   sim_.reserve_events(config_.total_jobs * 2 + 16,
                       static_cast<std::size_t>(system_.total_processors()) + 8);
   if (warmup_completions_ == 0) begin_measurement();
-  schedule_next_arrival();
+  if (config_.backlog > 0) {
+    // Prime the backlog at t = 0; each departure then submits one more.
+    for (std::uint64_t i = 0; i < config_.backlog; ++i) submit_backlog_job();
+    queue_length_.update(0.0, static_cast<double>(scheduler_->queued_jobs()));
+  } else {
+    schedule_next_arrival();
+  }
   const auto loop_start = std::chrono::steady_clock::now();
   sim_.run();
   event_loop_seconds_ =
@@ -225,6 +236,7 @@ SimulationResult MulticlusterSimulation::run() {
   result_.response_ci = response_batches_->confidence();
   result_.response_p95 = response_p95_.value();
   result_.busy_fraction = utilization_.busy_fraction(sim_.now());
+  result_.carried_net_utilization = utilization_.net_utilization(sim_.now());
   result_.mean_queue_length = queue_length_.time_average(sim_.now());
   result_.per_cluster_busy_fraction.reserve(cluster_busy_.size());
   for (std::uint32_t c = 0; c < cluster_busy_.size(); ++c) {
@@ -257,6 +269,21 @@ void MulticlusterSimulation::schedule_next_arrival() {
   }
   ++arrivals_generated_;
   sim_.schedule_at(job->spec.arrival_time, [this, job]() { on_arrival(job); });
+}
+
+// Constant-backlog arrivals bypass the instability guards: the queue
+// length is constant by construction.
+void MulticlusterSimulation::submit_backlog_job() {
+  JobPtr job = pool_.acquire();
+  source_->next(job->spec);
+  job->spec.arrival_time = sim_.now();
+  ++arrivals_generated_;
+  if (ctr_arrivals_ != nullptr) ++*ctr_arrivals_;
+  if (sink_ != nullptr) {
+    emit(obs::EventKind::kArrival, *job, 0.0,
+         static_cast<std::int16_t>(job->spec.origin_queue));
+  }
+  scheduler_->submit(job);
 }
 
 void MulticlusterSimulation::on_arrival(JobPtr job) {
@@ -380,6 +407,16 @@ void MulticlusterSimulation::on_departure(JobPtr job) {
 
   if (observer_) observer_(*job, sim_.now());
 
+  if (config_.backlog > 0) {
+    // One in for one out, submitted before the scheduler reacts to the
+    // departure; the last completion ends the run.
+    if (completions_ >= config_.total_jobs) {
+      sim_.stop();
+      pool_.release(job);
+      return;
+    }
+    submit_backlog_job();
+  }
   scheduler_->on_departure();
   queue_length_.update(sim_.now(), static_cast<double>(scheduler_->queued_jobs()));
   // The job is out of every queue, off the machine, and fully accounted:

@@ -9,13 +9,19 @@
 // exceeding `instability_queue_limit` means the offered load is beyond the
 // policy's maximal utilization — the response time has no steady state
 // there).
+//
+// With `backlog` > 0 the run keeps a constant backlog instead (paper
+// Sect. 4, Table 3, and reference [9]): `backlog` synthetic jobs are submitted
+// at t = 0, each departure submits one replacement, and the run stops at
+// the `total_jobs`-th completion. The busy fraction is then the maximal
+// gross utilization, and `carried_net_utilization` its net counterpart.
+//
 // The first `warmup_fraction` of completions is discarded from all
 // statistics.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,23 +56,20 @@ struct SimulationConfig {
   /// config itself). Shared immutably: copies of this config across sweep
   /// points and runner threads all reference one loaded trace.
   std::shared_ptr<const TraceWorkloadConfig> trace_workload;
-  PlacementRule placement = PlacementRule::kWorstFit;
-  /// Extension (paper: kNone). Single-global-queue structures only.
-  BackfillMode backfill = BackfillMode::kNone;
-  /// Extension (paper: kFcfs).
-  QueueDiscipline discipline = QueueDiscipline::kFcfs;
-  /// Explicit pipeline composition (policy/pipeline.hpp). When set it takes
-  /// precedence over the placement/backfill/discipline knobs above; `policy`
-  /// then only seeds the display name and the SC layout checks. Unset =
-  /// the canonical expansion of `policy` with those knobs.
-  std::optional<PipelineSpec> pipeline;
+  /// The scheduler's composition (policy/pipeline.hpp); `policy` only seeds
+  /// the display name and the SC layout checks. The default is canonical
+  /// GS: set it to expand_policy(policy, ...) for any other policy.
+  PipelineSpec pipeline;
   /// Test seam: when set, the engine builds its scheduler from this factory
   /// instead of `policy`/`pipeline` (the stage-equivalence tests inject
   /// reference copies of the historical policy classes).
   std::function<std::unique_ptr<Scheduler>(SchedulerContext&)> scheduler_factory;
   std::uint64_t seed = 1;
-  /// Number of arrivals to generate.
+  /// Number of arrivals to generate; in backlog mode, completions to run.
   std::uint64_t total_jobs = 50000;
+  /// Jobs in the system, queued or running, at all times (constant-backlog
+  /// mode); 0 = open arrivals from the source. Synthetic workloads only.
+  std::uint64_t backlog = 0;
   /// Fraction of completions discarded as warmup.
   double warmup_fraction = 0.1;
   /// A queue longer than this marks the run unstable and stops it early.
@@ -121,6 +124,9 @@ struct SimulationResult {
   double offered_gross_utilization = 0.0;  // from arrivals in the window
   double offered_net_utilization = 0.0;
   double busy_fraction = 0.0;  // time-averaged busy processors / P
+  /// Net work of the jobs started in the window / (P * window). In backlog
+  /// mode this is the maximal net utilization.
+  double carried_net_utilization = 0.0;
 
   std::vector<std::size_t> final_queue_lengths;
   std::uint64_t events_executed = 0;
@@ -170,6 +176,7 @@ class MulticlusterSimulation final : public SchedulerContext {
 
  private:
   void schedule_next_arrival();
+  void submit_backlog_job();
   void on_arrival(JobPtr job);
   void on_departure(JobPtr job);
   void begin_measurement();

@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "core/engine.hpp"
-#include "core/saturation.hpp"
 #include "exp/manifest.hpp"
 #include "exp/replications.hpp"
 #include "exp/runner.hpp"
@@ -188,10 +187,10 @@ void write_sweep_observation(obs::JsonWriter& json, const ScenarioSpec& spec) {
 }
 
 void write_saturation_observation(obs::JsonWriter& json, const ScenarioSpec& spec) {
-  const SaturationResult result = run_saturation(to_saturation_config(spec));
-  json.key("maximal_gross_utilization").value(result.maximal_gross_utilization);
-  json.key("maximal_net_utilization").value(result.maximal_net_utilization);
-  json.key("completions").value(result.completions);
+  const SimulationResult result = run_simulation(to_simulation_config(spec));
+  json.key("maximal_gross_utilization").value(result.busy_fraction);
+  json.key("maximal_net_utilization").value(result.carried_net_utilization);
+  json.key("completions").value(result.completed_jobs);
   json.key("end_time").value(result.end_time);
 }
 

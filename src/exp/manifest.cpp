@@ -1,6 +1,7 @@
 #include "exp/manifest.hpp"
 
 #include "cluster/placement.hpp"
+#include "policy/pipeline.hpp"
 #include "policy/scheduler.hpp"
 #include "policy/scheduler_factory.hpp"
 #include "exp/scenario_spec.hpp"
@@ -40,14 +41,18 @@ void write_config(obs::JsonWriter& json, const SimulationConfig& config) {
     for (double speed : config.cluster_speeds) json.value(speed);
     json.end_array();
   }
-  json.key("placement").value(placement_rule_name(config.placement));
-  json.key("backfill").value(backfill_mode_name(config.backfill));
-  json.key("discipline").value(queue_discipline_name(config.discipline));
-  // Explicit-pipeline runs record their structural stages; alias-only runs
-  // omit them, keeping pre-pipeline manifests byte-identical.
-  if (config.pipeline) {
-    json.key("queue").value(queue_structure_name(config.pipeline->structure));
-    json.key("coallocation").value(coallocation_rule_name(config.pipeline->coallocation));
+  const PipelineSpec& pipeline = config.pipeline;
+  json.key("placement").value(placement_rule_name(pipeline.placement));
+  json.key("backfill").value(backfill_mode_name(pipeline.backfill));
+  json.key("discipline").value(queue_discipline_name(pipeline.discipline));
+  // The structural stages are recorded only where they differ from the
+  // policy's canonical expansion, keeping alias-only manifests
+  // byte-identical to pre-pipeline ones.
+  const PipelineSpec canonical = expand_policy(config.policy);
+  if (pipeline.structure != canonical.structure ||
+      pipeline.coallocation != canonical.coallocation) {
+    json.key("queue").value(queue_structure_name(pipeline.structure));
+    json.key("coallocation").value(coallocation_rule_name(pipeline.coallocation));
   }
   json.key("seed").value(config.seed);
   json.key("total_jobs").value(config.total_jobs);

@@ -25,13 +25,13 @@ SimulationConfig make_paper_config(const PaperScenario& scenario,
   return exp::to_simulation_config(spec, target_gross_utilization);
 }
 
-SaturationConfig make_saturation_config(const PaperScenario& scenario,
+SimulationConfig make_saturation_config(const PaperScenario& scenario,
                                         std::uint64_t total_completions, std::uint64_t seed) {
   exp::ScenarioSpec spec = exp::ScenarioSpec::from_paper(scenario);
   spec.mode = exp::RunMode::kSaturation;
   spec.saturation_completions = total_completions;
   spec.seed = seed;
-  return exp::to_saturation_config(spec);
+  return exp::to_simulation_config(spec);
 }
 
 }  // namespace mcsim

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "core/engine.hpp"
-#include "core/saturation.hpp"
 
 namespace mcsim {
 
@@ -29,8 +28,9 @@ SimulationConfig make_paper_config(const PaperScenario& scenario,
                                    double target_gross_utilization, std::uint64_t total_jobs,
                                    std::uint64_t seed);
 
-/// SaturationConfig (constant backlog) for a scenario.
-SaturationConfig make_saturation_config(const PaperScenario& scenario,
+/// Constant-backlog SimulationConfig (Table 3's saturation mode) for a
+/// scenario: the run's busy fraction is the maximal gross utilization.
+SimulationConfig make_saturation_config(const PaperScenario& scenario,
                                         std::uint64_t total_completions, std::uint64_t seed);
 
 }  // namespace mcsim

@@ -40,6 +40,9 @@ RunMode parse_run_mode(const std::string& name) {
 
 namespace {
 
+/// Fraction of completions the constant-backlog estimator discards.
+constexpr double kSaturationWarmupFraction = 0.2;
+
 // "none"/"aggressive"/"easy"/"conservative" — backfill_mode_name(kNone)
 // prints "fcfs", which is ambiguous with the discipline key in a scenario
 // file.
@@ -283,23 +286,6 @@ void validate(const ScenarioSpec& spec) {
                     "scenario: saturation completions must be positive");
       MCSIM_REQUIRE(spec.saturation_backlog > 0,
                     "scenario: saturation backlog must be positive");
-      MCSIM_REQUIRE(spec.cluster_speeds.empty(),
-                    "scenario: the saturation estimator does not support "
-                    "heterogeneous speeds");
-      {
-        // The constant-backlog estimator runs the policy alias's canonical
-        // pipeline with only the placement rule configurable; a stage
-        // override would be dropped without a word, so name it instead.
-        const char* dropped = spec.backfill != BackfillMode::kNone ? "policy.backfill"
-                              : spec.discipline != QueueDiscipline::kFcfs ? "policy.discipline"
-                              : spec.queue_structure ? "policy.pipeline.queue"
-                              : spec.coallocation ? "policy.pipeline.coallocation"
-                                                  : nullptr;
-        MCSIM_REQUIRE(dropped == nullptr,
-                      std::string("scenario: the saturation estimator runs the policy's "
-                                  "canonical pipeline; ") +
-                          dropped + " is not supported in saturation mode");
-      }
       break;
   }
 }
@@ -386,36 +372,22 @@ SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilizati
             : spec.trace_scale;
     config.total_jobs = scan.summary.usable_records;
     config.trace_workload = std::move(trace);
+  } else if (spec.mode == RunMode::kSaturation) {
+    // Constant backlog: no arrival process, so no rate to derive.
+    config.total_jobs = spec.saturation_completions;
+    config.backlog = spec.saturation_backlog;
   } else {
     config.workload.arrival_rate = config.workload.rate_for_gross_utilization(
         utilization, config.total_processors());
     config.total_jobs = spec.sim_jobs;
   }
-  config.placement = spec.placement;
-  config.backfill = spec.backfill;
-  config.discipline = spec.discipline;
-  // Only an overridden composition goes through the explicit-pipeline path;
-  // plain policy aliases keep the legacy construction (and so the legacy
-  // display names) bit-for-bit.
-  if (spec.has_pipeline_override()) config.pipeline = spec.pipeline();
+  config.pipeline = spec.pipeline();
   config.seed = spec.seed;
-  config.warmup_fraction = spec.warmup_fraction;
+  // The constant-backlog estimator keeps its fixed warmup; it does not read
+  // run.warmup_fraction.
+  config.warmup_fraction =
+      spec.mode == RunMode::kSaturation ? kSaturationWarmupFraction : spec.warmup_fraction;
   config.batch_count = spec.batch_count;
-  return config;
-}
-
-SaturationConfig to_saturation_config(const ScenarioSpec& spec) {
-  validate(spec);
-  SaturationConfig config;
-  config.policy = spec.policy;
-  config.cluster_sizes = effective_layout(spec);
-  config.workload = make_workload(spec, config.cluster_sizes.size());
-  config.placement = spec.placement;
-  config.seed = spec.seed;
-  config.backlog = spec.saturation_backlog;
-  config.total_completions = spec.saturation_completions;
-  // SaturationConfig keeps its own warmup default (0.2): the constant-
-  // backlog estimator warms up differently from a steady-state run.
   return config;
 }
 

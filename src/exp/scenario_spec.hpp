@@ -25,7 +25,6 @@
 #include <functional>
 
 #include "core/engine.hpp"
-#include "core/saturation.hpp"
 #include "exp/scenario.hpp"
 #include "trace/swf_stream.hpp"
 #include "workload/das_workload.hpp"
@@ -134,6 +133,7 @@ struct ScenarioSpec {
   std::uint64_t saturation_completions = 40000;
   std::uint64_t saturation_backlog = 200;
   std::uint64_t seed = 1;
+  /// Not read in saturation mode, which discards a fixed 20% of completions.
   double warmup_fraction = 0.1;
   std::uint64_t batch_count = 20;
   /// exp::Runner width for sweep/replications fan-out (`--jobs`; 0 = all
@@ -203,19 +203,16 @@ ResolvedTrace resolve_trace_from_file(const std::string& path);
 /// (CLI, scenario files, manifests, PaperScenario helpers, examples)
 /// funnels through here, which is what makes their runs bit-identical.
 /// The one-argument form uses spec.utilization; the two-argument form is
-/// for sweep points. The three-argument form lets a caller substitute how
-/// trace paths are opened (nullptr resolver = the file-backed default);
-/// results are resolver-invariant by the streaming-equivalence contract
-/// (tests/serve_server_test.cpp pins the warm-cache case).
+/// for sweep points. Saturation mode yields a constant-backlog config
+/// (SimulationConfig::backlog). The three-argument form lets a caller
+/// substitute how trace paths are opened (nullptr resolver = the
+/// file-backed default); results are resolver-invariant by the
+/// streaming-equivalence contract (tests/serve_server_test.cpp pins the
+/// warm-cache case).
 SimulationConfig to_simulation_config(const ScenarioSpec& spec);
 SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilization);
 SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilization,
                                       const TraceResolver& resolve_trace);
-
-/// The constant-backlog estimator's config for this spec (saturation
-/// mode). Saturation keeps its own warmup default; cluster speeds are not
-/// supported there.
-SaturationConfig to_saturation_config(const ScenarioSpec& spec);
 
 /// Build a ready-to-run engine for the spec (at spec.utilization).
 /// Callers attach sinks/metrics and call run().

@@ -59,6 +59,12 @@ void ComposedScheduler::submit(JobPtr job) {
     case QueueStructure::kSingleGlobal:
       job->queue_class = QueueClass::kGlobal;
       global_.push(job);
+      // A constant-backlog refill is submitted after the engine released the
+      // departing job but before on_departure() pruned it: the ledger must
+      // not hand out processors the machine no longer holds.
+      if (!running_.empty() && running_.processors() > context_.system().total_busy()) {
+        running_.prune(context_.now());
+      }
       try_schedule_single();
       break;
     case QueueStructure::kPerCluster: {

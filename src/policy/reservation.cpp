@@ -17,11 +17,13 @@ bool ends_after(double time, const ReservationTracker::RunningJob& job) {
 void ReservationTracker::on_start(double end_time, std::uint32_t processors) {
   running_.insert(std::upper_bound(running_.begin(), running_.end(), end_time, ends_after),
                   RunningJob{end_time, processors});
+  processors_ += processors;
 }
 
 void ReservationTracker::prune(double now) {
-  running_.erase(running_.begin(),
-                 std::upper_bound(running_.begin(), running_.end(), now, ends_after));
+  const auto end = std::upper_bound(running_.begin(), running_.end(), now, ends_after);
+  for (auto it = running_.begin(); it != end; ++it) processors_ -= it->processors;
+  running_.erase(running_.begin(), end);
 }
 
 std::pair<double, std::uint32_t> ReservationTracker::head_reservation(

@@ -38,6 +38,8 @@ class ReservationTracker {
   void prune(double now);
 
   [[nodiscard]] bool empty() const { return running_.empty(); }
+  /// Processors the recorded jobs occupy in total.
+  [[nodiscard]] std::uint64_t processors() const { return processors_; }
   /// The running jobs, sorted by end time (start order among equal ends).
   [[nodiscard]] const std::vector<RunningJob>& running() const { return running_; }
 
@@ -51,6 +53,7 @@ class ReservationTracker {
 
  private:
   std::vector<RunningJob> running_;
+  std::uint64_t processors_ = 0;
 };
 
 class AvailabilityProfile {

@@ -29,16 +29,6 @@ PolicyKind parse_policy_kind(const std::string& name) {
 
 bool is_single_cluster_policy(PolicyKind kind) { return kind == PolicyKind::kSC; }
 
-std::unique_ptr<Scheduler> make_scheduler(PolicyKind kind, SchedulerContext& context,
-                                          PlacementRule placement, BackfillMode backfill,
-                                          QueueDiscipline discipline) {
-  const bool single_queue = kind == PolicyKind::kGS || kind == PolicyKind::kSC;
-  MCSIM_REQUIRE(backfill == BackfillMode::kNone || single_queue,
-                "backfilling is implemented for the single-queue policies (GS, SC)");
-  return make_scheduler(kind, expand_policy(kind, placement, backfill, discipline),
-                        context);
-}
-
 std::unique_ptr<Scheduler> make_scheduler(PolicyKind kind, const PipelineSpec& pipeline,
                                           SchedulerContext& context) {
   if (is_single_cluster_policy(kind)) {

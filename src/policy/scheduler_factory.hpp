@@ -24,19 +24,12 @@ PolicyKind parse_policy_kind(const std::string& name);
 /// rather than the multicluster.
 bool is_single_cluster_policy(PolicyKind kind);
 
-/// Construct the scheduler for `kind` bound to `context`: expand_policy()
-/// maps the alias to its canonical pipeline, carrying the three tuning knobs
-/// over. Backfilling (an extension; the paper uses kNone) needs the single
-/// global queue, so it is rejected for LS and LP.
-std::unique_ptr<Scheduler> make_scheduler(PolicyKind kind, SchedulerContext& context,
-                                          PlacementRule placement = PlacementRule::kWorstFit,
-                                          BackfillMode backfill = BackfillMode::kNone,
-                                          QueueDiscipline discipline = QueueDiscipline::kFcfs);
-
-/// Construct the scheduler for an explicit pipeline composition. `kind` only
-/// seeds the display name (scheduler_display_name); the pipeline decides the
-/// behaviour. Throws std::invalid_argument for invalid compositions
-/// (validate_pipeline).
+/// Construct the scheduler for a pipeline composition bound to `context`
+/// (expand_policy() gives a paper policy's canonical one). `kind` only
+/// seeds the display name (scheduler_display_name) and the SC layout check;
+/// the pipeline decides the behaviour. Throws std::invalid_argument for
+/// invalid compositions (validate_pipeline), e.g. backfilling without the
+/// single global queue.
 std::unique_ptr<Scheduler> make_scheduler(PolicyKind kind, const PipelineSpec& pipeline,
                                           SchedulerContext& context);
 

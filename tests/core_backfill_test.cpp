@@ -72,6 +72,26 @@ TEST(EasyBackfill, BackfillsOnlyWhenReservationHolds) {
   EXPECT_EQ(ctx.started[2]->spec.id, 5u);
 }
 
+TEST(Backfill, RefillBeforeDepartureNoticeSeesNoPhantomProcessors) {
+  // The engine's constant-backlog refill is submitted after the departing
+  // job released its processors but before on_departure(): its ledger
+  // entry must not count again as processors returning at `now`.
+  for (BackfillMode backfill : {BackfillMode::kEasy, BackfillMode::kConservative}) {
+    FakeContext ctx({128});
+    auto policy_owner = make_policy(PolicyKind::kSC, ctx, PlacementRule::kWorstFit, backfill);
+    ComposedScheduler& policy = *policy_owner;
+    policy.submit(make_job(1, {60}, 0, 100.0));
+    policy.submit(make_job(2, {40}, 0, 1000.0));
+    policy.submit(make_job(3, {100}, 0, 100.0));  // head: can start at t=1000
+    ASSERT_EQ(ctx.started.size(), 2u);
+    ctx.release(ctx.started[0]);                  // job 1 leaves at t=100
+    // 40 CPUs until t=5100 would leave the head 88 < 100 at t=1000.
+    policy.submit(make_job(4, {40}, 0, 5000.0));
+    policy.on_departure();
+    EXPECT_EQ(ctx.started.size(), 2u) << backfill_mode_name(backfill);
+  }
+}
+
 TEST(EasyBackfill, LongJobWithinSpareBackfills) {
   FakeContext ctx({128});
   auto policy_owner = make_policy(PolicyKind::kSC, ctx, PlacementRule::kWorstFit,
@@ -168,25 +188,20 @@ TEST(ConservativeBackfill, HeadStartsWhenCapacityFrees) {
 }
 
 TEST(Backfill, FactoryNamesAndGuards) {
+  const auto build = [](PolicyKind kind, BackfillMode backfill, SchedulerContext& context) {
+    return make_scheduler(kind, expand_policy(kind, PlacementRule::kWorstFit, backfill),
+                          context);
+  };
   FakeContext single({128});
-  EXPECT_EQ(make_scheduler(PolicyKind::kSC, single, PlacementRule::kWorstFit,
-                           BackfillMode::kEasy)
-                ->name(),
-            "SC+easy-bf");
+  EXPECT_EQ(build(PolicyKind::kSC, BackfillMode::kEasy, single)->name(), "SC+easy-bf");
   FakeContext multi({32, 32, 32, 32});
-  EXPECT_EQ(make_scheduler(PolicyKind::kGS, multi, PlacementRule::kWorstFit,
-                           BackfillMode::kAggressive)
-                ->name(),
+  EXPECT_EQ(build(PolicyKind::kGS, BackfillMode::kAggressive, multi)->name(),
             "GS+aggressive-bf");
-  EXPECT_EQ(make_scheduler(PolicyKind::kSC, single, PlacementRule::kWorstFit,
-                           BackfillMode::kConservative)
-                ->name(),
+  EXPECT_EQ(build(PolicyKind::kSC, BackfillMode::kConservative, single)->name(),
             "SC+conservative-bf");
-  EXPECT_THROW(make_scheduler(PolicyKind::kLS, multi, PlacementRule::kWorstFit,
-                              BackfillMode::kEasy),
-               std::invalid_argument);
-  EXPECT_THROW(make_scheduler(PolicyKind::kLP, multi, PlacementRule::kWorstFit,
-                              BackfillMode::kConservative),
+  // Backfilling needs the single global queue (validate_pipeline).
+  EXPECT_THROW(build(PolicyKind::kLS, BackfillMode::kEasy, multi), std::invalid_argument);
+  EXPECT_THROW(build(PolicyKind::kLP, BackfillMode::kConservative, multi),
                std::invalid_argument);
 }
 
@@ -210,7 +225,7 @@ TEST(Backfill, EndToEndScEasyBeatsScFcfsUnderLoad) {
   scenario.policy = PolicyKind::kSC;
   auto fcfs = make_paper_config(scenario, 0.68, 15000, 9);
   auto easy = fcfs;
-  easy.backfill = BackfillMode::kEasy;
+  easy.pipeline.backfill = BackfillMode::kEasy;
   const auto fcfs_result = run_simulation(fcfs);
   const auto easy_result = run_simulation(easy);
   ASSERT_FALSE(easy_result.unstable);
@@ -224,7 +239,7 @@ TEST(Backfill, EndToEndDeterministic) {
   PaperScenario scenario;
   scenario.policy = PolicyKind::kGS;
   auto config = make_paper_config(scenario, 0.5, 5000, 3);
-  config.backfill = BackfillMode::kEasy;
+  config.pipeline.backfill = BackfillMode::kEasy;
   const auto a = run_simulation(config);
   const auto b = run_simulation(config);
   EXPECT_DOUBLE_EQ(a.mean_response(), b.mean_response());

@@ -120,18 +120,18 @@ TEST(Sjf, ServesShortJobsFirst) {
 }
 
 TEST(Discipline, FactoryNamesAndGuards) {
+  const auto build = [](PolicyKind kind, SchedulerContext& context) {
+    return make_scheduler(kind,
+                          expand_policy(kind, PlacementRule::kWorstFit, BackfillMode::kNone,
+                                        QueueDiscipline::kShortestJobFirst),
+                          context);
+  };
   FakeContext single({128});
-  EXPECT_EQ(make_scheduler(PolicyKind::kSC, single, PlacementRule::kWorstFit,
-                           BackfillMode::kNone, QueueDiscipline::kShortestJobFirst)
-                ->name(),
-            "SC+sjf");
+  EXPECT_EQ(build(PolicyKind::kSC, single)->name(), "SC+sjf");
   // Disciplines compose with every queue structure (the queue stage applies
   // per queue) — LS+sjf is a valid composition, not an error.
   FakeContext multi({32, 32, 32, 32});
-  EXPECT_EQ(make_scheduler(PolicyKind::kLS, multi, PlacementRule::kWorstFit,
-                           BackfillMode::kNone, QueueDiscipline::kShortestJobFirst)
-                ->name(),
-            "LS+sjf");
+  EXPECT_EQ(build(PolicyKind::kLS, multi)->name(), "LS+sjf");
 }
 
 TEST(Discipline, SjfReordersWithinLocalQueues) {
@@ -154,7 +154,7 @@ TEST(Discipline, SjfImprovesMeanResponseUnderLoad) {
   scenario.policy = PolicyKind::kSC;
   auto fcfs = make_paper_config(scenario, 0.6, 20000, 5);
   auto sjf = fcfs;
-  sjf.discipline = QueueDiscipline::kShortestJobFirst;
+  sjf.pipeline.discipline = QueueDiscipline::kShortestJobFirst;
   const auto fcfs_result = run_simulation(fcfs);
   const auto sjf_result = run_simulation(sjf);
   ASSERT_FALSE(sjf_result.unstable);
@@ -168,7 +168,7 @@ TEST(Discipline, LargestFirstHurtsMeanResponse) {
   scenario.policy = PolicyKind::kSC;
   auto fcfs = make_paper_config(scenario, 0.5, 15000, 5);
   auto ljf = fcfs;
-  ljf.discipline = QueueDiscipline::kLargestFirst;
+  ljf.pipeline.discipline = QueueDiscipline::kLargestFirst;
   const auto fcfs_result = run_simulation(fcfs);
   const auto ljf_result = run_simulation(ljf);
   ASSERT_FALSE(fcfs_result.unstable);

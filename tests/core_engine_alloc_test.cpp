@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/saturation.hpp"
 #include "exp/scenario_spec.hpp"
 #include "workload/trace_workload.hpp"
 
@@ -169,11 +168,11 @@ TEST(SaturationLifecycle, RefillsCostNoAllocations) {
   spec.mode = exp::RunMode::kSaturation;
   const auto allocations = [&spec](std::uint64_t completions) {
     spec.saturation_completions = completions;
-    const SaturationConfig config = exp::to_saturation_config(spec);
+    const SimulationConfig config = exp::to_simulation_config(spec);
     const std::size_t before = g_allocation_count;
-    const SaturationResult result = run_saturation(config);
+    const SimulationResult result = run_simulation(config);
     const std::size_t after = g_allocation_count;
-    EXPECT_EQ(result.completions, completions);
+    EXPECT_EQ(result.completed_jobs, completions);
     return static_cast<std::int64_t>(after - before);
   };
   const std::int64_t base = allocations(kJobs);

@@ -16,6 +16,7 @@ SimulationConfig mmc_config(std::uint32_t servers, double lambda, double mu,
                             PolicyKind policy, std::uint64_t jobs) {
   SimulationConfig config;
   config.policy = policy;
+  config.pipeline = expand_policy(policy);
   if (policy == PolicyKind::kSC) {
     config.cluster_sizes = {servers};
     config.workload.num_clusters = 1;
@@ -89,6 +90,7 @@ TEST(Mg1Validation, ScSingleServerMatchesPollaczekKhinchine) {
   const double lambda = 0.6 / mean_service;
   SimulationConfig config;
   config.policy = PolicyKind::kSC;
+  config.pipeline = expand_policy(PolicyKind::kSC);
   config.cluster_sizes = {1};
   config.workload.num_clusters = 1;
   config.workload.split_jobs = false;

@@ -27,16 +27,18 @@ TEST(PolicyNames, UnknownThrows) {
 
 TEST(Factory, BuildsEveryPolicy) {
   FakeContext multi({32, 32, 32, 32});
-  EXPECT_EQ(make_scheduler(PolicyKind::kGS, multi)->name(), "GS");
-  EXPECT_EQ(make_scheduler(PolicyKind::kLS, multi)->name(), "LS");
-  EXPECT_EQ(make_scheduler(PolicyKind::kLP, multi)->name(), "LP");
+  for (PolicyKind kind : {PolicyKind::kGS, PolicyKind::kLS, PolicyKind::kLP}) {
+    EXPECT_EQ(make_scheduler(kind, expand_policy(kind), multi)->name(), policy_name(kind));
+  }
   FakeContext single({128});
-  EXPECT_EQ(make_scheduler(PolicyKind::kSC, single)->name(), "SC");
+  EXPECT_EQ(make_scheduler(PolicyKind::kSC, expand_policy(PolicyKind::kSC), single)->name(),
+            "SC");
 }
 
 TEST(Factory, ScOnMulticlusterThrows) {
   FakeContext multi({32, 32});
-  EXPECT_THROW(make_scheduler(PolicyKind::kSC, multi), std::invalid_argument);
+  EXPECT_THROW(make_scheduler(PolicyKind::kSC, expand_policy(PolicyKind::kSC), multi),
+               std::invalid_argument);
 }
 
 TEST(Factory, SingleClusterPolicyPredicate) {

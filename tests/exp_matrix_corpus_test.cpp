@@ -40,12 +40,14 @@ std::map<std::string, exp::ScenarioSpec> load_matrix() {
 
 TEST(MatrixCorpus, EveryScenarioLoadsAndValidates) {
   const auto specs = load_matrix();
-  EXPECT_GE(specs.size(), 26u);
+  EXPECT_GE(specs.size(), 28u);
   for (const auto& [file, spec] : specs) {
     SCOPED_TRACE(file);
     EXPECT_NO_THROW(exp::validate(spec));
-    // The matrix is a cheap, always-on corpus: point runs only.
-    EXPECT_EQ(spec.mode, exp::RunMode::kPoint);
+    // The matrix is a cheap, always-on corpus: single runs only, points
+    // plus the constant-backlog estimates named *_saturation.
+    const bool saturation = file.ends_with("_saturation.json");
+    EXPECT_EQ(spec.mode, saturation ? exp::RunMode::kSaturation : exp::RunMode::kPoint);
     EXPECT_FALSE(spec.name.empty());
   }
 }

@@ -191,12 +191,6 @@ TEST(ScenarioSpecValidate, RejectsInconsistentSpecs) {
     EXPECT_THROW(exp::validate(spec), std::invalid_argument);
   }
   {
-    exp::ScenarioSpec spec;  // saturation estimator is homogeneous-only
-    spec.mode = exp::RunMode::kSaturation;
-    spec.cluster_speeds = {1.0, 1.0, 1.0, 1.0};
-    EXPECT_THROW(exp::validate(spec), std::invalid_argument);
-  }
-  {
     exp::ScenarioSpec spec;
     spec.policy = PolicyKind::kSC;
     spec.cluster_sizes = {32, 32, 32, 32};
@@ -204,44 +198,24 @@ TEST(ScenarioSpecValidate, RejectsInconsistentSpecs) {
   }
 }
 
-TEST(ScenarioSpecValidate, SaturationRejectsPipelineOverrides) {
-  // The constant-backlog estimator runs the alias's canonical pipeline;
-  // each override it would drop is an error naming the field.
-  const auto rejection = [](const exp::ScenarioSpec& spec) -> std::string {
-    try {
-      exp::validate(spec);
-    } catch (const std::invalid_argument& error) {
-      return error.what();
-    }
-    return "";
-  };
+TEST(ScenarioSpecValidate, SaturationAcceptsPipelineOverrides) {
+  // The constant backlog is an arrival mode of the one engine, so every
+  // stage override and heterogeneous speeds reach the saturation run.
   exp::ScenarioSpec base;
   base.mode = exp::RunMode::kSaturation;
-  EXPECT_NO_THROW(exp::validate(base));
-  {
-    exp::ScenarioSpec spec = base;
-    spec.placement = PlacementRule::kFirstFit;  // placement is honoured
-    EXPECT_NO_THROW(exp::validate(spec));
-  }
-  {
-    exp::ScenarioSpec spec = base;
-    spec.backfill = BackfillMode::kConservative;
-    EXPECT_NE(rejection(spec).find("policy.backfill"), std::string::npos);
-  }
-  {
-    exp::ScenarioSpec spec = base;
-    spec.discipline = QueueDiscipline::kShortestJobFirst;
-    EXPECT_NE(rejection(spec).find("policy.discipline"), std::string::npos);
-  }
-  {
-    exp::ScenarioSpec spec = base;
-    spec.queue_structure = QueueStructure::kSingleGlobal;
-    EXPECT_NE(rejection(spec).find("policy.pipeline.queue"), std::string::npos);
-  }
-  {
-    exp::ScenarioSpec spec = base;
-    spec.coallocation = CoAllocationRule{CoAllocationRule::Kind::kUnrestricted, 0};
-    EXPECT_NE(rejection(spec).find("policy.pipeline.coallocation"), std::string::npos);
+  std::vector<exp::ScenarioSpec> specs(6, base);
+  specs[0].placement = PlacementRule::kFirstFit;
+  specs[1].backfill = BackfillMode::kConservative;
+  specs[2].discipline = QueueDiscipline::kShortestJobFirst;
+  specs[3].queue_structure = QueueStructure::kPerCluster;
+  specs[4].coallocation = CoAllocationRule{CoAllocationRule::Kind::kLocalOnly, 0};
+  specs[5].cluster_speeds = {1.0, 1.0, 1.0, 0.5};
+  for (const exp::ScenarioSpec& spec : specs) {
+    SimulationConfig config;
+    ASSERT_NO_THROW(config = exp::to_simulation_config(spec));
+    EXPECT_EQ(config.pipeline, spec.pipeline());
+    EXPECT_EQ(config.cluster_speeds, spec.cluster_speeds);
+    EXPECT_EQ(config.backlog, spec.saturation_backlog);
   }
 }
 
@@ -407,7 +381,7 @@ TEST(ScenarioSpecEquivalence, ReplicationsFromSpecMatchLegacy) {
   EXPECT_EQ(legacy.response_ci.halfwidth, from_spec.response_ci.halfwidth);
 }
 
-TEST(ScenarioSpecEquivalence, SaturationConfigMatchesLegacy) {
+TEST(ScenarioSpecEquivalence, SaturationHelperMatchesSpecPath) {
   PaperScenario scenario;
   scenario.policy = PolicyKind::kGS;
   const auto legacy = make_saturation_config(scenario, 5000, /*seed=*/21);
@@ -416,12 +390,17 @@ TEST(ScenarioSpecEquivalence, SaturationConfigMatchesLegacy) {
   spec.mode = exp::RunMode::kSaturation;
   spec.saturation_completions = 5000;
   spec.seed = 21;
-  const auto from_spec = exp::to_saturation_config(spec);
+  spec.warmup_fraction = 0.3;  // not read: saturation keeps a fixed warmup
+  const auto from_spec = exp::to_simulation_config(spec);
 
   EXPECT_EQ(legacy.cluster_sizes, from_spec.cluster_sizes);
   EXPECT_EQ(legacy.seed, from_spec.seed);
-  EXPECT_EQ(legacy.total_completions, from_spec.total_completions);
+  EXPECT_EQ(legacy.pipeline, from_spec.pipeline);
+  EXPECT_EQ(from_spec.total_jobs, 5000u);
+  EXPECT_EQ(legacy.total_jobs, from_spec.total_jobs);
+  EXPECT_EQ(from_spec.backlog, 200u);
   EXPECT_EQ(legacy.backlog, from_spec.backlog);
+  EXPECT_EQ(from_spec.warmup_fraction, 0.2);
   EXPECT_EQ(legacy.warmup_fraction, from_spec.warmup_fraction);
 }
 
@@ -439,11 +418,7 @@ TEST(CheckedInScenarios, AllParseAndValidate) {
     ASSERT_NO_THROW(spec = exp::load_scenario(entry.path().string()));
     EXPECT_FALSE(spec.name.empty()) << "checked-in scenarios should be named";
     // The spec must also be constructible, not just parseable.
-    if (spec.mode == exp::RunMode::kSaturation) {
-      EXPECT_NO_THROW(exp::to_saturation_config(spec));
-    } else {
-      EXPECT_NO_THROW(exp::to_simulation_config(spec));
-    }
+    EXPECT_NO_THROW(exp::to_simulation_config(spec));
   }
   EXPECT_GE(count, 10u) << "expected the paper evaluation set to be present";
 }

@@ -5,7 +5,6 @@
 
 #include <limits>
 
-#include "core/saturation.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "workload/das_workload.hpp"

@@ -33,6 +33,19 @@ TEST(ReservationTracker, PruneDropsCompletedJobs) {
   EXPECT_TRUE(tracker.empty());
 }
 
+TEST(ReservationTracker, ProcessorsFollowStartsAndPrunes) {
+  ReservationTracker tracker;
+  EXPECT_EQ(tracker.processors(), 0u);
+  tracker.on_start(10.0, 8);
+  tracker.on_start(30.0, 2);
+  tracker.on_start(20.0, 4);
+  EXPECT_EQ(tracker.processors(), 14u);
+  tracker.prune(20.0);
+  EXPECT_EQ(tracker.processors(), 2u);
+  tracker.prune(30.0);
+  EXPECT_EQ(tracker.processors(), 0u);
+}
+
 TEST(ReservationTracker, HeadReservationFindsEarliestFit) {
   ReservationTracker tracker;
   tracker.on_start(/*end_time=*/40.0, /*processors=*/16);

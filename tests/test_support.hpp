@@ -35,9 +35,16 @@ class FakeContext : public SchedulerContext {
 
   /// Complete a started job: release its processors and notify the policy.
   void finish(const JobPtr& job, Scheduler& scheduler) {
+    release(job);
+    scheduler.on_departure();
+  }
+
+  /// The first half of finish(): the job leaves the machine, but the policy
+  /// has not been told yet (where the engine submits a constant-backlog
+  /// refill).
+  void release(const JobPtr& job) {
     clock = std::max(clock, job->start_time + job->spec.gross_service_time);
     system_.release(job->allocation);
-    scheduler.on_departure();
   }
 
   std::vector<JobPtr> started;

@@ -4,7 +4,8 @@
 // The matrix samples the composable-pipeline space the policy aliases do
 // not reach: queue structures crossed with disciplines, the three backfill
 // variants, the placement rules (including load-aware on a heterogeneous
-// layout), and the co-allocation rules on layouts where they are feasible.
+// layout), the co-allocation rules on layouts where they are feasible, and
+// Table 3's constant-backlog estimate under backfilling.
 // Every entry is a plain scenario file produced by the canonical
 // serializer, so `mcsim run` executes it and `mcsim verify
 // --scenarios=data/scenarios/matrix data/golden/matrix` seals it.
@@ -36,8 +37,9 @@ using mcsim::QueueDiscipline;
 using mcsim::QueueStructure;
 using mcsim::exp::ScenarioSpec;
 
-/// Shared run shape: one modest point run per entry. Small enough that the
-/// 26-scenario matrix verifies in seconds, long enough that every policy
+/// Shared run shape: one modest point run per entry (the constant-backlog
+/// entries take Table 3's shape instead). Small enough that the
+/// 28-scenario matrix verifies in seconds, long enough that every policy
 /// mechanism (backfill windows, queue reordering, whole-job placement)
 /// actually fires.
 ScenarioSpec base_spec() {
@@ -247,6 +249,24 @@ std::vector<MatrixEntry> build_matrix() {
     s.request_type = mcsim::RequestType::kFlexible;
     s.sim_jobs = 5000;
   });
+
+  // -- constant backlog --------------------------------------------------
+  // Table 3's maximal-utilization estimate with a backfilling stage, in
+  // the sealed table3_gs_limit16_saturation run shape.
+  const auto table3 = [](ScenarioSpec& s, BackfillMode backfill) {
+    s.policy = PolicyKind::kGS;
+    s.backfill = backfill;
+    s.mode = mcsim::exp::RunMode::kSaturation;
+    s.saturation_completions = 40000;
+    s.saturation_backlog = 200;
+    s.seed = 20030622;
+  };
+  add("matrix_gs_easy_saturation",
+      "matrix GS EASY backfilling maximal utilization (constant backlog)",
+      [&table3](ScenarioSpec& s) { table3(s, BackfillMode::kEasy); });
+  add("matrix_gs_conservative_saturation",
+      "matrix GS conservative backfilling maximal utilization (constant backlog)",
+      [&table3](ScenarioSpec& s) { table3(s, BackfillMode::kConservative); });
 
   return matrix;
 }

@@ -58,7 +58,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/saturation.hpp"
 #include "exp/corpus.hpp"
 #include "exp/gnuplot.hpp"
 #include "exp/golden.hpp"
@@ -298,12 +297,12 @@ int execute_sweep(const exp::ScenarioSpec& spec, const std::string& gnuplot_dir)
 }
 
 int execute_saturation(const exp::ScenarioSpec& spec) {
-  const auto result = run_saturation(exp::to_saturation_config(spec));
+  const auto result = run_simulation(exp::to_simulation_config(spec));
   TextTable table({"metric", "value"});
   table.add_row({"scenario", spec.label()});
-  table.add_row({"maximal gross utilization", format_util(result.maximal_gross_utilization)});
-  table.add_row({"maximal net utilization", format_util(result.maximal_net_utilization)});
-  table.add_row({"completions", std::to_string(result.completions)});
+  table.add_row({"maximal gross utilization", format_util(result.busy_fraction)});
+  table.add_row({"maximal net utilization", format_util(result.carried_net_utilization)});
+  table.add_row({"completions", std::to_string(result.completed_jobs)});
   std::cout << table.render();
   return 0;
 }
