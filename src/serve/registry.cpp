@@ -19,13 +19,12 @@ std::uint64_t RunRegistry::submit(exp::ScenarioSpec spec, std::string name) {
   std::uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    id = next_id_++;
-    Record record;
-    record.snapshot.id = id;
-    record.snapshot.name = name.empty() ? spec.label() : std::move(name);
-    record.snapshot.state = RunState::kQueued;
-    record.spec = std::move(spec);
-    runs_.emplace(id, std::move(record));
+    id = runs_.size() + 1;
+    RunSnapshot& snapshot = runs_.emplace_back();
+    snapshot.id = id;
+    snapshot.name = name.empty() ? spec.label() : std::move(name);
+    snapshot.state = RunState::kQueued;
+    queue_.emplace_back(id, std::move(spec));
     ++counters_.submitted;
     ++counters_.queued;
   }
@@ -33,18 +32,20 @@ std::uint64_t RunRegistry::submit(exp::ScenarioSpec spec, std::string name) {
   return id;
 }
 
-std::vector<std::pair<std::uint64_t, exp::ScenarioSpec>> RunRegistry::claim_queued() {
+std::optional<std::pair<std::uint64_t, exp::ScenarioSpec>> RunRegistry::claim_next() {
   std::unique_lock<std::mutex> lock(mutex_);
-  work_ready_.wait(lock, [this] { return stop_ || counters_.queued > 0; });
-  std::vector<std::pair<std::uint64_t, exp::ScenarioSpec>> batch;
-  for (auto& [id, record] : runs_) {
-    if (record.snapshot.state != RunState::kQueued) continue;
-    record.snapshot.state = RunState::kRunning;
+  for (;;) {
+    work_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return std::nullopt;  // request_stop() and nothing left
+    auto run = std::move(queue_.front());
+    queue_.pop_front();
+    RunSnapshot& snapshot = runs_[run.first - 1];
+    if (snapshot.state != RunState::kQueued) continue;  // cancelled while queued
+    snapshot.state = RunState::kRunning;
     --counters_.queued;
     ++counters_.running;
-    batch.emplace_back(id, record.spec);
+    return run;
   }
-  return batch;
 }
 
 void RunRegistry::request_stop() {
@@ -58,14 +59,14 @@ void RunRegistry::request_stop() {
 void RunRegistry::complete(std::uint64_t id, std::string manifest_json) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto found = runs_.find(id);
-    MCSIM_ASSERT(found != runs_.end());
-    Record& record = found->second;
-    MCSIM_ASSERT(record.snapshot.state == RunState::kRunning);
-    record.snapshot.state = RunState::kDone;
-    record.snapshot.manifest_json = std::move(manifest_json);
+    MCSIM_ASSERT(known(id));
+    RunSnapshot& snapshot = runs_[id - 1];
+    MCSIM_ASSERT(snapshot.state == RunState::kRunning);
+    snapshot.state = RunState::kDone;
+    snapshot.manifest_json = std::move(manifest_json);
     --counters_.running;
     ++counters_.done;
+    counters_.manifest_bytes += snapshot.manifest_json.size();
   }
   notify_terminal();
 }
@@ -73,12 +74,11 @@ void RunRegistry::complete(std::uint64_t id, std::string manifest_json) {
 void RunRegistry::fail(std::uint64_t id, std::string error) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto found = runs_.find(id);
-    MCSIM_ASSERT(found != runs_.end());
-    Record& record = found->second;
-    MCSIM_ASSERT(record.snapshot.state == RunState::kRunning);
-    record.snapshot.state = RunState::kFailed;
-    record.snapshot.error = std::move(error);
+    MCSIM_ASSERT(known(id));
+    RunSnapshot& snapshot = runs_[id - 1];
+    MCSIM_ASSERT(snapshot.state == RunState::kRunning);
+    snapshot.state = RunState::kFailed;
+    snapshot.error = std::move(error);
     --counters_.running;
     ++counters_.failed;
   }
@@ -90,19 +90,19 @@ RunState RunRegistry::cancel(std::uint64_t id) {
   RunState state = RunState::kQueued;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto found = runs_.find(id);
-    if (found == runs_.end()) {
+    if (!known(id)) {
       // Never-submitted ids are the caller's problem (get() distinguishes).
       return RunState::kCancelled;
     }
-    Record& record = found->second;
-    if (record.snapshot.state == RunState::kQueued) {
-      record.snapshot.state = RunState::kCancelled;
+    RunSnapshot& snapshot = runs_[id - 1];
+    // The queue entry stays behind; claim_next() skips it.
+    if (snapshot.state == RunState::kQueued) {
+      snapshot.state = RunState::kCancelled;
       --counters_.queued;
       ++counters_.cancelled;
       cancelled = true;
     }
-    state = record.snapshot.state;
+    state = snapshot.state;
   }
   if (cancelled) notify_terminal();
   return state;
@@ -110,9 +110,8 @@ RunState RunRegistry::cancel(std::uint64_t id) {
 
 std::optional<RunSnapshot> RunRegistry::get(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto found = runs_.find(id);
-  if (found == runs_.end()) return std::nullopt;
-  return found->second.snapshot;
+  if (!known(id)) return std::nullopt;
+  return runs_[id - 1];
 }
 
 RegistryStats RunRegistry::stats() const {

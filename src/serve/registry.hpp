@@ -4,17 +4,17 @@
 ///
 /// The registry is the hand-off point between the server's I/O loop (which
 /// submits, answers status/result/cancel, and decides when a drain is
-/// complete) and the dispatch thread (which claims queued runs in batches
-/// and executes them on the exp::Runner pool). Both sides see one mutex;
-/// the dispatch thread sleeps on a condition variable and the I/O loop is
-/// woken through a completion callback (it cannot block here — it has a
-/// poll(2) loop to run).
+/// complete) and the `--jobs` worker threads (each claims the oldest queued
+/// run as soon as it is free and executes it). Both sides see one mutex;
+/// idle workers sleep on a condition variable and the I/O loop is woken
+/// through a completion callback (it cannot block here — it has a poll(2)
+/// loop to run).
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -42,7 +42,7 @@ struct RunSnapshot {
   std::uint64_t id = 0;
   std::string name;           ///< client label; spec.label() when omitted
   RunState state = RunState::kQueued;
-  std::string manifest_json;  ///< kDone: the full pretty-printed manifest
+  std::string manifest_json;  ///< kDone: the full manifest, compact JSON
   std::string error;          ///< kFailed: what the run threw
 };
 
@@ -54,6 +54,7 @@ struct RegistryStats {
   std::uint64_t done = 0;
   std::uint64_t failed = 0;
   std::uint64_t cancelled = 0;
+  std::uint64_t manifest_bytes = 0;  ///< stored manifests of kDone runs
 };
 
 class RunRegistry {
@@ -69,13 +70,15 @@ class RunRegistry {
   /// Queue a run; returns its id (ids are 1-based and dense).
   std::uint64_t submit(exp::ScenarioSpec spec, std::string name);
 
-  /// Block until at least one run is queued or `stop` was signalled; then
-  /// atomically move every queued run to kRunning and return (id, spec)
-  /// pairs in submission order. Empty only after request_stop().
-  std::vector<std::pair<std::uint64_t, exp::ScenarioSpec>> claim_queued();
+  /// Block until a run is queued or `stop` was signalled; then move the
+  /// oldest queued run to kRunning and return its (id, spec). Runs
+  /// cancelled while queued are skipped. Queued runs are still handed out
+  /// after request_stop(); empty only once stop was requested and nothing
+  /// is queued.
+  std::optional<std::pair<std::uint64_t, exp::ScenarioSpec>> claim_next();
 
-  /// Wake claim_queued() for shutdown: once called, an empty claim means
-  /// "no more work is coming, exit the dispatch loop".
+  /// Wake claim_next() for shutdown: once called, an empty claim means
+  /// "no more work is coming, exit the claim loop".
   void request_stop();
 
   void complete(std::uint64_t id, std::string manifest_json);
@@ -94,10 +97,10 @@ class RunRegistry {
   [[nodiscard]] bool idle() const;
 
  private:
-  struct Record {
-    RunSnapshot snapshot;
-    exp::ScenarioSpec spec;
-  };
+  /// Whether `id` was ever submitted. Caller holds mutex_.
+  [[nodiscard]] bool known(std::uint64_t id) const {
+    return id >= 1 && id <= runs_.size();
+  }
 
   void notify_terminal();
 
@@ -105,8 +108,9 @@ class RunRegistry {
   mutable std::mutex mutex_;
   std::condition_variable work_ready_;
   bool stop_ = false;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, Record> runs_;
+  std::vector<RunSnapshot> runs_;  ///< runs_[id - 1]
+  /// Submission order; a spec moves out of here when its run is claimed.
+  std::deque<std::pair<std::uint64_t, exp::ScenarioSpec>> queue_;
   RegistryStats counters_;
 };
 

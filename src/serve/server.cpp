@@ -58,29 +58,37 @@ std::string state_field(RunState state) {
 struct Server::Impl {
   explicit Impl(const ServerConfig& server_config)
       : config(server_config),
+        jobs(config.jobs == 0 ? exp::Runner::default_jobs() : config.jobs),
         cache(server_config.cache_bytes),
         registry([this] { pipe.notify(); }) {}
 
   ServerConfig config;
+  unsigned jobs;  ///< worker threads, each running one served run at a time
   TraceCache cache;
   SelfPipe pipe;
   RunRegistry registry;
   UnixListener listener;
   std::vector<std::unique_ptr<Connection>> connections;
   std::atomic<bool> draining{false};
-  std::thread dispatcher;
+  std::vector<std::thread> workers;
 
-  // -- dispatch side (runs on `dispatcher` + Runner workers) ---------------
+  // -- worker side (`workers`, one claim loop each) -------------------------
 
-  void dispatch_loop() {
-    exp::Runner runner(config.jobs);
-    for (;;) {
-      const auto batch = registry.claim_queued();
-      if (batch.empty()) return;  // request_stop() and nothing left
-      runner.run(batch.size(), [&](std::size_t i) {
-        execute_run(batch[i].first, batch[i].second);
+  /// Each worker takes the oldest queued run as soon as it is free, so no
+  /// run waits behind another's batch while a worker idles.
+  void start_workers() {
+    for (unsigned i = 0; i < jobs; ++i) {
+      workers.emplace_back([this] {
+        while (auto run = registry.claim_next()) execute_run(run->first, run->second);
       });
     }
+  }
+
+  /// Let the workers finish what is queued, then join them.
+  void stop_workers() {
+    registry.request_stop();
+    for (std::thread& worker : workers) worker.join();
+    workers.clear();
   }
 
   void execute_run(std::uint64_t id, const exp::ScenarioSpec& spec) {
@@ -100,7 +108,13 @@ struct Server::Impl {
       info.command_line = "mcsim serve: " + spec.label();
       info.scenario = &spec;
       write_run_manifest(out, sim_config, result, &metrics, info);
-      registry.complete(id, out.str());
+      // Stored compact, once, here on the worker: the registry keeps every
+      // manifest for the daemon's lifetime, and `result` splices it as is.
+      // compact_json keeps every number spelling, so a client recovers the
+      // pretty writer's document bit for bit.
+      std::string manifest = compact_json(obs::parse_json(out.str()));
+      manifest.shrink_to_fit();
+      registry.complete(id, std::move(manifest));
     } catch (const std::exception& error) {
       registry.fail(id, error.what());
     }
@@ -123,7 +137,7 @@ struct Server::Impl {
     }
     exp::ScenarioSpec spec = std::move(request.spec);
     // No nested fan-out inside a served run: the --jobs budget fans out
-    // across runs (the Runner pool), exactly like a sweep under `mcsim run`.
+    // across runs (one worker per run), exactly like a sweep under `mcsim run`.
     spec.parallelism = 1;
     try {
       exp::validate(spec);
@@ -152,15 +166,10 @@ struct Server::Impl {
   /// run is terminal).
   std::string result_response(const RunSnapshot& snapshot) {
     switch (snapshot.state) {
-      case RunState::kDone: {
-        // Re-parse + compact-serialize: the manifest was written by our own
-        // pretty writer, and compact_json preserves every number spelling,
-        // so the client recovers the identical document bit-for-bit.
-        const obs::JsonValue manifest = obs::parse_json(snapshot.manifest_json);
+      case RunState::kDone:
         return ok_response(uint_field("id", snapshot.id) +
                            ",\"state\":\"done\",\"manifest\":" +
-                           compact_json(manifest));
-      }
+                           snapshot.manifest_json);
       case RunState::kFailed:
         return error_response(kErrRunFailed, "run " + std::to_string(snapshot.id) +
                                                  " failed: " + snapshot.error);
@@ -229,9 +238,9 @@ struct Server::Impl {
             uint_field("running", run_stats.running) + ',' +
             uint_field("done", run_stats.done) + ',' +
             uint_field("failed", run_stats.failed) + ',' +
-            uint_field("cancelled", run_stats.cancelled) + '}';
-    body += ',' + uint_field("jobs", config.jobs == 0 ? exp::Runner::default_jobs()
-                                                      : config.jobs);
+            uint_field("cancelled", run_stats.cancelled) + ',' +
+            uint_field("manifest_bytes", run_stats.manifest_bytes) + '}';
+    body += ',' + uint_field("jobs", jobs);
     body += ",\"draining\":" +
             std::string(draining.load(std::memory_order_relaxed) ? "true" : "false");
     return ok_response(body);
@@ -398,25 +407,24 @@ Server::~Server() = default;
 int Server::serve() {
   impl_->listener = UnixListener::bind(config_.socket_path);
   if (config_.handle_signals) install_shutdown_signals(&impl_->pipe);
-  impl_->dispatcher = std::thread([this] { impl_->dispatch_loop(); });
-  // The readiness line scripts wait for (flushed before the first accept).
-  std::cout << "mcsim serve: listening on " << config_.socket_path << std::endl;
 
   // Close the listener (which unlinks the socket file) before returning —
   // the drain contract is that a 0 from serve() means the rendezvous path
-  // is gone. Impl itself stays alive for request_shutdown() callers.
+  // is gone. Impl itself stays alive for request_shutdown() callers. The
+  // workers are joined on every path, including a failed start.
   int code = 0;
   try {
+    impl_->start_workers();
+    // The readiness line scripts wait for (flushed before the first accept).
+    std::cout << "mcsim serve: listening on " << config_.socket_path << std::endl;
     code = impl_->run_loop();
   } catch (...) {
-    impl_->registry.request_stop();
-    impl_->dispatcher.join();
+    impl_->stop_workers();
     impl_->listener.close();
     if (config_.handle_signals) install_shutdown_signals(nullptr);
     throw;
   }
-  impl_->registry.request_stop();
-  impl_->dispatcher.join();
+  impl_->stop_workers();
   impl_->listener.close();
   if (config_.handle_signals) install_shutdown_signals(nullptr);
   return code;

@@ -1,18 +1,18 @@
 /// \file
 /// \brief The experiment daemon: a Unix-socket server that runs submitted
-/// scenarios on a warm exp::Runner pool with a warm trace cache
+/// scenarios on `--jobs` long-lived worker threads with a warm trace cache
 /// (docs/SERVING.md).
 ///
-/// Two threads:
+/// Two kinds of thread:
 ///   * the I/O loop (serve()) — a single poll(2) loop over the listener,
 ///     the self-pipe and every client connection. It parses requests at
 ///     the trust boundary, answers everything that does not need a
 ///     finished run immediately, and parks `result wait:true` requests
 ///     until the run's completion wakes it through the self-pipe.
-///   * the dispatch thread — blocks on the registry, claims queued runs in
-///     batches, and fans each batch out over the Runner pool (`--jobs`
-///     workers; each served run executes with one engine thread, so the
-///     budget is spent across runs, not within one).
+///   * the workers (`--jobs` of them) — each blocks on the registry,
+///     claims the oldest queued run as soon as it is free and executes it
+///     with one engine thread, so the budget is spent across runs, not
+///     within one, and no worker idles while a run is queued.
 ///
 /// Shutdown (`shutdown` op, SIGTERM or SIGINT) is a *drain*: the server
 /// stops accepting submissions, lets queued and running work finish,
@@ -40,7 +40,7 @@ struct ServerConfig {
   /// Rendezvous path for the Unix-domain socket (created on start,
   /// unlinked on clean shutdown).
   std::string socket_path;
-  /// Runner pool width — concurrent served runs (0 = all cores).
+  /// Worker threads — concurrent served runs (0 = all cores).
   unsigned jobs = 1;
   /// Trace-cache byte budget (0 disables retention).
   std::uint64_t cache_bytes = kDefaultCacheBytes;
@@ -62,7 +62,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, start the dispatch thread and run the I/O loop until a drain
+  /// Bind, start the workers and run the I/O loop until a drain
   /// completes. Returns the process exit code (0 on clean shutdown).
   /// Throws std::system_error when the socket cannot be bound.
   int serve();

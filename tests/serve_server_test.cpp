@@ -15,9 +15,11 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -29,6 +31,7 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
+#include "util/socket.hpp"
 
 namespace mcsim::serve {
 namespace {
@@ -375,6 +378,33 @@ TEST(ServeServer, ResultWithoutWaitReportsTheCurrentState) {
   client->await_result(id);
 }
 
+// -- work-conserving dispatch -----------------------------------------------
+
+// With two workers, a run submitted while another runs starts at once on
+// the free worker: it is not held until the longer run finishes.
+TEST(ServeServer, ShortRunIsNotHeldBehindALongerOne) {
+  const fs::path dir = scratch_dir("conserve");
+  ServerHarness harness(make_config(dir, /*jobs=*/2));
+  auto client = harness.client();
+
+  exp::ScenarioSpec long_spec = smoke_spec();
+  long_spec.sim_jobs = 100000;
+  const std::uint64_t long_id = client->submit(spec_json(long_spec), "long");
+  const std::string long_status =
+      "{\"op\":\"status\",\"id\":" + std::to_string(long_id) + "}";
+  std::string state = client->request(long_status).at("state").as_string();
+  while (state == "queued") {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    state = client->request(long_status).at("state").as_string();
+  }
+  ASSERT_EQ(state, "running");
+
+  const std::uint64_t short_id = client->submit(spec_json(smoke_spec()), "short");
+  EXPECT_EQ(client->await_result(short_id).at("state").as_string(), "done");
+  EXPECT_EQ(client->request(long_status).at("state").as_string(), "running")
+      << "the short run waited for the long one while a worker sat idle";
+}
+
 // -- the drain lifecycle ----------------------------------------------------
 
 TEST(ServeServer, ShutdownDrainsRunningWorkAndAnswersWaiters) {
@@ -390,6 +420,38 @@ TEST(ServeServer, ShutdownDrainsRunningWorkAndAnswersWaiters) {
   // The parked result is still answered before the server exits.
   const obs::JsonValue response = client->await_result(id);
   EXPECT_EQ(response.at("state").as_string(), "done");
+  EXPECT_EQ(harness.join(), 0);
+  EXPECT_FALSE(fs::exists(dir / "mcsim.sock"));
+}
+
+TEST(ServeServer, ShutdownDrainsEveryQueuedRunAcrossWorkers) {
+  const fs::path dir = scratch_dir("drainq");
+  ServerHarness harness(make_config(dir, /*jobs=*/2));
+  auto client = harness.client();
+
+  exp::ScenarioSpec spec = smoke_spec();
+  spec.sim_jobs = 30000;  // long enough that most runs are queued at the drain
+  constexpr int kRuns = 5;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < kRuns; ++i) ids.push_back(client->submit(spec_json(spec)));
+
+  // Every result request goes out before the drain starts, on a second
+  // connection; the server answers them in order as the runs finish.
+  UnixStream waiter = UnixStream::connect(harness.server().socket_path());
+  std::string requests;
+  for (const std::uint64_t id : ids) {
+    requests += "{\"op\":\"result\",\"id\":" + std::to_string(id) + ",\"wait\":true}\n";
+  }
+  waiter.write_all(requests, 60'000);
+  client->shutdown();
+
+  for (const std::uint64_t id : ids) {
+    std::string line;
+    ASSERT_TRUE(waiter.read_line(line, 10 * 60 * 1000, 64u << 20)) << "run " << id;
+    const obs::JsonValue response = obs::parse_json(line);
+    EXPECT_EQ(response.at("id").as_uint(), id);
+    EXPECT_EQ(response.at("state").as_string(), "done") << line.substr(0, 200);
+  }
   EXPECT_EQ(harness.join(), 0);
   EXPECT_FALSE(fs::exists(dir / "mcsim.sock"));
 }
@@ -440,7 +502,7 @@ TEST(ServeServer, StatsReportsPoolAndRunCounters) {
   auto client = harness.client();
 
   const std::uint64_t id = client->submit(spec_json(smoke_spec()));
-  client->await_result(id);
+  const obs::JsonValue result = client->await_result(id);
   const obs::JsonValue stats = client->stats();
   EXPECT_EQ(stats.at("jobs").as_uint(), 3u);
   EXPECT_FALSE(stats.at("draining").as_bool());
@@ -450,6 +512,9 @@ TEST(ServeServer, StatsReportsPoolAndRunCounters) {
   EXPECT_EQ(runs->at("done").as_uint(), 1u);
   EXPECT_EQ(runs->at("queued").as_uint(), 0u);
   EXPECT_EQ(runs->at("running").as_uint(), 0u);
+  // The daemon keeps the compact manifest `result` sends, and counts it.
+  EXPECT_EQ(runs->at("manifest_bytes").as_uint(),
+            compact_json(result.at("manifest")).size());
 }
 
 // -- the registry state machine (deterministic, no I/O) ---------------------
@@ -462,38 +527,51 @@ TEST(ServeRegistry, CancelWinsOnlyWhileQueued) {
   EXPECT_TRUE(registry.idle());
 
   const std::uint64_t late = registry.submit(smoke_spec(), "late");
-  const auto batch = registry.claim_queued();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].first, late);
+  const auto run = registry.claim_next();
+  ASSERT_TRUE(run.has_value());
+  EXPECT_EQ(run->first, late);
   EXPECT_EQ(registry.cancel(late), RunState::kRunning)
       << "a claimed run is past the point of cancellation";
   registry.complete(late, "{}");
   EXPECT_EQ(registry.cancel(late), RunState::kDone);
 }
 
-TEST(ServeRegistry, ClaimMovesEveryQueuedRunInSubmissionOrder) {
+TEST(ServeRegistry, ClaimTakesQueuedRunsOneAtATimeInSubmissionOrder) {
   RunRegistry registry;
   const std::uint64_t a = registry.submit(smoke_spec(), "a");
   const std::uint64_t b = registry.submit(smoke_spec(), "b");
   const std::uint64_t c = registry.submit(smoke_spec(), "c");
-  const auto batch = registry.claim_queued();
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].first, a);
-  EXPECT_EQ(batch[1].first, b);
-  EXPECT_EQ(batch[2].first, c);
+  const std::uint64_t d = registry.submit(smoke_spec(), "d");
+
+  const auto first = registry.claim_next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->first, a);
+  EXPECT_EQ(registry.get(b)->state, RunState::kQueued)
+      << "a claim takes one run, not the whole queue";
+  EXPECT_EQ(registry.cancel(b), RunState::kCancelled);
+
+  const auto second = registry.claim_next();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->first, c) << "a run cancelled mid-queue is skipped";
+  const auto third = registry.claim_next();
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(third->first, d);
   EXPECT_FALSE(registry.idle());
 
   registry.complete(a, "{}");
-  registry.fail(b, "boom");
-  registry.complete(c, "{}");
+  registry.fail(c, "boom");
+  registry.complete(d, "{\"x\":1}");
   EXPECT_TRUE(registry.idle());
 
   const RegistryStats stats = registry.stats();
-  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.submitted, 4u);
   EXPECT_EQ(stats.done, 2u);
   EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.queued, 0u);
   EXPECT_EQ(stats.running, 0u);
-  EXPECT_EQ(registry.get(b)->error, "boom");
+  EXPECT_EQ(stats.manifest_bytes, 2u + 7u);
+  EXPECT_EQ(registry.get(c)->error, "boom");
 }
 
 TEST(ServeRegistry, CompletionHookFiresPerTerminalTransition) {
@@ -504,20 +582,43 @@ TEST(ServeRegistry, CompletionHookFiresPerTerminalTransition) {
   const std::uint64_t c = registry.submit(smoke_spec(), "");
   registry.cancel(a);
   EXPECT_EQ(fired.load(), 1);
-  registry.claim_queued();
+  ASSERT_EQ(registry.claim_next()->first, b);
+  ASSERT_EQ(registry.claim_next()->first, c);
+  EXPECT_EQ(fired.load(), 1) << "claiming is not a terminal transition";
   registry.complete(b, "{}");
   registry.fail(c, "boom");
   EXPECT_EQ(fired.load(), 3);
 }
 
-TEST(ServeRegistry, StopUnblocksClaimWithAnEmptyBatch) {
+TEST(ServeRegistry, StopUnblocksClaimWithNothing) {
   RunRegistry registry;
-  std::vector<std::pair<std::uint64_t, exp::ScenarioSpec>> batch{
-      {1, exp::ScenarioSpec{}}};
-  std::thread claimer([&] { batch = registry.claim_queued(); });
+  std::optional<std::pair<std::uint64_t, exp::ScenarioSpec>> run{
+      std::in_place, 1, exp::ScenarioSpec{}};
+  std::thread claimer([&] { run = registry.claim_next(); });
   registry.request_stop();
   claimer.join();
-  EXPECT_TRUE(batch.empty());
+  EXPECT_FALSE(run.has_value());
+}
+
+// The drain contract: a stop ends the claim loops only once the queue is
+// empty, so every run accepted before the drain still executes.
+TEST(ServeRegistry, ClaimStillHandsOutQueuedRunsAfterStop) {
+  RunRegistry registry;
+  const std::uint64_t a = registry.submit(smoke_spec(), "a");
+  const std::uint64_t b = registry.submit(smoke_spec(), "b");
+  const std::uint64_t c = registry.submit(smoke_spec(), "c");
+  registry.cancel(c);
+  registry.request_stop();
+
+  const auto first = registry.claim_next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->first, a);
+  const auto second = registry.claim_next();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->first, b);
+  EXPECT_FALSE(registry.claim_next().has_value())
+      << "the cancelled run is skipped and the stopped queue is empty";
+  EXPECT_FALSE(registry.idle()) << "a and b are still running";
 }
 
 TEST(ServeRegistry, EmptyNameFallsBackToTheSpecLabel) {
