@@ -1,5 +1,7 @@
 #include "exp/sweep.hpp"
 
+#include <atomic>
+
 #include "exp/runner.hpp"
 #include "exp/scenario_spec.hpp"
 #include "util/assert.hpp"
@@ -65,37 +67,35 @@ SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
   series.scenario = spec.paper_scenario();
   const std::string label = spec.label();
   const std::vector<double> grid = spec.sweep_grid();
-  const auto run_point = [&](std::size_t i) {
-    return run_simulation(exp::to_simulation_config(spec, grid[i]));
-  };
 
-  if (spec.parallelism == 1) {
-    // Serial early-stop loop: never simulates beyond the first unstable point.
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      SweepPoint point;
-      point.target_gross_utilization = grid[i];
-      point.result = run_point(i);
-      log_point(label, grid[i], point.result);
-      const bool unstable = point.result.unstable;
-      series.points.push_back(std::move(point));
-      if (unstable) break;  // all higher loads are unstable too
-    }
-    return series;
-  }
-
-  // Speculative parallel sweep: run every grid point concurrently, then keep
-  // the same prefix the serial loop would have produced. Each point depends
-  // only on its own config, so the kept points are bit-identical.
+  // The lowest grid index known to be unstable: a point that finishes
+  // unstable lowers it, a point past it is never built, and one running
+  // past it stops at its next completion. It never drops below the first
+  // unstable index, so every kept point runs to its end, as serially.
+  std::atomic<std::size_t> cutoff{grid.size()};
   exp::Runner runner(spec.parallelism);
-  auto results = runner.map(grid.size(), run_point);
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  auto results = runner.map(grid.size(), [&](std::size_t i) {
+    if (i > cutoff.load(std::memory_order_relaxed)) return SimulationResult{};
+    SimulationConfig config = exp::to_simulation_config(spec, grid[i]);
+    MulticlusterSimulation simulation(std::move(config));
+    simulation.set_job_observer([&sim = simulation.simulator(), &cutoff, i](const Job&, double) {
+      if (i > cutoff.load(std::memory_order_relaxed)) sim.stop();
+    });
+    SimulationResult result = simulation.run();
+    std::size_t known = cutoff.load(std::memory_order_relaxed);
+    while (result.unstable && i < known &&
+           !cutoff.compare_exchange_weak(known, i, std::memory_order_relaxed)) {
+    }
+    return result;
+  });
+  for (std::size_t i = 0; i < grid.size(); ++i) {
     SweepPoint point;
     point.target_gross_utilization = grid[i];
     point.result = std::move(results[i]);
     log_point(label, grid[i], point.result);
     const bool unstable = point.result.unstable;
     series.points.push_back(std::move(point));
-    if (unstable) break;
+    if (unstable) break;  // all higher loads are unstable too
   }
   return series;
 }

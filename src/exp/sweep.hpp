@@ -1,14 +1,16 @@
 // Utilization sweeps: the response-time-vs-utilization curves of
 // Figs. 3, 5, 6 and 7. For each target gross utilization on a grid, one
-// steady-state run is made; the sweep stops early once a point is unstable
+// steady-state run is made; the sweep stops at the first unstable point
 // (every higher point would be too), which is how the curves' vertical
 // asymptotes — the maximal utilizations — appear.
 //
-// With parallelism > 1 all grid points are run speculatively in parallel and
-// the series is truncated after the first unstable point; because every
-// point is an independent run keyed only by (scenario, utilization, seed),
-// the surviving prefix is bit-identical to what the serial early-stop loop
-// produces — the speculation only costs throwaway work beyond the knee.
+// At every width the grid points are fanned out over one exp::Runner that
+// shares the lowest grid index known to be unstable. A point past it is
+// never built, and a point already running past it stops at its next job
+// completion. That index never drops below the first unstable point, so
+// every kept point runs to its end, and because each point is an
+// independent run keyed only by (scenario, utilization, seed), the series
+// is bit-identical at every width.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +28,8 @@ struct SweepConfig {
   std::vector<double> target_utilizations;
   std::uint64_t jobs_per_point = 30000;
   std::uint64_t seed = 1;
-  /// Worker threads for the sweep (1 = serial early-stop loop, 0 = all
-  /// hardware threads, N > 1 = speculative parallel execution).
+  /// Worker threads for the sweep (1 = inline on the calling thread, 0 =
+  /// all hardware threads). The series does not depend on it.
   unsigned parallelism = 1;
 
   /// Grid from `lo` to `hi` in steps of `step` (inclusive, fp-safe).

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/engine.hpp"
 #include "exp/scenario.hpp"
@@ -58,6 +59,44 @@ TEST(JobObserver, ExportedScheduleIsAnalyzableTrace) {
   RunningStats all_responses;
   for (const auto& rec : records) all_responses.add(rec.response_time());
   EXPECT_GT(all_responses.mean(), 0.0);
+}
+
+TEST(JobObserver, StopFromTheObserverEndsTheRunAndItsResultStillFolds) {
+  // A sweep stops a point past its knee this way. Stop once before the
+  // warmup ends (nothing measured yet) and once mid-measurement: run()
+  // returns normally and the batch means, P2 and per-class folds of the
+  // partial run do not throw.
+  const auto config = small_config(PolicyKind::kLS, true, 4000);
+  const auto warmup = static_cast<std::uint64_t>(config.warmup_fraction *
+                                                 static_cast<double>(config.total_jobs));
+  for (const std::uint64_t stop_at : {warmup / 2, (warmup + config.total_jobs) / 2}) {
+    SCOPED_TRACE("stop at completion " + std::to_string(stop_at));
+    MulticlusterSimulation sim(config);
+    std::uint64_t seen = 0;
+    sim.set_job_observer([&](const Job&, double) {
+      if (++seen == stop_at) sim.simulator().stop();
+    });
+    SimulationResult result;
+    ASSERT_NO_THROW(result = sim.run());
+    EXPECT_FALSE(result.unstable);
+    EXPECT_EQ(result.completed_jobs, stop_at);
+    EXPECT_LT(result.completed_jobs, config.total_jobs);
+    EXPECT_LE(result.end_time, sim.simulator().now());
+    if (stop_at < warmup) {
+      EXPECT_EQ(result.measured_jobs, 0u);
+      EXPECT_EQ(result.response_all.count(), 0u);
+    } else {
+      EXPECT_GT(result.measured_jobs, 0u);
+      EXPECT_GT(result.response_ci.halfwidth, 0.0);
+      EXPECT_GT(result.response_p95, 0.0);
+    }
+    EXPECT_EQ(result.response_local.count() + result.response_global.count(),
+              result.measured_jobs);
+    EXPECT_EQ(result.response_small.count() + result.response_medium.count() +
+                  result.response_large.count(),
+              result.measured_jobs);
+    EXPECT_EQ(result.per_cluster_busy_fraction.size(), 4u);
+  }
 }
 
 TEST(PerClusterUtilization, BalancedLsLoadsClustersEvenly) {

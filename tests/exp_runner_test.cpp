@@ -8,10 +8,12 @@
 // this binary exercises all Runner synchronisation under load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/replications.hpp"
@@ -122,40 +124,62 @@ TEST(RunnerDeterminism, ReplicationsBitIdenticalAcrossParallelism) {
 }
 
 TEST(RunnerDeterminism, SweepBitIdenticalAcrossParallelism) {
+  // Each grid with the index of its first unstable point (the knee): none,
+  // first, in the middle, last, and a non-monotone grid whose stable tail
+  // lies past the knee. Points past the knee are skipped or stopped at
+  // width > 1; the kept prefix must not change by a bit.
+  const std::vector<std::pair<std::vector<double>, std::size_t>> grids = {
+      {{0.25, 0.45}, 2},
+      {{1.2, 1.3, 1.4}, 0},
+      {{0.25, 0.45, 1.2, 1.3, 1.4}, 2},
+      {{0.25, 0.45, 1.2}, 2},
+      {{0.2, 1.5, 0.3}, 1},
+  };
   for (PolicyKind policy : kAllPolicies) {
     const auto scenario = scenario_for(policy);
-    SweepConfig serial_config;
-    serial_config.target_utilizations = {0.25, 0.45};
-    serial_config.jobs_per_point = 2500;
-    serial_config.seed = 11;
-    serial_config.parallelism = 1;
-    auto parallel_config = serial_config;
-    parallel_config.parallelism = 4;
-
-    const auto serial = run_sweep(scenario, serial_config);
-    const auto parallel = run_sweep(scenario, parallel_config);
-    SCOPED_TRACE(scenario.label());
-    ASSERT_EQ(serial.points.size(), parallel.points.size());
-    for (std::size_t i = 0; i < serial.points.size(); ++i) {
-      EXPECT_EQ(serial.points[i].target_gross_utilization,
-                parallel.points[i].target_gross_utilization);
-      EXPECT_EQ(serial.points[i].result.unstable, parallel.points[i].result.unstable);
-      EXPECT_EQ(serial.points[i].result.mean_response(),
-                parallel.points[i].result.mean_response());
-      EXPECT_EQ(serial.points[i].result.completed_jobs,
-                parallel.points[i].result.completed_jobs);
-      EXPECT_EQ(serial.points[i].result.busy_fraction,
-                parallel.points[i].result.busy_fraction);
-      EXPECT_EQ(serial.points[i].result.response_ci.halfwidth,
-                parallel.points[i].result.response_ci.halfwidth);
+    for (const auto& [grid, knee] : grids) {
+      SweepConfig serial_config;
+      serial_config.target_utilizations = grid;
+      serial_config.jobs_per_point = 2500;
+      serial_config.seed = 11;
+      serial_config.parallelism = 1;
+      const auto serial = run_sweep(scenario, serial_config);
+      SCOPED_TRACE(scenario.label() + ", " + std::to_string(grid.size()) + " points, knee " +
+                   std::to_string(knee));
+      ASSERT_EQ(serial.points.size(), std::min(knee + 1, grid.size()));
+      for (std::size_t i = 0; i < serial.points.size(); ++i) {
+        EXPECT_EQ(serial.points[i].result.unstable, i == knee);
+      }
+      for (unsigned width : {2u, 4u}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        auto parallel_config = serial_config;
+        parallel_config.parallelism = width;
+        const auto parallel = run_sweep(scenario, parallel_config);
+        ASSERT_EQ(serial.points.size(), parallel.points.size());
+        for (std::size_t i = 0; i < serial.points.size(); ++i) {
+          EXPECT_EQ(serial.points[i].target_gross_utilization,
+                    parallel.points[i].target_gross_utilization);
+          EXPECT_EQ(serial.points[i].result.unstable, parallel.points[i].result.unstable);
+          EXPECT_EQ(serial.points[i].result.mean_response(),
+                    parallel.points[i].result.mean_response());
+          EXPECT_EQ(serial.points[i].result.completed_jobs,
+                    parallel.points[i].result.completed_jobs);
+          EXPECT_EQ(serial.points[i].result.busy_fraction,
+                    parallel.points[i].result.busy_fraction);
+          EXPECT_EQ(serial.points[i].result.response_ci.halfwidth,
+                    parallel.points[i].result.response_ci.halfwidth);
+          EXPECT_EQ(serial.points[i].result.events_executed,
+                    parallel.points[i].result.events_executed);
+        }
+      }
     }
   }
 }
 
 TEST(RunnerDeterminism, SpeculativeSweepTruncatesLikeSerialEarlyStop) {
-  // 1.5 is far beyond saturation: the serial loop stops there; the
-  // speculative parallel sweep must truncate to the identical prefix even
-  // though it also simulated the 0.30 point beyond the knee.
+  // 1.5 is far beyond saturation, so the sweep stops there at every width:
+  // the parallel sweep must keep the identical prefix and drop the stable
+  // 0.30 point past the knee, whether it skipped, stopped or finished it.
   PaperScenario scenario = scenario_for(PolicyKind::kGS);
   SweepConfig config;
   config.target_utilizations = {0.2, 1.5, 0.3};

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
@@ -78,6 +81,33 @@ TEST(Sweep, StopsAfterFirstUnstablePoint) {
   EXPECT_FALSE(series.points[0].result.unstable);
   EXPECT_TRUE(series.points[1].result.unstable);
   EXPECT_DOUBLE_EQ(series.max_stable_utilization(), 0.2);
+}
+
+TEST(Sweep, NeverBuildsAPointPastAKnownUnstableOne) {
+  // The smallest positive utilization passes the spec's validation, but its
+  // arrival rate underflows to zero, so building that point's simulation
+  // throws ("arrival_rate must be positive"). The sweep passes only if it
+  // never builds that point. At width 2 a worker claims index 2 only after
+  // finishing index 0 or 1, and both are unstable, so the cutoff is already
+  // below 2 whichever finishes first.
+  PaperScenario scenario;
+  scenario.policy = PolicyKind::kGS;
+  const double bomb = std::numeric_limits<double>::denorm_min();
+  EXPECT_THROW(MulticlusterSimulation(make_paper_config(scenario, bomb, 3000, 3)),
+               std::invalid_argument);
+  for (unsigned width : {1u, 2u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    SweepConfig config;
+    config.target_utilizations = {1.5, 1.6, bomb};
+    config.jobs_per_point = 3000;
+    config.seed = 3;
+    config.parallelism = width;
+    SweepSeries series;
+    ASSERT_NO_THROW(series = run_sweep(scenario, config));
+    ASSERT_EQ(series.points.size(), 1u);
+    EXPECT_TRUE(series.points[0].result.unstable);
+    EXPECT_DOUBLE_EQ(series.max_stable_utilization(), 0.0);
+  }
 }
 
 TEST(Sweep, ResponseMonotoneInLoadOnAverage) {
