@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -33,17 +34,19 @@ FileIdentity stat_identity(const std::string& path) {
 }
 
 std::shared_ptr<const CachedTrace> load_trace(const std::string& path) {
+  // One serial pass builds the scan (as scan_swf_file does) and keeps the
+  // usable records.
+  std::ifstream file(path);
+  MCSIM_REQUIRE(file.good(), "cannot open trace file: " + path);
+  SwfStreamReader reader(file, path);
   auto trace = std::make_shared<CachedTrace>();
-  trace->scan = scan_swf_file(path);
   std::vector<TraceRecord> raw;
-  raw.reserve(trace->scan.summary.usable_records);
-  {
-    SwfFileStream stream(path);
-    TraceRecord record;
-    while (stream.next(record)) {
-      if (trace_record_usable(record)) raw.push_back(record);
-    }
+  TraceRecord record;
+  while (reader.next(record)) {
+    trace->scan.summary.add(record);
+    if (trace_record_usable(record)) raw.push_back(record);
   }
+  trace->scan.header = reader.header();
   trace->records = usable_trace_records(raw);
   trace->bytes = trace->records.capacity() * sizeof(TraceRecord) +
                  sizeof(CachedTrace);

@@ -2,11 +2,16 @@
 
 #include <charconv>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <fstream>
 #include <limits>
+#include <mutex>
 #include <string_view>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -113,6 +118,13 @@ Int field_integer(double value, std::size_t index, const char* name,
                     format_double_roundtrip(value));
   }
   return static_cast<Int>(value);
+}
+
+/// `path` opened for reading, or a `cannot open` error.
+std::ifstream open_log(const std::string& path) {
+  std::ifstream file(path);
+  MCSIM_REQUIRE(file.good(), "cannot open trace file: " + path);
+  return file;
 }
 }  // namespace
 
@@ -233,18 +245,119 @@ bool SwfStreamReader::next(TraceRecord& out) {
   return false;
 }
 
-SwfFileStream::SwfFileStream(const std::string& path)
-    : file_(path), reader_(file_, path) {
-  MCSIM_REQUIRE(file_.good(), "cannot open trace file: " + path);
-}
+class SwfFileStream::Prefetcher {
+ public:
+  explicit Prefetcher(const std::string& path) : file_(open_log(path)), reader_(file_, path) {
+    // The three batches swap places and never reallocate.
+    batch_.reserve(kBatchRecords);
+    slot_.reserve(kBatchRecords);
+    parser_ = std::thread(&Prefetcher::parse_ahead, this);
+  }
 
-bool SwfFileStream::next(TraceRecord& out) { return reader_.next(out); }
+  ~Prefetcher() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    slot_emptied_.notify_one();
+    parser_.join();
+  }
+
+  Prefetcher(const Prefetcher&) = delete;
+  Prefetcher& operator=(const Prefetcher&) = delete;
+
+  bool next(TraceRecord& out) {
+    while (cursor_ == batch_.size()) {
+      if (batch_is_last_) {
+        if (error_) std::rethrow_exception(error_);
+        return false;
+      }
+      take_batch();
+    }
+    out = batch_[cursor_++];
+    return true;
+  }
+
+ private:
+  /// Wait for the helper's next batch and swap it in for the spent one.
+  void take_batch() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    slot_filled_.wait(lock, [this] { return slot_full_; });
+    batch_.swap(slot_);
+    slot_full_ = false;
+    batch_is_last_ = slot_is_last_;
+    lock.unlock();
+    slot_emptied_.notify_one();
+    cursor_ = 0;
+  }
+
+  /// The helper thread's body: parse batches and hand them over until the
+  /// log ends, a line is malformed or the stream is destroyed.
+  void parse_ahead() {
+    std::vector<TraceRecord> batch;
+    batch.reserve(kBatchRecords);
+    for (;;) {
+      batch.clear();
+      std::exception_ptr error;
+      try {
+        TraceRecord record;
+        while (batch.size() < kBatchRecords && reader_.next(record)) batch.push_back(record);
+      } catch (...) {
+        // The records before the bad line still go out, in this batch.
+        error = std::current_exception();
+      }
+      // A short batch is the last: the log ended, or its next line was bad.
+      const bool last = batch.size() < kBatchRecords;
+      std::unique_lock<std::mutex> lock(mutex_);
+      slot_emptied_.wait(lock, [this] { return !slot_full_ || stopping_; });
+      if (stopping_) return;
+      slot_.swap(batch);
+      slot_full_ = true;
+      slot_is_last_ = last;
+      error_ = std::move(error);
+      lock.unlock();
+      slot_filled_.notify_one();
+      if (last) return;
+    }
+  }
+
+  std::ifstream file_;
+  SwfStreamReader reader_;  ///< used only by the helper thread
+
+  // Caller side: the batch being handed out.
+  std::vector<TraceRecord> batch_;
+  std::size_t cursor_ = 0;
+  bool batch_is_last_ = false;
+
+  // The handoff slot, guarded by mutex_.
+  std::mutex mutex_;
+  std::condition_variable slot_filled_;
+  std::condition_variable slot_emptied_;
+  std::vector<TraceRecord> slot_;
+  bool slot_full_ = false;
+  bool slot_is_last_ = false;
+  bool stopping_ = false;
+  /// Handed over with every batch; non-null only with the last one, when
+  /// the parse failed.
+  std::exception_ptr error_;
+
+  std::thread parser_;  ///< started last, after every member above exists
+};
+
+SwfFileStream::SwfFileStream(const std::string& path)
+    : prefetcher_(std::make_unique<Prefetcher>(path)) {}
+
+SwfFileStream::~SwfFileStream() = default;
+
+bool SwfFileStream::next(TraceRecord& out) { return prefetcher_->next(out); }
 
 SwfScan scan_swf_file(const std::string& path) {
-  SwfFileStream stream(path);
+  std::ifstream file = open_log(path);
+  SwfStreamReader reader(file, path);
   SwfScan scan;
-  scan.summary = summarize_trace_source(stream);
-  scan.header = stream.header();
+  TraceRecord record;
+  while (reader.next(record)) scan.summary.add(record);
+  scan.header = reader.header();
   return scan;
 }
 

@@ -27,8 +27,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <istream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,21 +106,37 @@ class SwfStreamReader {
   std::uint64_t records_read_ = 0;
 };
 
-/// File-backed TraceRecordSource: owns the ifstream and a SwfStreamReader
-/// over it. This is what TraceWorkload pulls from in streaming mode — one
-/// instance per engine, created through TraceWorkloadConfig::open_source.
+/// File-backed TraceRecordSource: what TraceWorkload pulls from in
+/// streaming mode, one instance per engine, created through
+/// TraceWorkloadConfig::open_source.
+///
+/// It parses ahead of the engine on one helper thread. The helper owns the
+/// SwfStreamReader and fills batches of kBatchRecords records; each batch
+/// passes to the caller's thread through a single slot guarded by a mutex,
+/// so at most three batches exist at once (one being filled, one in the slot,
+/// one being handed out). Records arrive in file order, exactly as the
+/// serial reader returns them. A parse error is held until every record
+/// before the bad line has been handed out, then next() rethrows it with
+/// the reader's own `file:line:` message; a caller that stops earlier never
+/// sees it. Destroying the stream stops and joins the helper.
 class SwfFileStream final : public TraceRecordSource {
  public:
+  /// Records per handoff: large enough that the lock is taken once per
+  /// ~1000 records, small enough that the parse runs at most ~3000
+  /// records ahead of the engine.
+  static constexpr std::size_t kBatchRecords = 1024;
+
+  /// Throws std::invalid_argument when `path` cannot be opened.
   explicit SwfFileStream(const std::string& path);
+  ~SwfFileStream() override;
 
   bool next(TraceRecord& out) override;
 
-  [[nodiscard]] const SwfHeaderInfo& header() const { return reader_.header(); }
-  [[nodiscard]] const SwfStreamReader& reader() const { return reader_; }
-
  private:
-  std::ifstream file_;
-  SwfStreamReader reader_;
+  /// The reader, the helper thread that drives it and the handoff slot
+  /// (defined in swf_stream.cpp, so includers see no threading headers).
+  class Prefetcher;
+  std::unique_ptr<Prefetcher> prefetcher_;
 };
 
 /// Everything one O(1)-memory pass over a log yields: the header
@@ -133,6 +149,9 @@ struct SwfScan {
   TraceStreamSummary summary;
 };
 
+/// One serial SwfStreamReader pass over the log at `path`. The scan stays
+/// on the calling thread: it does so little per record that a parse-ahead
+/// thread would only add handoff waits.
 [[nodiscard]] SwfScan scan_swf_file(const std::string& path);
 
 }  // namespace mcsim

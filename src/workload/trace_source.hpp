@@ -57,9 +57,14 @@ struct TraceStreamSummary {
   /// Sum over usable records of processors * run_time, in source order.
   double gross_work = 0.0;
   std::uint32_t max_processors = 0;  ///< over usable records
+
+  /// Fold the next record, in source order, into the summary: the one
+  /// fold behind the pre-scan, summarize_trace_source and the daemon's
+  /// cache load.
+  void add(const TraceRecord& record);
 };
 
-/// Drain `source` and accumulate the summary (the pre-scan pass).
+/// Drain `source` and accumulate the summary.
 [[nodiscard]] TraceStreamSummary summarize_trace_source(TraceRecordSource& source);
 
 }  // namespace mcsim

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -241,6 +243,33 @@ TEST(ServeTraceCache, ResolverMatchesTheFileBackedPath) {
     EXPECT_DOUBLE_EQ(warm_records[i].run_time, cold_records[i].run_time) << i;
   }
   EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(ServeTraceCache, CachedScanEqualsTheFileScanOnEveryArchiveSample) {
+  std::vector<std::string> logs;
+  for (const auto& entry :
+       fs::directory_iterator(std::string(MCSIM_DATA_DIR) + "/archive_samples")) {
+    if (entry.path().extension() == ".swf") logs.push_back(entry.path().string());
+  }
+  std::sort(logs.begin(), logs.end());
+  ASSERT_GE(logs.size(), 4u);
+  TraceCache cache(1ull << 30);
+  for (const std::string& log : logs) {
+    const SwfScan cached = cache.get(log)->scan;
+    const SwfScan scanned = scan_swf_file(log);
+    EXPECT_EQ(cached.header.comments, scanned.header.comments) << log;
+    EXPECT_EQ(cached.header.declared_processors(), scanned.header.declared_processors())
+        << log;
+    EXPECT_EQ(cached.summary.total_records, scanned.summary.total_records) << log;
+    EXPECT_EQ(cached.summary.usable_records, scanned.summary.usable_records) << log;
+    EXPECT_TRUE(same_bits(cached.summary.first_submit, scanned.summary.first_submit)) << log;
+    EXPECT_TRUE(same_bits(cached.summary.last_submit, scanned.summary.last_submit)) << log;
+    EXPECT_TRUE(same_bits(cached.summary.gross_work, scanned.summary.gross_work)) << log;
+    EXPECT_EQ(cached.summary.max_processors, scanned.summary.max_processors) << log;
+  }
+  EXPECT_EQ(cache.stats().misses, logs.size());
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // SwfStreamReader: the incremental parser behind read_swf and the
 // streaming replay path — header-directive dialect, per-record delivery,
 // the `file:line:` diagnostics contract, number parsing bit-identical to
-// std::strtod, integer range checks, and block-buffer boundaries.
+// std::strtod, integer range checks, and block-buffer boundaries. Then
+// SwfFileStream, which runs that parser ahead on a helper thread: the same
+// records and the same errors as the serial reader, at every batch edge.
 #include "trace/swf_stream.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -381,6 +385,167 @@ TEST(SwfStream, MalformedRecordAfterRefillsNamesTheRightLine) {
 
 TEST(SwfStream, FileStreamRejectsMissingFile) {
   EXPECT_THROW(SwfFileStream("/nonexistent/missing.swf"), std::invalid_argument);
+}
+
+// -- the parse-ahead file stream ----------------------------------------------
+
+constexpr std::size_t kBatch = SwfFileStream::kBatchRecords;
+
+/// Write `text` to `name` under gtest's TempDir; returns the path.
+std::string write_log(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  return path;
+}
+
+/// A header, then `count` records with non-integer times and a comment line
+/// every 500 records (comments and blanks consume line numbers, not records).
+std::string generated_log(std::size_t count) {
+  std::string text = "; MaxProcs: 128\n; generated\n\n";
+  for (std::size_t i = 1; i <= count; ++i) {
+    text += record_line(i, 0.1 * static_cast<double>(i), 3.7 + static_cast<double>(i % 13),
+                        static_cast<std::uint32_t>(1 + i % 64));
+    if (i % 500 == 0) text += "; checkpoint " + std::to_string(i) + "\n";
+  }
+  return text;
+}
+
+/// Every record a source yields, then the message it threw ("" if none).
+struct Drained {
+  std::vector<TraceRecord> records;
+  std::string error;
+};
+
+Drained drain_serial(const std::string& path) {
+  std::ifstream in(path);
+  SwfStreamReader reader(in, path);
+  Drained drained;
+  TraceRecord rec;
+  try {
+    while (reader.next(rec)) drained.records.push_back(rec);
+  } catch (const std::invalid_argument& error) {
+    drained.error = error.what();
+  }
+  return drained;
+}
+
+Drained drain_stream(const std::string& path) {
+  SwfFileStream stream(path);
+  Drained drained;
+  TraceRecord rec;
+  try {
+    while (stream.next(rec)) drained.records.push_back(rec);
+  } catch (const std::invalid_argument& error) {
+    drained.error = error.what();
+  }
+  return drained;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// The parse-ahead stream yields exactly what the serial reader does:
+/// every record bit for bit, then the same error message (or none).
+void expect_stream_matches_serial(const std::string& path) {
+  const Drained serial = drain_serial(path);
+  const Drained streamed = drain_stream(path);
+  ASSERT_EQ(streamed.records.size(), serial.records.size()) << path;
+  for (std::size_t i = 0; i < serial.records.size(); ++i) {
+    const TraceRecord& a = serial.records[i];
+    const TraceRecord& b = streamed.records[i];
+    ASSERT_TRUE(a.job_id == b.job_id && same_bits(a.submit_time, b.submit_time) &&
+                same_bits(a.wait_time, b.wait_time) && same_bits(a.run_time, b.run_time) &&
+                a.processors == b.processors && a.user_id == b.user_id &&
+                a.killed_by_limit == b.killed_by_limit)
+        << path << ": record " << i << " differs";
+  }
+  EXPECT_EQ(streamed.error, serial.error) << path;
+}
+
+TEST(SwfFileStream, MatchesTheSerialReaderOnEveryArchiveSample) {
+  std::vector<std::string> logs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(MCSIM_DATA_DIR) + "/archive_samples")) {
+    if (entry.path().extension() == ".swf") logs.push_back(entry.path().string());
+  }
+  std::sort(logs.begin(), logs.end());
+  ASSERT_GE(logs.size(), 4u);
+  for (const std::string& log : logs) {
+    expect_stream_matches_serial(log);
+    EXPECT_TRUE(drain_stream(log).error.empty()) << log;
+  }
+}
+
+TEST(SwfFileStream, MatchesTheSerialReaderAtEveryBatchEdge) {
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, kBatch - 1, kBatch, kBatch + 1, 3 * kBatch + 7}) {
+    const std::string path = write_log("mcsim_prefetch_" + std::to_string(count) + ".swf",
+                                       generated_log(count));
+    expect_stream_matches_serial(path);
+    EXPECT_EQ(drain_stream(path).records.size(), count);
+  }
+}
+
+TEST(SwfFileStream, StaysExhaustedAfterTheLastRecord) {
+  const std::string path = write_log("mcsim_prefetch_exhausted.swf", generated_log(kBatch));
+  SwfFileStream stream(path);
+  TraceRecord rec;
+  std::size_t count = 0;
+  while (stream.next(rec)) ++count;
+  EXPECT_EQ(count, kBatch);
+  EXPECT_FALSE(stream.next(rec));
+}
+
+TEST(SwfFileStream, MalformedLineYieldsEveryEarlierRecordThenTheSerialError) {
+  const std::string bad = "9999 123.0";  // no processor count
+  struct Case {
+    std::string name;
+    std::size_t good_before;  ///< records ahead of the bad line
+    bool trailing_newline;
+  };
+  const std::vector<Case> cases = {
+      {"first_record", 0, true},
+      {"last_of_a_batch", kBatch - 1, true},
+      {"first_of_a_batch", kBatch, true},
+      {"first_of_the_third_batch", 2 * kBatch, true},
+      {"last_line_without_newline", kBatch + 5, false},
+  };
+  for (const Case& c : cases) {
+    std::string text = generated_log(c.good_before) + bad;
+    if (c.trailing_newline) text += "\n" + generated_log(kBatch);
+    const std::string path = write_log("mcsim_prefetch_bad_" + c.name + ".swf", text);
+    expect_stream_matches_serial(path);
+    const Drained streamed = drain_stream(path);
+    EXPECT_EQ(streamed.records.size(), c.good_before) << c.name;
+    EXPECT_NE(streamed.error.find(path + ":"), std::string::npos) << streamed.error;
+    EXPECT_NE(streamed.error.find("no processor count"), std::string::npos) << streamed.error;
+  }
+}
+
+TEST(SwfFileStream, MalformedHeaderDirectiveThrowsFromTheFirstNext) {
+  const std::string path =
+      write_log("mcsim_prefetch_bad_header.swf", "; MaxProcs: lots\n" + generated_log(10));
+  expect_stream_matches_serial(path);
+  EXPECT_NE(drain_stream(path).error.find(path + ":1:"), std::string::npos);
+}
+
+TEST(SwfFileStream, StoppingEarlyNeverSeesALaterErrorAndJoinsTheParser) {
+  std::string text = generated_log(12 * kBatch);
+  text += "9999 123.0\n";
+  const std::string path = write_log("mcsim_prefetch_stop_early.swf", text);
+  {
+    SwfFileStream untouched(path);  // destroyed before its first next()
+  }
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    SwfFileStream stream(path);
+    TraceRecord rec;
+    ASSERT_TRUE(stream.next(rec));
+    EXPECT_EQ(rec.job_id, 1u);
+  }  // each destructor returns without throwing: the bad line is never reached
+  SwfFileStream stream(path);
+  TraceRecord rec;
+  for (std::size_t i = 0; i < 5 * kBatch + 3; ++i) ASSERT_TRUE(stream.next(rec));
+  EXPECT_EQ(rec.job_id, 5 * kBatch + 3);
 }
 
 }  // namespace

@@ -188,5 +188,64 @@ TEST(Describe, MentionsTheFamily) {
   EXPECT_NE(WeibullDistribution(1.0, 1.0).describe().find("Weibull"), std::string::npos);
 }
 
+TEST(ErlangDistribution, LowVariability) {
+  ErlangDistribution d(4, 25.0);
+  EXPECT_DOUBLE_EQ(d.mean(), 100.0);
+  EXPECT_DOUBLE_EQ(d.cv(), 0.5);  // 1/sqrt(4)
+  Rng rng(1);
+  double sum = 0.0;
+  constexpr int kN = 200000;
+  for (int i = 0; i < kN; ++i) sum += d.sample(rng);
+  EXPECT_NEAR(sum / kN, 100.0, 1.0);
+}
+
+TEST(ErlangDistribution, OnePhaseIsExponential) {
+  ErlangDistribution erlang(1, 10.0);
+  EXPECT_NEAR(erlang.cv(), 1.0, 1e-12);
+}
+
+TEST(GammaDistribution, MomentsMatch) {
+  GammaDistribution d(2.5, 4.0);
+  EXPECT_DOUBLE_EQ(d.mean(), 10.0);
+  EXPECT_DOUBLE_EQ(d.variance(), 40.0);
+  Rng rng(2);
+  double sum = 0.0, sumsq = 0.0;
+  constexpr int kN = 300000;
+  for (int i = 0; i < kN; ++i) {
+    const double x = d.sample(rng);
+    EXPECT_GT(x, 0.0);
+    sum += x;
+    sumsq += x * x;
+  }
+  const double mean = sum / kN;
+  EXPECT_NEAR(mean, 10.0, 0.1);
+  EXPECT_NEAR(sumsq / kN - mean * mean, 40.0, 1.5);
+}
+
+TEST(GammaDistribution, ShapeBelowOne) {
+  GammaDistribution d(0.5, 2.0);
+  Rng rng(3);
+  double sum = 0.0;
+  constexpr int kN = 300000;
+  for (int i = 0; i < kN; ++i) sum += d.sample(rng);
+  EXPECT_NEAR(sum / kN, 1.0, 0.03);
+}
+
+TEST(ShiftedDistribution, AddsConstant) {
+  auto inner = std::make_shared<ExponentialDistribution>(5.0);
+  ShiftedDistribution d(inner, 10.0);
+  EXPECT_DOUBLE_EQ(d.mean(), 15.0);
+  EXPECT_DOUBLE_EQ(d.variance(), 25.0);
+  Rng rng(4);
+  for (int i = 0; i < 1000; ++i) EXPECT_GE(d.sample(rng), 10.0);
+}
+
+TEST(NewDistributions, InvalidParametersThrow) {
+  EXPECT_THROW(ErlangDistribution(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(ErlangDistribution(2, 0.0), std::invalid_argument);
+  EXPECT_THROW(GammaDistribution(0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(ShiftedDistribution(nullptr, 1.0), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mcsim
