@@ -417,29 +417,27 @@ struct Drained {
   std::string error;
 };
 
-Drained drain_serial(const std::string& path) {
-  std::ifstream in(path);
-  SwfStreamReader reader(in, path);
+template <typename Source>
+Drained drain(Source& source) {
   Drained drained;
   TraceRecord rec;
   try {
-    while (reader.next(rec)) drained.records.push_back(rec);
+    while (source.next(rec)) drained.records.push_back(rec);
   } catch (const std::invalid_argument& error) {
     drained.error = error.what();
   }
   return drained;
 }
 
+Drained drain_serial(const std::string& path) {
+  std::ifstream in(path);
+  SwfStreamReader reader(in, path);
+  return drain(reader);
+}
+
 Drained drain_stream(const std::string& path) {
   SwfFileStream stream(path);
-  Drained drained;
-  TraceRecord rec;
-  try {
-    while (stream.next(rec)) drained.records.push_back(rec);
-  } catch (const std::invalid_argument& error) {
-    drained.error = error.what();
-  }
-  return drained;
+  return drain(stream);
 }
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
