@@ -20,13 +20,12 @@ int main(int argc, char** argv) {
   if (!options) return 0;
 
   auto run_point = [&](PolicyKind policy, BackfillMode mode, bool das64, double rho) {
-    PaperScenario scenario;
-    scenario.policy = policy;
-    scenario.component_limit = 16;
-    scenario.limit_total_size_64 = das64;
-    auto config = make_paper_config(scenario, rho, options->sim_jobs, options->seed);
-    config.pipeline.backfill = mode;
-    return run_simulation(config);
+    exp::ScenarioSpec spec = bench::point_spec(*options);
+    spec.policy = policy;
+    spec.component_limit = 16;
+    spec.size_model = das64 ? "das-s-64" : "das-s-128";
+    spec.backfill = mode;
+    return run_simulation(exp::to_simulation_config(spec, rho));
   };
 
   for (PolicyKind policy : {PolicyKind::kSC, PolicyKind::kGS}) {
@@ -34,7 +33,7 @@ int main(int argc, char** argv) {
               << " (DAS-s-128, limit 16) ==\n\n";
     TextTable table({"gross util", "FCFS (s)", "aggressive (s)", "EASY (s)",
                      "FCFS+DAS-s-64 (s)"});
-    for (double rho : SweepConfig::grid(0.40, 0.85, 0.05)) {
+    for (double rho : make_sweep_grid(0.40, 0.85, 0.05)) {
       std::vector<std::string> row{format_util(rho)};
       for (int variant = 0; variant < 4; ++variant) {
         const BackfillMode mode = variant == 1   ? BackfillMode::kAggressive

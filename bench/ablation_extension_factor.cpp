@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
   const double factors[] = {1.0, 1.1, 1.25, 1.4, 1.6, 2.0};
 
   // SC is unaffected by the factor: one reference sweep.
-  PaperScenario sc;
+  exp::ScenarioSpec sc = bench::sweep_spec(*options);
   sc.policy = PolicyKind::kSC;
-  const auto sc_series = run_sweep(sc, bench::sweep_config(*options));
+  const auto sc_series = run_sweep(sc);
   const double sc_max_net = sc_series.max_stable_utilization();  // gross == net for SC
 
   std::cout << "== Ablation: service-time extension factor (limit 16, balanced) ==\n"
@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
   TextTable table({"extension factor", "LS max gross util", "LS max net util",
                    "net vs SC", "verdict"});
   for (double factor : factors) {
-    PaperScenario ls;
+    exp::ScenarioSpec ls = bench::sweep_spec(*options);
     ls.policy = PolicyKind::kLS;
     ls.component_limit = 16;
     ls.extension_factor = factor;
-    const auto series = run_sweep(ls, bench::sweep_config(*options));
+    const auto series = run_sweep(ls);
     const double max_gross = series.max_stable_utilization();
     const double ratio = gross_net_ratio(das_s_128(), 16, 4, factor);
     const double max_net = max_gross / ratio;

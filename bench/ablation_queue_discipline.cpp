@@ -18,17 +18,16 @@ int main(int argc, char** argv) {
   if (!options) return 0;
 
   auto run_point = [&](QueueDiscipline discipline, double rho) {
-    PaperScenario scenario;
-    scenario.policy = PolicyKind::kSC;
-    auto config = make_paper_config(scenario, rho, options->sim_jobs, options->seed);
-    config.pipeline.discipline = discipline;
-    return run_simulation(config);
+    exp::ScenarioSpec spec = bench::point_spec(*options);
+    spec.policy = PolicyKind::kSC;
+    spec.discipline = discipline;
+    return run_simulation(exp::to_simulation_config(spec, rho));
   };
 
   std::cout << "== Ablation: queue discipline under SC (DAS-s-128) ==\n\n";
   TextTable table({"gross util", "FCFS (s)", "SJF (s)", "smallest-first (s)",
                    "largest-first (s)"});
-  for (double rho : SweepConfig::grid(0.40, 0.80, 0.05)) {
+  for (double rho : make_sweep_grid(0.40, 0.80, 0.05)) {
     std::vector<std::string> row{format_util(rho)};
     for (QueueDiscipline discipline :
          {QueueDiscipline::kFcfs, QueueDiscipline::kShortestJobFirst,

@@ -19,24 +19,14 @@ int main(int argc, char** argv) {
   if (!options) return 0;
 
   auto run_point = [&](RequestType type, double rho) {
-    SimulationConfig config;
-    config.policy = PolicyKind::kGS;
-    config.cluster_sizes = {32, 32, 32, 32};
-    config.workload.size_distribution = das_s_128();
-    config.workload.service_distribution = das_t_900();
-    config.workload.component_limit = 16;
-    config.workload.num_clusters = 4;
-    config.workload.extension_factor = das::kExtensionFactor;
-    config.workload.request_type = type;
-    config.workload.arrival_rate = config.workload.rate_for_gross_utilization(rho, 128);
-    config.total_jobs = options->sim_jobs;
-    config.seed = options->seed;
-    return run_simulation(config);
+    exp::ScenarioSpec spec = bench::point_spec(*options);
+    spec.request_type = type;
+    return run_simulation(exp::to_simulation_config(spec, rho));
   };
 
   std::cout << "== Ablation: request structure (GS, limit 16, DAS-s-128) ==\n\n";
   TextTable table({"gross util", "ordered (s)", "unordered (s)", "flexible (s)"});
-  for (double rho : SweepConfig::grid(0.30, 0.75, 0.05)) {
+  for (double rho : make_sweep_grid(0.30, 0.75, 0.05)) {
     std::vector<std::string> row{format_util(rho)};
     for (RequestType type :
          {RequestType::kOrdered, RequestType::kUnordered, RequestType::kFlexible}) {

@@ -21,7 +21,7 @@
 #include "exp/gnuplot.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
-#include "exp/scenario.hpp"
+#include "exp/scenario_spec.hpp"
 #include "exp/sweep.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
@@ -71,15 +71,25 @@ inline std::optional<BenchOptions> parse_bench_options(
 }
 
 /// The default utilization grid for the response-time figures.
-inline std::vector<double> figure_grid() { return SweepConfig::grid(0.30, 0.80, 0.05); }
+inline std::vector<double> figure_grid() { return make_sweep_grid(0.30, 0.80, 0.05); }
 
-inline SweepConfig sweep_config(const BenchOptions& options) {
-  SweepConfig config;
-  config.target_utilizations = figure_grid();
-  config.jobs_per_point = options.sim_jobs;
-  config.seed = options.seed;
-  config.parallelism = options.jobs;
-  return config;
+/// A paper scenario (GS, limit 16, balanced, DAS-s-128) run with the
+/// harness's job count and seed; callers set the scenario fields and build
+/// each point with exp::to_simulation_config(spec, utilization).
+inline exp::ScenarioSpec point_spec(const BenchOptions& options) {
+  exp::ScenarioSpec spec;
+  spec.sim_jobs = options.sim_jobs;
+  spec.seed = options.seed;
+  return spec;
+}
+
+/// point_spec swept over figure_grid() on the harness's worker threads.
+inline exp::ScenarioSpec sweep_spec(const BenchOptions& options) {
+  exp::ScenarioSpec spec = point_spec(options);
+  spec.mode = exp::RunMode::kSweep;
+  spec.utilization_grid = figure_grid();
+  spec.parallelism = options.jobs;
+  return spec;
 }
 
 /// Print a panel and (if requested) append it to the CSV file.

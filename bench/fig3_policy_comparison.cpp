@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   const auto options = bench::parse_bench_options(
       argc, argv, "Fig. 3: response time vs utilization, all policies x limits");
   if (!options) return 0;
-  const auto sweep = bench::sweep_config(*options);
   bench::PanelSink sink(*options);
 
   std::cout << "== Fig. 3: policy comparison (DAS-s-128, extension factor 1.25) ==\n\n";
@@ -28,14 +27,14 @@ int main(int argc, char** argv) {
       std::vector<SweepSeries> series;
       for (PolicyKind policy :
            {PolicyKind::kLS, PolicyKind::kSC, PolicyKind::kGS, PolicyKind::kLP}) {
-        PaperScenario scenario;
-        scenario.policy = policy;
-        scenario.component_limit = limit;
+        exp::ScenarioSpec spec = bench::sweep_spec(*options);
+        spec.policy = policy;
+        spec.component_limit = limit;
         // SC and GS have no local queues; the balance setting only affects
         // LS and LP (the paper reuses the SC/GS curves as references).
-        scenario.balanced_queues =
+        spec.balanced_queues =
             balanced || policy == PolicyKind::kSC || policy == PolicyKind::kGS;
-        series.push_back(run_sweep(scenario, sweep));
+        series.push_back(run_sweep(spec));
       }
       sink.emit("Fig. 3 panel: limit " + std::to_string(limit) + ", " +
                     (balanced ? "balanced" : "unbalanced") + " local queues",

@@ -27,15 +27,15 @@ int main(int argc, char** argv) {
   for (bool balanced : {true, false}) {
     for (std::uint32_t limit : das::kComponentLimits) {
       // Locate LP's saturation.
-      PaperScenario lp;
+      exp::ScenarioSpec lp = bench::point_spec(*options);
       lp.policy = PolicyKind::kLP;
       lp.component_limit = limit;
       lp.balanced_queues = balanced;
-      SweepConfig coarse;
-      coarse.target_utilizations = SweepConfig::grid(0.30, 0.80, 0.05);
-      coarse.jobs_per_point = options->sim_jobs / 2 + 1000;
-      coarse.seed = options->seed;
-      const double lp_max = run_sweep(lp, coarse).max_stable_utilization();
+      exp::ScenarioSpec coarse = lp;
+      coarse.mode = exp::RunMode::kSweep;
+      coarse.utilization_grid = bench::figure_grid();
+      coarse.sim_jobs = options->sim_jobs / 2 + 1000;
+      const double lp_max = run_sweep(coarse).max_stable_utilization();
       const double rho = lp_max > 0.0 ? lp_max : 0.30;
 
       std::cout << "-- limit " << limit << ", " << (balanced ? "balanced" : "unbalanced")
@@ -46,12 +46,11 @@ int main(int argc, char** argv) {
                        "gross util", "net util"});
       for (PolicyKind policy :
            {PolicyKind::kGS, PolicyKind::kLS, PolicyKind::kLP, PolicyKind::kSC}) {
-        PaperScenario scenario = lp;
-        scenario.policy = policy;
-        scenario.balanced_queues =
+        exp::ScenarioSpec spec = lp;
+        spec.policy = policy;
+        spec.balanced_queues =
             balanced || policy == PolicyKind::kSC || policy == PolicyKind::kGS;
-        const auto result =
-            run_simulation(make_paper_config(scenario, rho, options->sim_jobs, options->seed));
+        const auto result = run_simulation(exp::to_simulation_config(spec, rho));
         auto cell = [&](const RunningStats& stats) {
           return stats.count() ? format_double(stats.mean(), 0) : std::string("-");
         };

@@ -14,7 +14,6 @@ int main(int argc, char** argv) {
   const auto options = bench::parse_bench_options(
       argc, argv, "Fig. 5: effect of limiting the total job size to 64");
   if (!options) return 0;
-  const auto sweep = bench::sweep_config(*options);
   bench::PanelSink sink(*options);
 
   std::cout << "== Fig. 5: DAS-s-64 vs DAS-s-128 (limit 16, balanced) ==\n\n";
@@ -22,11 +21,11 @@ int main(int argc, char** argv) {
   for (bool das64 : {true, false}) {
     for (PolicyKind policy :
          {PolicyKind::kSC, PolicyKind::kLS, PolicyKind::kLP, PolicyKind::kGS}) {
-      PaperScenario scenario;
-      scenario.policy = policy;
-      scenario.component_limit = 16;
-      scenario.limit_total_size_64 = das64;
-      series.push_back(run_sweep(scenario, sweep));
+      exp::ScenarioSpec spec = bench::sweep_spec(*options);
+      spec.policy = policy;
+      spec.component_limit = 16;
+      spec.size_model = das64 ? "das-s-64" : "das-s-128";
+      series.push_back(run_sweep(spec));
     }
   }
   sink.emit("Fig. 5: total job size capped at 64 vs full DAS-s-128", series);

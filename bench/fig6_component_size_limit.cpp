@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   const auto options = bench::parse_bench_options(
       argc, argv, "Fig. 6: effect of the job-component-size limit per policy");
   if (!options) return 0;
-  const auto sweep = bench::sweep_config(*options);
   bench::PanelSink sink(*options);
 
   std::cout << "== Fig. 6: component-size limit {16, 24, 32} per policy ==\n\n";
@@ -30,11 +29,11 @@ int main(int argc, char** argv) {
   for (const auto& panel : panels) {
     std::vector<SweepSeries> series;
     for (std::uint32_t limit : das::kComponentLimits) {
-      PaperScenario scenario;
-      scenario.policy = panel.policy;
-      scenario.component_limit = limit;
-      scenario.balanced_queues = panel.balanced;
-      series.push_back(run_sweep(scenario, sweep));
+      exp::ScenarioSpec spec = bench::sweep_spec(*options);
+      spec.policy = panel.policy;
+      spec.component_limit = limit;
+      spec.balanced_queues = panel.balanced;
+      series.push_back(run_sweep(spec));
     }
     sink.emit(std::string("Fig. 6 panel: ") + policy_name(panel.policy) +
                   (panel.balanced ? " (balanced)" : " (unbalanced)"),

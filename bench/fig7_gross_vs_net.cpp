@@ -20,16 +20,15 @@ int main(int argc, char** argv) {
   const auto options = bench::parse_bench_options(
       argc, argv, "Fig. 7: response time vs gross and net utilization");
   if (!options) return 0;
-  const auto sweep = bench::sweep_config(*options);
   bench::PanelSink sink(*options);
 
   std::cout << "== Fig. 7: gross vs net utilization (balanced local queues) ==\n\n";
   for (PolicyKind policy : {PolicyKind::kLS, PolicyKind::kLP, PolicyKind::kGS}) {
     for (std::uint32_t limit : das::kComponentLimits) {
-      PaperScenario scenario;
-      scenario.policy = policy;
-      scenario.component_limit = limit;
-      const auto series = run_sweep(scenario, sweep);
+      exp::ScenarioSpec spec = bench::sweep_spec(*options);
+      spec.policy = policy;
+      spec.component_limit = limit;
+      const auto series = run_sweep(spec);
       const double ratio = gross_net_ratio(das_s_128(), limit, 4, 1.25);
 
       std::cout << "-- " << policy_name(policy) << " limit " << limit

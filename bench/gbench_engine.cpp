@@ -13,7 +13,7 @@
 
 #include "cluster/placement.hpp"
 #include "core/engine.hpp"
-#include "exp/scenario.hpp"
+#include "exp/scenario_spec.hpp"
 #include "obs/ring_recorder.hpp"
 #include "obs/swf_builder.hpp"
 #include "policy/scheduler_factory.hpp"
@@ -243,16 +243,23 @@ void BM_SwfParse(benchmark::State& state) {
 }
 BENCHMARK(BM_SwfParse)->Unit(benchmark::kMillisecond);
 
+// One 5000-job paper point (limit 16, balanced, DAS-s-128).
+SimulationConfig paper_point(PolicyKind policy, double utilization, std::uint64_t seed,
+                             PlacementRule placement = PlacementRule::kWorstFit) {
+  exp::ScenarioSpec spec;
+  spec.policy = policy;
+  spec.placement = placement;
+  spec.sim_jobs = 5000;
+  spec.seed = seed;
+  return exp::to_simulation_config(spec, utilization);
+}
+
 void BM_EndToEndSimulation(benchmark::State& state) {
   const auto policy = static_cast<PolicyKind>(state.range(0));
   std::uint64_t jobs = 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    PaperScenario scenario;
-    scenario.policy = policy;
-    scenario.component_limit = 16;
-    auto config = make_paper_config(scenario, 0.5, 5000, seed++);
-    const auto result = run_simulation(config);
+    const auto result = run_simulation(paper_point(policy, 0.5, seed++));
     benchmark::DoNotOptimize(result.mean_response());
     jobs += result.completed_jobs;
   }
@@ -277,11 +284,7 @@ void BM_EngineHot(benchmark::State& state) {
   std::uint64_t jobs = 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    PaperScenario scenario;
-    scenario.policy = policy;
-    scenario.component_limit = 16;
-    auto config = make_paper_config(scenario, 0.5, 5000, seed++);
-    const auto result = run_simulation(config);
+    const auto result = run_simulation(paper_point(policy, 0.5, seed++));
     benchmark::DoNotOptimize(result.mean_response());
     jobs += result.completed_jobs;
   }
@@ -300,11 +303,7 @@ void BM_EngineTraced(benchmark::State& state) {
   std::uint64_t jobs = 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    PaperScenario scenario;
-    scenario.policy = policy;
-    scenario.component_limit = 16;
-    auto config = make_paper_config(scenario, 0.5, 5000, seed++);
-    MulticlusterSimulation simulation(config);
+    MulticlusterSimulation simulation(paper_point(policy, 0.5, seed++));
     obs::RingRecorder recorder;
     obs::SwfTraceBuilder builder;
     obs::MetricsRegistry metrics;
@@ -332,12 +331,7 @@ void BM_PlacementRuleAblation(benchmark::State& state) {
   double response = 0.0;
   std::uint64_t jobs = 0;
   for (auto _ : state) {
-    PaperScenario scenario;
-    scenario.policy = PolicyKind::kLS;
-    scenario.component_limit = 16;
-    scenario.placement = rule;
-    auto config = make_paper_config(scenario, 0.55, 5000, 77);
-    const auto result = run_simulation(config);
+    const auto result = run_simulation(paper_point(PolicyKind::kLS, 0.55, 77, rule));
     response = result.mean_response();
     jobs += result.completed_jobs;
   }

@@ -29,11 +29,15 @@ int main(int argc, char** argv) {
                    format_util(result.carried_net_utilization),
                    format_util(result.busy_fraction / result.carried_net_utilization)});
   };
-  const auto saturation_config = [&](PolicyKind policy, std::uint32_t limit) {
-    PaperScenario scenario;
-    scenario.policy = policy;
-    scenario.component_limit = limit;
-    return make_saturation_config(scenario, completions, options->seed);
+  const auto saturation_config = [&](PolicyKind policy, std::uint32_t limit,
+                                     BackfillMode backfill = BackfillMode::kNone) {
+    exp::ScenarioSpec spec = bench::point_spec(*options);
+    spec.mode = exp::RunMode::kSaturation;
+    spec.saturation_completions = completions;
+    spec.policy = policy;
+    spec.component_limit = limit;
+    spec.backfill = backfill;
+    return exp::to_simulation_config(spec);
   };
 
   for (std::uint32_t limit : das::kComponentLimits) {
@@ -49,8 +53,7 @@ int main(int argc, char** argv) {
   // Backfilling raises the ceiling itself, not just the response times below
   // it: the constant backlog runs any pipeline composition.
   for (BackfillMode backfill : {BackfillMode::kEasy, BackfillMode::kConservative}) {
-    SimulationConfig config = saturation_config(PolicyKind::kGS, 16);
-    config.pipeline.backfill = backfill;
+    const SimulationConfig config = saturation_config(PolicyKind::kGS, 16, backfill);
     add_row(scheduler_display_name(PolicyKind::kGS, config.pipeline) + " (ext.)", "16",
             config);
   }

@@ -5,7 +5,7 @@
 //   $ ./examples/policy_comparison --unbalanced     # hot local queue (40/20/20/20)
 #include <iostream>
 
-#include "exp/scenario.hpp"
+#include "exp/scenario_spec.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -21,25 +21,26 @@ int main(int argc, char** argv) {
   parser.add_flag("das64", "cap total job sizes at 64 (DAS-s-64)");
   if (!parser.parse(argc, argv)) return 0;
 
-  PaperScenario scenario;
-  scenario.component_limit = static_cast<std::uint32_t>(parser.get_uint("limit"));
-  scenario.balanced_queues = !parser.get_flag("unbalanced");
-  scenario.limit_total_size_64 = parser.get_flag("das64");
+  exp::ScenarioSpec spec;
+  spec.component_limit = static_cast<std::uint32_t>(parser.get_uint("limit"));
+  spec.balanced_queues = !parser.get_flag("unbalanced");
+  const bool das64 = parser.get_flag("das64");
+  spec.size_model = das64 ? "das-s-64" : "das-s-128";
+  spec.sim_jobs = parser.get_uint("sim-jobs");
+  spec.seed = parser.get_uint("seed");
   const double rho = parser.get_double("utilization");
-  const std::uint64_t jobs = parser.get_uint("sim-jobs");
-  const std::uint64_t seed = parser.get_uint("seed");
 
-  std::cout << "workload: " << (scenario.limit_total_size_64 ? "DAS-s-64" : "DAS-s-128")
-            << ", limit " << scenario.component_limit << ", "
-            << (scenario.balanced_queues ? "balanced" : "unbalanced")
+  std::cout << "workload: " << (das64 ? "DAS-s-64" : "DAS-s-128")
+            << ", limit " << spec.component_limit << ", "
+            << (spec.balanced_queues ? "balanced" : "unbalanced")
             << " local queues, target gross utilization " << format_util(rho) << "\n\n";
 
   TextTable table({"policy", "mean response (s)", "ci95", "p95 (s)", "mean wait (s)",
                    "busy fraction", "status"});
   for (PolicyKind policy :
        {PolicyKind::kGS, PolicyKind::kLS, PolicyKind::kLP, PolicyKind::kSC}) {
-    scenario.policy = policy;
-    const auto result = run_simulation(make_paper_config(scenario, rho, jobs, seed));
+    spec.policy = policy;
+    const auto result = run_simulation(exp::to_simulation_config(spec, rho));
     table.add_row({result.policy,
                    result.unstable ? "-" : format_double(result.mean_response(), 1),
                    result.unstable ? "-" : format_double(result.response_ci.halfwidth, 1),

@@ -18,7 +18,7 @@ GnuplotFiles write_gnuplot_panel(const std::string& directory, const std::string
   std::ofstream data(files.data_path);
   MCSIM_REQUIRE(data.good(), "cannot write " + files.data_path);
   for (const auto& s : series) {
-    data << "# " << s.scenario.label() << "\n";
+    data << "# " << s.label << "\n";
     for (const auto& point : s.points) {
       if (point.result.unstable) continue;
       data << format_util(point.target_gross_utilization) << ' '
@@ -43,7 +43,7 @@ GnuplotFiles write_gnuplot_panel(const std::string& directory, const std::string
   for (std::size_t i = 0; i < series.size(); ++i) {
     if (i) script << ", \\\n     ";
     script << "'" << basename << ".dat' index " << i
-           << " using 1:2:3 with yerrorlines title '" << series[i].scenario.label() << "'";
+           << " using 1:2:3 with yerrorlines title '" << series[i].label << "'";
   }
   script << '\n';
   return files;

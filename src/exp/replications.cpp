@@ -7,21 +7,6 @@
 
 namespace mcsim {
 
-ReplicationResult run_replications(const PaperScenario& scenario,
-                                   double target_gross_utilization,
-                                   std::uint64_t jobs_per_replication,
-                                   std::uint32_t replications, std::uint64_t base_seed,
-                                   unsigned parallelism) {
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from_paper(scenario);
-  spec.mode = exp::RunMode::kReplications;
-  spec.utilization = target_gross_utilization;
-  spec.sim_jobs = jobs_per_replication;
-  spec.replications = replications;
-  spec.seed = base_seed;
-  spec.parallelism = parallelism;
-  return run_replications(spec);
-}
-
 ReplicationResult run_replications(const exp::ScenarioSpec& spec) {
   MCSIM_REQUIRE(spec.replications > 0, "need at least one replication");
   exp::Runner runner(spec.parallelism);

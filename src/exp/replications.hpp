@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "exp/scenario.hpp"
 #include "stats/confidence.hpp"
 
 namespace mcsim {
@@ -32,23 +31,14 @@ struct ReplicationResult {
   }
 };
 
-/// Run `replications` independent runs (seeds base_seed, base_seed+1, ...),
-/// fanned out over `parallelism` worker threads (1 = serial, 0 = all
-/// hardware threads). Results are bit-identical for every parallelism level:
-/// each replication is fully determined by its seed and the per-replication
-/// statistics are always folded together in replication order.
-ReplicationResult run_replications(const PaperScenario& scenario,
-                                   double target_gross_utilization,
-                                   std::uint64_t jobs_per_replication,
-                                   std::uint32_t replications,
-                                   std::uint64_t base_seed = 1,
-                                   unsigned parallelism = 1);
-
 /// Replication set described entirely by a spec (mode kReplications):
 /// utilization, jobs, replication count, base seed and parallelism all come
 /// from the spec; replication r runs with seed spec.seed + r through
-/// exp::to_simulation_config. The PaperScenario overload is a thin
-/// translator onto this one.
+/// exp::to_simulation_config, fanned out over spec.parallelism worker
+/// threads (1 = serial, 0 = all hardware threads). Results are bit-identical
+/// for every parallelism level: each replication is fully determined by its
+/// seed and the per-replication statistics are always folded together in
+/// replication order.
 ReplicationResult run_replications(const exp::ScenarioSpec& spec);
 
 }  // namespace mcsim

@@ -38,7 +38,7 @@ void print_panel(std::ostream& out, const std::string& title,
   out << "legend (best first): ";
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (i) out << ", ";
-    out << series[order[i]].scenario.label();
+    out << series[order[i]].label;
   }
   out << "\n\n";
 
@@ -53,7 +53,7 @@ void print_panel(std::ostream& out, const std::string& title,
                      point.result.unstable ? "-" : format_double(point.result.response_p95, 1),
                      point.result.unstable ? "unstable" : "ok"});
     }
-    out << "-- " << s.scenario.label()
+    out << "-- " << s.label
         << "  (max stable utilization ~ " << format_util(s.max_stable_utilization()) << ")\n"
         << table.render() << '\n';
   }
@@ -70,7 +70,7 @@ void write_panel_csv(std::ostream& out, const std::string& panel,
   for (const auto& s : series) {
     for (const auto& point : s.points) {
       csv.add(panel)
-          .add(s.scenario.label())
+          .add(s.label)
           .add(point.target_gross_utilization, 4)
           .add(point.result.mean_response(), 2)
           .add(point.result.response_ci.halfwidth, 2)
@@ -106,7 +106,7 @@ void print_ascii_plot(std::ostream& out, const std::vector<SweepSeries>& series,
   for (const auto& line : canvas) out << '|' << line << "|\n";
   out << '+' << std::string(static_cast<std::size_t>(width), '-') << "+\n";
   for (std::size_t s = 0; s < series.size(); ++s) {
-    out << "  '" << markers[s % 8] << "' = " << series[s].scenario.label() << '\n';
+    out << "  '" << markers[s % 8] << "' = " << series[s].label << '\n';
   }
 }
 

@@ -70,9 +70,8 @@ std::vector<std::uint32_t> effective_layout(const ScenarioSpec& spec) {
   return std::vector<std::uint32_t>(das::kNumClusters, das::kClusterSize);
 }
 
-// The one workload-construction path. Field-for-field identical to what
-// the historical PaperScenario helper produced for paper scenarios — the
-// bit-identity of legacy CLI flags vs. scenario files rests on this.
+// The one workload-construction path — the bit-identity of CLI flags vs.
+// scenario files rests on this.
 WorkloadConfig make_workload(const ScenarioSpec& spec, std::size_t num_clusters) {
   const bool single_cluster = is_single_cluster_policy(spec.policy);
   WorkloadConfig workload{
@@ -102,7 +101,10 @@ WorkloadConfig make_workload(const ScenarioSpec& spec, std::size_t num_clusters)
 
 std::string ScenarioSpec::label() const {
   if (!name.empty()) return name;
-  std::string label = paper_scenario().label();
+  std::string label = policy_name(policy);
+  if (policy != PolicyKind::kSC) label += " limit=" + std::to_string(component_limit);
+  if (!balanced_queues) label += " unbalanced";
+  label += size_model == "das-s-64" ? " DAS-s-64" : " DAS-s-128";
   if (queue_structure) {
     label += std::string(" ") + queue_structure_short_name(*queue_structure);
   }
@@ -123,31 +125,9 @@ PipelineSpec ScenarioSpec::pipeline() const {
   return spec;
 }
 
-PaperScenario ScenarioSpec::paper_scenario() const {
-  PaperScenario scenario;
-  scenario.policy = policy;
-  scenario.component_limit = component_limit;
-  scenario.balanced_queues = balanced_queues;
-  scenario.limit_total_size_64 = (size_model == "das-s-64");
-  scenario.extension_factor = extension_factor;
-  scenario.placement = placement;
-  return scenario;
-}
-
 std::vector<double> ScenarioSpec::sweep_grid() const {
   if (!utilization_grid.empty()) return utilization_grid;
-  return SweepConfig::grid(sweep_from, sweep_to, sweep_step);
-}
-
-ScenarioSpec ScenarioSpec::from_paper(const PaperScenario& scenario) {
-  ScenarioSpec spec;
-  spec.policy = scenario.policy;
-  spec.component_limit = scenario.component_limit;
-  spec.balanced_queues = scenario.balanced_queues;
-  spec.size_model = scenario.limit_total_size_64 ? "das-s-64" : "das-s-128";
-  spec.extension_factor = scenario.extension_factor;
-  spec.placement = scenario.placement;
-  return spec;
+  return make_sweep_grid(sweep_from, sweep_to, sweep_step);
 }
 
 void validate(const ScenarioSpec& spec) {
@@ -272,7 +252,7 @@ void validate(const ScenarioSpec& spec) {
       }
       break;
     case RunMode::kSweep: {
-      const auto grid = spec.sweep_grid();  // throws on a non-positive step
+      const auto grid = spec.sweep_grid();  // throws on a bad step or size
       MCSIM_REQUIRE(!grid.empty(), "scenario: the sweep grid is empty");
       for (double utilization : grid) {
         MCSIM_REQUIRE(utilization > 0.0,

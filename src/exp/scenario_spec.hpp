@@ -8,11 +8,10 @@
 /// policy, placement rule, backfill, queue discipline), the seed, run
 /// lengths, and the mode-specific parameters (point / sweep / saturation /
 /// replications). One construction path — to_simulation_config() /
-/// build_simulation() — turns a spec into a runnable engine, and the
-/// legacy PaperScenario helpers, the CLI flag parsers, and the examples
-/// are all thin translators onto it, so a scenario JSON file, a CLI
-/// invocation and a run manifest describe runs identically and
-/// reproduce them bit-exactly (docs/SCENARIOS.md).
+/// build_simulation() — turns a spec into a runnable engine. The CLI flag
+/// parsers, the bench harnesses and the examples all build a spec, so a
+/// scenario JSON file, a CLI invocation and a run manifest describe runs
+/// identically and reproduce them bit-exactly (docs/SCENARIOS.md).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,6 @@
 #include <functional>
 
 #include "core/engine.hpp"
-#include "exp/scenario.hpp"
 #include "trace/swf_stream.hpp"
 #include "workload/das_workload.hpp"
 #include "workload/trace_source.hpp"
@@ -53,7 +51,7 @@ struct ScenarioSpec {
   static constexpr std::int64_t kSchemaVersion = 1;
 
   /// Optional human-readable name; label() falls back to the derived
-  /// paper-style label when empty.
+  /// paper-style label ("LS limit=16 unbalanced DAS-s-128") when empty.
   std::string name;
 
   // -- system -----------------------------------------------------------
@@ -157,18 +155,10 @@ struct ScenarioSpec {
 
   [[nodiscard]] std::string label() const;
 
-  /// The paper-scenario view of this spec (for report legends and the
-  /// legacy helpers). Extensions beyond PaperScenario's vocabulary
-  /// (backfill, discipline, custom layouts) are not representable there.
-  [[nodiscard]] PaperScenario paper_scenario() const;
-
   /// The sweep grid this spec describes: utilization_grid when given,
-  /// otherwise generated from sweep_from/to/step.
+  /// otherwise make_sweep_grid(sweep_from, sweep_to, sweep_step), which
+  /// throws past kMaxSweepPoints.
   [[nodiscard]] std::vector<double> sweep_grid() const;
-
-  /// Lift a PaperScenario into the spec vocabulary (point mode, default
-  /// run lengths; callers override seed/sim_jobs/mode as needed).
-  static ScenarioSpec from_paper(const PaperScenario& scenario);
 
   bool operator==(const ScenarioSpec&) const = default;
 };
@@ -200,7 +190,7 @@ using TraceResolver = std::function<ResolvedTrace(const std::string& path)>;
 ResolvedTrace resolve_trace_from_file(const std::string& path);
 
 /// THE construction path from a spec to an engine config — every layer
-/// (CLI, scenario files, manifests, PaperScenario helpers, examples)
+/// (CLI, scenario files, manifests, bench harnesses, examples)
 /// funnels through here, which is what makes their runs bit-identical.
 /// The one-argument form uses spec.utilization; the two-argument form is
 /// for sweep points. Saturation mode yields a constant-backlog config

@@ -1,6 +1,8 @@
 #include "exp/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "exp/runner.hpp"
 #include "exp/scenario_spec.hpp"
@@ -10,15 +12,24 @@
 
 namespace mcsim {
 
-std::vector<double> SweepConfig::grid(double lo, double hi, double step) {
+std::vector<double> make_sweep_grid(double from, double to, double step) {
+  MCSIM_REQUIRE(std::isfinite(from) && std::isfinite(to) && std::isfinite(step),
+                "scenario: sweep from/to/step must be finite");
+  MCSIM_REQUIRE(step > 0.0, "grid step must be positive");
+  // Count the points before allocating any, so a hostile step fails here
+  // and not in the allocator. The loop bound leaves one point of rounding
+  // slack; the break test decides the endpoint.
+  const double count = std::floor((to - from) / step + 0.5) + 1.0;
+  MCSIM_REQUIRE(count <= static_cast<double>(kMaxSweepPoints),
+                "scenario: the sweep grid has more than " +
+                    std::to_string(kMaxSweepPoints) + " points");
   // Generate by index: `u += step` accumulation drifts by ~n*eps*|u| and can
   // skip or duplicate the endpoint on fine grids (e.g. 100.0..100.5 by
   // 0.001). One multiply per point keeps the error at a single rounding.
-  MCSIM_REQUIRE(step > 0.0, "grid step must be positive");
   std::vector<double> points;
-  for (std::size_t i = 0;; ++i) {
-    const double u = lo + static_cast<double>(i) * step;
-    if (u > hi + step * 0.5) break;
+  for (std::size_t i = 0; i <= static_cast<std::size_t>(std::max(count, 0.0)); ++i) {
+    const double u = from + static_cast<double>(i) * step;
+    if (u > to + step * 0.5) break;
     points.push_back(u);
   }
   return points;
@@ -45,27 +56,9 @@ void log_point(const std::string& label, double util, const SimulationResult& re
 
 }  // namespace
 
-SweepSeries run_sweep(const PaperScenario& scenario, const SweepConfig& config) {
-  if (config.target_utilizations.empty()) {
-    // An explicitly empty grid means "no points" — don't let the spec fall
-    // back to its default generated grid.
-    SweepSeries series;
-    series.scenario = scenario;
-    return series;
-  }
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from_paper(scenario);
-  spec.mode = exp::RunMode::kSweep;
-  spec.utilization_grid = config.target_utilizations;
-  spec.sim_jobs = config.jobs_per_point;
-  spec.seed = config.seed;
-  spec.parallelism = config.parallelism;
-  return run_sweep(spec);
-}
-
 SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
   SweepSeries series;
-  series.scenario = spec.paper_scenario();
-  const std::string label = spec.label();
+  series.label = spec.label();
   const std::vector<double> grid = spec.sweep_grid();
 
   // The lowest grid index known to be unstable: a point that finishes
@@ -92,7 +85,7 @@ SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
     SweepPoint point;
     point.target_gross_utilization = grid[i];
     point.result = std::move(results[i]);
-    log_point(label, grid[i], point.result);
+    log_point(series.label, grid[i], point.result);
     const bool unstable = point.result.unstable;
     series.points.push_back(std::move(point));
     if (unstable) break;  // all higher loads are unstable too

@@ -23,11 +23,4 @@ void TraceStreamSummary::add(const TraceRecord& record) {
   max_processors = std::max(max_processors, record.processors);
 }
 
-TraceStreamSummary summarize_trace_source(TraceRecordSource& source) {
-  TraceStreamSummary summary;
-  TraceRecord record;
-  while (source.next(record)) summary.add(record);
-  return summary;
-}
-
 }  // namespace mcsim

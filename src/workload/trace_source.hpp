@@ -59,12 +59,8 @@ struct TraceStreamSummary {
   std::uint32_t max_processors = 0;  ///< over usable records
 
   /// Fold the next record, in source order, into the summary: the one
-  /// fold behind the pre-scan, summarize_trace_source and the daemon's
-  /// cache load.
+  /// fold behind the pre-scan and the daemon's cache load.
   void add(const TraceRecord& record);
 };
-
-/// Drain `source` and accumulate the summary.
-[[nodiscard]] TraceStreamSummary summarize_trace_source(TraceRecordSource& source);
 
 }  // namespace mcsim

@@ -39,7 +39,7 @@ TEST(WorstFit, FitEqualsExactCapacity) {
   EXPECT_EQ(used.size(), 4u);
 }
 
-TEST(WorstFit, PaperScenarioSize64Limit24DoesNotFitTwice) {
+TEST(WorstFit, PaperSection33Size64Limit24DoesNotFitTwice) {
   // Sect. 3.3: after (22,21,21) is placed on an empty 4x32 system, another
   // (22,21,21) does not fit.
   const auto first = place_components({22, 21, 21}, {32, 32, 32, 32});

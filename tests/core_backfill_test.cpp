@@ -2,7 +2,6 @@
 
 #include "policy/composed_scheduler.hpp"
 #include "policy/scheduler_factory.hpp"
-#include "exp/scenario.hpp"
 #include "test_support.hpp"
 
 namespace mcsim {
@@ -221,9 +220,7 @@ TEST(Backfill, MulticlusterAggressiveRespectsPlacement) {
 TEST(Backfill, EndToEndScEasyBeatsScFcfsUnderLoad) {
   // The Sect. 3.2 connection: SC's weakness is head-of-line blocking by
   // very large jobs; EASY backfilling removes most of it.
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kSC;
-  auto fcfs = make_paper_config(scenario, 0.68, 15000, 9);
+  auto fcfs = testing::paper_point(PolicyKind::kSC, 0.68, 15000, 9);
   auto easy = fcfs;
   easy.pipeline.backfill = BackfillMode::kEasy;
   const auto fcfs_result = run_simulation(fcfs);
@@ -236,9 +233,7 @@ TEST(Backfill, EndToEndScEasyBeatsScFcfsUnderLoad) {
 }
 
 TEST(Backfill, EndToEndDeterministic) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  auto config = make_paper_config(scenario, 0.5, 5000, 3);
+  auto config = testing::paper_point(PolicyKind::kGS, 0.5, 5000, 3);
   config.pipeline.backfill = BackfillMode::kEasy;
   const auto a = run_simulation(config);
   const auto b = run_simulation(config);

@@ -5,16 +5,14 @@
 #include <stdexcept>
 
 #include "core/engine.hpp"
-#include "exp/scenario.hpp"
+#include "test_support.hpp"
 
 namespace mcsim {
 namespace {
 
 // A known-good multicluster config to break one field at a time.
 SimulationConfig good_config() {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kLS;
-  return make_paper_config(scenario, 0.4, 1000, /*seed=*/3);
+  return testing::paper_point(PolicyKind::kLS, 0.4, 1000, /*seed=*/3);
 }
 
 void expect_invalid(const SimulationConfig& config, const char* what) {

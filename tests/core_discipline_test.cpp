@@ -2,7 +2,6 @@
 
 #include "policy/composed_scheduler.hpp"
 #include "policy/scheduler_factory.hpp"
-#include "exp/scenario.hpp"
 #include "test_support.hpp"
 
 namespace mcsim {
@@ -150,9 +149,7 @@ TEST(Discipline, SjfReordersWithinLocalQueues) {
 }
 
 TEST(Discipline, SjfImprovesMeanResponseUnderLoad) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kSC;
-  auto fcfs = make_paper_config(scenario, 0.6, 20000, 5);
+  auto fcfs = testing::paper_point(PolicyKind::kSC, 0.6, 20000, 5);
   auto sjf = fcfs;
   sjf.pipeline.discipline = QueueDiscipline::kShortestJobFirst;
   const auto fcfs_result = run_simulation(fcfs);
@@ -164,9 +161,7 @@ TEST(Discipline, SjfImprovesMeanResponseUnderLoad) {
 }
 
 TEST(Discipline, LargestFirstHurtsMeanResponse) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kSC;
-  auto fcfs = make_paper_config(scenario, 0.5, 15000, 5);
+  auto fcfs = testing::paper_point(PolicyKind::kSC, 0.5, 15000, 5);
   auto ljf = fcfs;
   ljf.pipeline.discipline = QueueDiscipline::kLargestFirst;
   const auto fcfs_result = run_simulation(fcfs);

@@ -5,23 +5,15 @@
 #include <tuple>
 
 #include "core/engine.hpp"
-#include "exp/scenario.hpp"
 #include "workload/das_workload.hpp"
+#include "test_support.hpp"
 
 namespace mcsim {
 namespace {
 
-SimulationConfig paper_config(PolicyKind policy, double rho, std::uint64_t jobs,
-                              std::uint64_t seed) {
-  PaperScenario scenario;
-  scenario.policy = policy;
-  scenario.component_limit = 16;
-  return make_paper_config(scenario, rho, jobs, seed);
-}
-
 TEST(EngineMetrics, LittlesLawHoldsForWaitingJobs) {
   // Mean number waiting == arrival rate x mean wait (Little), within noise.
-  const auto config = paper_config(PolicyKind::kGS, 0.5, 40000, 17);
+  const auto config = testing::paper_point(PolicyKind::kGS, 0.5, 40000, 17);
   const auto result = run_simulation(config);
   ASSERT_FALSE(result.unstable);
   const double expected = config.workload.arrival_rate * result.wait_all.mean();
@@ -29,12 +21,12 @@ TEST(EngineMetrics, LittlesLawHoldsForWaitingJobs) {
 }
 
 TEST(EngineMetrics, QueueLengthZeroAtTrivialLoad) {
-  const auto result = run_simulation(paper_config(PolicyKind::kGS, 0.05, 4000, 3));
+  const auto result = run_simulation(testing::paper_point(PolicyKind::kGS, 0.05, 4000, 3));
   EXPECT_LT(result.mean_queue_length, 0.1);
 }
 
 TEST(EngineMetrics, SizeClassesPartitionAllJobs) {
-  const auto result = run_simulation(paper_config(PolicyKind::kLS, 0.4, 10000, 5));
+  const auto result = run_simulation(testing::paper_point(PolicyKind::kLS, 0.4, 10000, 5));
   EXPECT_EQ(result.response_small.count() + result.response_medium.count() +
                 result.response_large.count(),
             result.response_all.count());
@@ -47,7 +39,7 @@ TEST(EngineMetrics, SizeClassesPartitionAllJobs) {
 TEST(EngineMetrics, LargeJobsWaitLongestUnderFcfs) {
   // The Sect. 3.2 effect: jobs needing (almost) the whole machine pay by
   // far the largest response times under single-queue FCFS.
-  const auto result = run_simulation(paper_config(PolicyKind::kSC, 0.6, 30000, 7));
+  const auto result = run_simulation(testing::paper_point(PolicyKind::kSC, 0.6, 30000, 7));
   ASSERT_FALSE(result.unstable);
   ASSERT_GT(result.response_large.count(), 50u);
   EXPECT_GT(result.response_large.mean(), result.response_small.mean());
@@ -61,7 +53,7 @@ class EngineInvariants
 
 TEST_P(EngineInvariants, ConservationAndSanity) {
   const auto [policy, rho, seed] = GetParam();
-  const auto config = paper_config(policy, rho, 6000, seed);
+  const auto config = testing::paper_point(policy, rho, 6000, seed);
   const auto result = run_simulation(config);
   if (result.unstable) GTEST_SKIP() << "beyond saturation at this seed";
 

@@ -5,18 +5,19 @@
 #include <string>
 
 #include "core/engine.hpp"
-#include "exp/scenario.hpp"
+#include "exp/scenario_spec.hpp"
 #include "trace/trace_stats.hpp"
 
 namespace mcsim {
 namespace {
 
 SimulationConfig small_config(PolicyKind policy, bool balanced, std::uint64_t jobs = 6000) {
-  PaperScenario scenario;
-  scenario.policy = policy;
-  scenario.component_limit = 16;
-  scenario.balanced_queues = balanced;
-  return make_paper_config(scenario, 0.45, jobs, /*seed=*/13);
+  exp::ScenarioSpec spec;
+  spec.policy = policy;
+  spec.balanced_queues = balanced;
+  spec.sim_jobs = jobs;
+  spec.seed = 13;
+  return exp::to_simulation_config(spec, 0.45);
 }
 
 TEST(JobObserver, SeesEveryCompletionWithConsistentTimes) {
@@ -128,9 +129,10 @@ TEST(PerClusterUtilization, AveragesMatchTotalBusyFraction) {
 TEST(Slowdown, AtLeastOneAndGrowsWithLoad) {
   const auto light = run_simulation(small_config(PolicyKind::kGS, true, 8000));
   EXPECT_GE(light.slowdown_all.min(), 1.0 - 1e-9);
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  const auto heavy = run_simulation(make_paper_config(scenario, 0.6, 8000, 13));
+  exp::ScenarioSpec spec;
+  spec.sim_jobs = 8000;
+  spec.seed = 13;
+  const auto heavy = run_simulation(exp::to_simulation_config(spec, 0.6));
   if (!heavy.unstable) {
     EXPECT_GT(heavy.slowdown_all.mean(), light.slowdown_all.mean());
   }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/scenario.hpp"
+#include "test_support.hpp"
 #include "workload/das_workload.hpp"
 
 namespace mcsim {
@@ -10,10 +10,7 @@ namespace {
 
 SimulationConfig quick_config(PolicyKind policy, double rho, std::uint64_t jobs = 4000,
                               std::uint64_t seed = 7) {
-  PaperScenario scenario;
-  scenario.policy = policy;
-  scenario.component_limit = 16;
-  return make_paper_config(scenario, rho, jobs, seed);
+  return testing::paper_point(policy, rho, jobs, seed);
 }
 
 TEST(Engine, CompletesAllJobsAtLowLoad) {

@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "core/engine.hpp"
-#include "stats/queueing.hpp"
+#include "queueing.hpp"
 #include "workload/distributions.hpp"
 
 namespace mcsim {

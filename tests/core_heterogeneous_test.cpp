@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
-#include "exp/scenario.hpp"
+#include "test_support.hpp"
 #include "workload/das_workload.hpp"
 
 namespace mcsim {
@@ -31,9 +31,7 @@ TEST(Multicluster, MismatchedSpeedsThrow) {
 
 SimulationConfig speed_config(std::vector<double> speeds, double rho = 0.3,
                               std::uint64_t jobs = 8000) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  auto config = make_paper_config(scenario, rho, jobs, /*seed=*/21);
+  auto config = testing::paper_point(PolicyKind::kGS, rho, jobs, /*seed=*/21);
   config.cluster_speeds = std::move(speeds);
   return config;
 }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "exp/scenario.hpp"
+#include "test_support.hpp"
 
 namespace mcsim {
 namespace {
@@ -105,11 +105,8 @@ TEST(JobPool, CapacityCountsConstructedJobs) {
 // bit-for-bit. Catches any accidental ordering by pointer value anywhere in
 // the queue/policy/engine stack.
 TEST(JobPool, RepeatedEngineRunsAreBitIdentical) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  scenario.component_limit = 16;
   const SimulationConfig config =
-      make_paper_config(scenario, /*rho=*/0.5, /*jobs=*/4000, /*seed=*/42);
+      testing::paper_point(PolicyKind::kGS, /*utilization=*/0.5, /*jobs=*/4000, /*seed=*/42);
 
   const SimulationResult first = run_simulation(config);
   const SimulationResult second = run_simulation(config);

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
-#include "exp/scenario.hpp"
+#include "exp/scenario_spec.hpp"
 #include "workload/das_workload.hpp"
 
 namespace mcsim {
@@ -12,10 +12,13 @@ namespace {
 
 SimulationConfig quick_saturation(PolicyKind policy, std::uint32_t limit,
                                   std::uint64_t completions = 6000) {
-  PaperScenario scenario;
-  scenario.policy = policy;
-  scenario.component_limit = limit;
-  return make_saturation_config(scenario, completions, /*seed=*/11);
+  exp::ScenarioSpec spec;
+  spec.mode = exp::RunMode::kSaturation;
+  spec.policy = policy;
+  spec.component_limit = limit;
+  spec.saturation_completions = completions;
+  spec.seed = 11;
+  return exp::to_simulation_config(spec);
 }
 
 TEST(Saturation, GsMaximalUtilizationIsBelowOne) {

@@ -5,18 +5,30 @@
 
 #include "exp/gnuplot.hpp"
 #include "exp/replications.hpp"
+#include "exp/scenario_spec.hpp"
 #include "exp/sweep.hpp"
 
 namespace mcsim {
 namespace {
 
 SweepSeries tiny_series() {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  SweepConfig config;
-  config.target_utilizations = {0.2, 0.3};
-  config.jobs_per_point = 2000;
-  return run_sweep(scenario, config);
+  exp::ScenarioSpec spec;
+  spec.mode = exp::RunMode::kSweep;
+  spec.utilization_grid = {0.2, 0.3};
+  spec.sim_jobs = 2000;
+  return run_sweep(spec);
+}
+
+/// GS replications (limit 16, DAS-s-128) at one load.
+exp::ScenarioSpec gs_replications(double utilization, std::uint64_t jobs,
+                                  std::uint32_t replications, std::uint64_t base_seed) {
+  exp::ScenarioSpec spec;
+  spec.mode = exp::RunMode::kReplications;
+  spec.utilization = utilization;
+  spec.sim_jobs = jobs;
+  spec.replications = replications;
+  spec.seed = base_seed;
+  return spec;
 }
 
 std::string slurp(const std::string& path) {
@@ -61,9 +73,7 @@ TEST(Gnuplot, UnwritableDirectoryThrows) {
 }
 
 TEST(Replications, CombinesIndependentRuns) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  const auto result = run_replications(scenario, 0.35, 4000, 5, /*base_seed=*/100);
+  const auto result = run_replications(gs_replications(0.35, 4000, 5, /*base_seed=*/100));
   EXPECT_EQ(result.stable_replications(), 5u);
   EXPECT_EQ(result.unstable_replications, 0u);
   EXPECT_GT(result.response_ci.mean, 0.0);
@@ -74,25 +84,23 @@ TEST(Replications, CombinesIndependentRuns) {
 }
 
 TEST(Replications, ReplicationCiCoversSingleLongRun) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  const auto reps = run_replications(scenario, 0.4, 6000, 8, 200);
-  const auto long_run = run_simulation(make_paper_config(scenario, 0.4, 48000, 999));
+  const auto reps = run_replications(gs_replications(0.4, 6000, 8, 200));
+  exp::ScenarioSpec single;
+  single.sim_jobs = 48000;
+  single.seed = 999;
+  const auto long_run = run_simulation(exp::to_simulation_config(single, 0.4));
   EXPECT_NEAR(long_run.mean_response(), reps.response_ci.mean,
               reps.response_ci.halfwidth * 3 + 0.1 * long_run.mean_response());
 }
 
 TEST(Replications, UnstableRunsExcluded) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  const auto result = run_replications(scenario, 1.5, 4000, 3, 1);
+  const auto result = run_replications(gs_replications(1.5, 4000, 3, 1));
   EXPECT_EQ(result.unstable_replications, 3u);
   EXPECT_EQ(result.stable_replications(), 0u);
 }
 
 TEST(Replications, ZeroReplicationsThrow) {
-  PaperScenario scenario;
-  EXPECT_THROW(run_replications(scenario, 0.3, 1000, 0), std::invalid_argument);
+  EXPECT_THROW(run_replications(gs_replications(0.3, 1000, 0, 1)), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "exp/manifest.hpp"
-#include "exp/scenario.hpp"
+#include "test_support.hpp"
 
 namespace mcsim {
 namespace {
@@ -30,9 +30,7 @@ struct ManifestFixture {
 
 ManifestFixture run_and_write(const ManifestInfo& info = {}) {
   ManifestFixture fixture;
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  fixture.config = make_paper_config(scenario, 0.4, 3000, /*seed=*/11);
+  fixture.config = testing::paper_point(PolicyKind::kGS, 0.4, 3000, /*seed=*/11);
   MulticlusterSimulation simulation(fixture.config);
   simulation.set_metrics(&fixture.metrics);
   fixture.result = simulation.run();
@@ -90,9 +88,7 @@ TEST(Manifest, TraceSectionAppearsOnlyWhenRequested) {
 }
 
 TEST(Manifest, MetricsObjectOmittedWithoutRegistry) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  const auto config = make_paper_config(scenario, 0.4, 1000, 11);
+  const auto config = testing::paper_point(PolicyKind::kGS, 0.4, 1000, 11);
   const auto result = run_simulation(config);
   std::ostringstream out;
   write_run_manifest(out, config, result, nullptr, {});

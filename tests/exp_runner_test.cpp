@@ -18,7 +18,7 @@
 
 #include "exp/replications.hpp"
 #include "exp/runner.hpp"
-#include "exp/scenario.hpp"
+#include "exp/scenario_spec.hpp"
 #include "exp/sweep.hpp"
 
 namespace mcsim {
@@ -94,11 +94,11 @@ TEST(Runner, InlineRunnerPropagatesExceptions) {
 
 // --- determinism: parallel == serial, bit for bit -------------------------
 
-PaperScenario scenario_for(PolicyKind policy) {
-  PaperScenario scenario;
-  scenario.policy = policy;
-  scenario.component_limit = 16;
-  return scenario;
+exp::ScenarioSpec scenario_for(PolicyKind policy) {
+  exp::ScenarioSpec spec;
+  spec.policy = policy;
+  spec.component_limit = 16;
+  return spec;
 }
 
 const std::vector<PolicyKind> kAllPolicies = {PolicyKind::kGS, PolicyKind::kLS,
@@ -106,12 +106,16 @@ const std::vector<PolicyKind> kAllPolicies = {PolicyKind::kGS, PolicyKind::kLS,
 
 TEST(RunnerDeterminism, ReplicationsBitIdenticalAcrossParallelism) {
   for (PolicyKind policy : kAllPolicies) {
-    const auto scenario = scenario_for(policy);
-    const auto serial = run_replications(scenario, 0.45, 2500, 4, /*base_seed=*/7,
-                                         /*parallelism=*/1);
-    const auto parallel = run_replications(scenario, 0.45, 2500, 4, /*base_seed=*/7,
-                                           /*parallelism=*/4);
-    SCOPED_TRACE(scenario.label());
+    exp::ScenarioSpec spec = scenario_for(policy);
+    spec.mode = exp::RunMode::kReplications;
+    spec.utilization = 0.45;
+    spec.sim_jobs = 2500;
+    spec.replications = 4;
+    spec.seed = 7;
+    const auto serial = run_replications(spec);
+    spec.parallelism = 4;
+    const auto parallel = run_replications(spec);
+    SCOPED_TRACE(spec.label());
     ASSERT_EQ(serial.replication_means.size(), parallel.replication_means.size());
     for (std::size_t i = 0; i < serial.replication_means.size(); ++i) {
       EXPECT_EQ(serial.replication_means[i], parallel.replication_means[i]);
@@ -136,15 +140,14 @@ TEST(RunnerDeterminism, SweepBitIdenticalAcrossParallelism) {
       {{0.2, 1.5, 0.3}, 1},
   };
   for (PolicyKind policy : kAllPolicies) {
-    const auto scenario = scenario_for(policy);
     for (const auto& [grid, knee] : grids) {
-      SweepConfig serial_config;
-      serial_config.target_utilizations = grid;
-      serial_config.jobs_per_point = 2500;
-      serial_config.seed = 11;
-      serial_config.parallelism = 1;
-      const auto serial = run_sweep(scenario, serial_config);
-      SCOPED_TRACE(scenario.label() + ", " + std::to_string(grid.size()) + " points, knee " +
+      exp::ScenarioSpec spec = scenario_for(policy);
+      spec.mode = exp::RunMode::kSweep;
+      spec.utilization_grid = grid;
+      spec.sim_jobs = 2500;
+      spec.seed = 11;
+      const auto serial = run_sweep(spec);
+      SCOPED_TRACE(spec.label() + ", " + std::to_string(grid.size()) + " points, knee " +
                    std::to_string(knee));
       ASSERT_EQ(serial.points.size(), std::min(knee + 1, grid.size()));
       for (std::size_t i = 0; i < serial.points.size(); ++i) {
@@ -152,9 +155,8 @@ TEST(RunnerDeterminism, SweepBitIdenticalAcrossParallelism) {
       }
       for (unsigned width : {2u, 4u}) {
         SCOPED_TRACE("width " + std::to_string(width));
-        auto parallel_config = serial_config;
-        parallel_config.parallelism = width;
-        const auto parallel = run_sweep(scenario, parallel_config);
+        spec.parallelism = width;
+        const auto parallel = run_sweep(spec);
         ASSERT_EQ(serial.points.size(), parallel.points.size());
         for (std::size_t i = 0; i < serial.points.size(); ++i) {
           EXPECT_EQ(serial.points[i].target_gross_utilization,
@@ -180,15 +182,14 @@ TEST(RunnerDeterminism, SpeculativeSweepTruncatesLikeSerialEarlyStop) {
   // 1.5 is far beyond saturation, so the sweep stops there at every width:
   // the parallel sweep must keep the identical prefix and drop the stable
   // 0.30 point past the knee, whether it skipped, stopped or finished it.
-  PaperScenario scenario = scenario_for(PolicyKind::kGS);
-  SweepConfig config;
-  config.target_utilizations = {0.2, 1.5, 0.3};
-  config.jobs_per_point = 2500;
-  config.seed = 3;
-  config.parallelism = 1;
-  const auto serial = run_sweep(scenario, config);
-  config.parallelism = 3;
-  const auto parallel = run_sweep(scenario, config);
+  exp::ScenarioSpec spec = scenario_for(PolicyKind::kGS);
+  spec.mode = exp::RunMode::kSweep;
+  spec.utilization_grid = {0.2, 1.5, 0.3};
+  spec.sim_jobs = 2500;
+  spec.seed = 3;
+  const auto serial = run_sweep(spec);
+  spec.parallelism = 3;
+  const auto parallel = run_sweep(spec);
 
   ASSERT_EQ(serial.points.size(), 2u);
   ASSERT_EQ(parallel.points.size(), 2u);
@@ -203,13 +204,13 @@ TEST(SweepGridRegression, IndexGenerationDoesNotDriftOnFineGrids) {
   // `u += step` accumulation skipped the endpoint on this grid (error
   // ~n*eps*|u| beats the old step*1e-9 tolerance at |u|~100): 500 points
   // instead of 501.
-  const auto fine = SweepConfig::grid(100.0, 100.5, 0.001);
+  const auto fine = make_sweep_grid(100.0, 100.5, 0.001);
   ASSERT_EQ(fine.size(), 501u);
   EXPECT_DOUBLE_EQ(fine.front(), 100.0);
   EXPECT_NEAR(fine.back(), 100.5, 1e-9);
 
   // Exactness on the paper's own grid.
-  const auto paper = SweepConfig::grid(0.30, 0.80, 0.05);
+  const auto paper = make_sweep_grid(0.30, 0.80, 0.05);
   ASSERT_EQ(paper.size(), 11u);
   EXPECT_NEAR(paper.back(), 0.80, 1e-12);
   for (std::size_t i = 0; i < paper.size(); ++i) {
@@ -218,7 +219,7 @@ TEST(SweepGridRegression, IndexGenerationDoesNotDriftOnFineGrids) {
 
   // Endpoint that is not exactly representable still lands within half a
   // step, never duplicated.
-  const auto coarse = SweepConfig::grid(0.1, 0.9, 0.1);
+  const auto coarse = make_sweep_grid(0.1, 0.9, 0.1);
   EXPECT_EQ(coarse.size(), 9u);
 }
 

@@ -1,21 +1,21 @@
 // ScenarioSpec: the declarative description of one experiment, and the
 // single construction path under everything. The tests here pin the two
 // properties the subsystem exists for: a spec survives a JSON round trip
-// unchanged (operator==), and every way of describing the same run —
-// legacy PaperScenario helpers, a scenario file, the spec embedded in a
-// run manifest — produces bit-identical results.
+// unchanged (operator==), and every way of describing the same run — a
+// spec built in code, a scenario file, the spec embedded in a run
+// manifest — produces bit-identical results.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "exp/manifest.hpp"
 #include "exp/replications.hpp"
-#include "exp/scenario.hpp"
 #include "exp/scenario_spec.hpp"
 #include "exp/sweep.hpp"
 #include "obs/json_reader.hpp"
@@ -198,6 +198,35 @@ TEST(ScenarioSpecValidate, RejectsInconsistentSpecs) {
   }
 }
 
+// A generated grid is counted before it is built: 0.30..0.80 by 1e-5 is
+// ~50k points, past kMaxSweepPoints, and is refused without allocating it
+// (a step of 1e-10 would otherwise allocate until std::bad_alloc).
+TEST(ScenarioSpecValidate, RefusesASweepGridPastThePointLimit) {
+  exp::ScenarioSpec spec;
+  spec.mode = exp::RunMode::kSweep;
+  spec.sweep_step = 1e-5;
+  ASSERT_THROW(exp::validate(spec), std::invalid_argument);
+  try {
+    exp::validate(spec);
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("scenario: the sweep grid has more than 10000"),
+              std::string::npos)
+        << error.what();
+  }
+  // The daemon's trust boundary parses submits through scenario_from_json.
+  EXPECT_THROW(exp::scenario_from_json(obs::parse_json(
+                   R"({"run": {"mode": "sweep", "sweep": {"step": 1e-10}}})")),
+               std::invalid_argument);
+  spec.sweep_step = 0.05;
+  spec.sweep_to = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(exp::validate(spec), std::invalid_argument);
+  spec.sweep_to = 0.80;
+  spec.sweep_from = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(exp::validate(spec), std::invalid_argument);
+  // The limit itself is reachable: 0..0.9999 by 1e-4 is exactly 10000 points.
+  EXPECT_EQ(make_sweep_grid(0.0, 0.9999, 1e-4).size(), kMaxSweepPoints);
+}
+
 TEST(ScenarioSpecValidate, SaturationAcceptsPipelineOverrides) {
   // The constant backlog is an arrival mode of the one engine, so every
   // stage override and heterogeneous speeds reach the saturation run.
@@ -219,36 +248,8 @@ TEST(ScenarioSpecValidate, SaturationAcceptsPipelineOverrides) {
   }
 }
 
-// The heart of the refactor: the legacy helper is a translator onto the
-// spec path, so both must produce the identical run.
-TEST(ScenarioSpecEquivalence, FromPaperMatchesLegacyConfigBitExactly) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kLS;
-  scenario.component_limit = 24;
-  scenario.balanced_queues = false;
-
-  const auto legacy = make_paper_config(scenario, 0.45, 4000, /*seed=*/7);
-
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from_paper(scenario);
-  spec.utilization = 0.45;
-  spec.sim_jobs = 4000;
-  spec.seed = 7;
-  const auto from_spec = exp::to_simulation_config(spec);
-
-  EXPECT_EQ(legacy.cluster_sizes, from_spec.cluster_sizes);
-  EXPECT_EQ(legacy.workload.arrival_rate, from_spec.workload.arrival_rate);
-  EXPECT_EQ(legacy.workload.queue_weights, from_spec.workload.queue_weights);
-
-  const auto legacy_run = run_simulation(legacy);
-  const auto spec_run = run_simulation(from_spec);
-  EXPECT_EQ(legacy_run.mean_response(), spec_run.mean_response());
-  EXPECT_EQ(legacy_run.completed_jobs, spec_run.completed_jobs);
-}
-
 TEST(ScenarioSpecEquivalence, ScenarioFileRunIsBitIdentical) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from_paper(scenario);
+  exp::ScenarioSpec spec;
   spec.utilization = 0.5;
   spec.sim_jobs = 3000;
   spec.seed = 11;
@@ -338,70 +339,20 @@ TEST(ScenarioSpecEquivalence, ManifestWithoutScenarioIsRejected) {
   EXPECT_THROW(exp::load_scenario(file.path()), std::invalid_argument);
 }
 
-TEST(ScenarioSpecEquivalence, SweepFromSpecMatchesLegacySweep) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-
-  SweepConfig legacy_config;
-  legacy_config.target_utilizations = {0.35, 0.5};
-  legacy_config.jobs_per_point = 2000;
-  legacy_config.seed = 5;
-  const auto legacy = run_sweep(scenario, legacy_config);
-
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from_paper(scenario);
-  spec.mode = exp::RunMode::kSweep;
-  spec.utilization_grid = {0.35, 0.5};
-  spec.sim_jobs = 2000;
-  spec.seed = 5;
-  const auto from_spec = run_sweep(spec);
-
-  ASSERT_EQ(legacy.points.size(), from_spec.points.size());
-  for (std::size_t i = 0; i < legacy.points.size(); ++i) {
-    EXPECT_EQ(legacy.points[i].result.mean_response(),
-              from_spec.points[i].result.mean_response());
-  }
-}
-
-TEST(ScenarioSpecEquivalence, ReplicationsFromSpecMatchLegacy) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kSC;
-  const auto legacy =
-      run_replications(scenario, 0.4, 2000, /*replications=*/3, /*base_seed=*/9);
-
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from_paper(scenario);
-  spec.mode = exp::RunMode::kReplications;
-  spec.utilization = 0.4;
-  spec.sim_jobs = 2000;
-  spec.replications = 3;
-  spec.seed = 9;
-  const auto from_spec = run_replications(spec);
-
-  EXPECT_EQ(legacy.replication_means, from_spec.replication_means);
-  EXPECT_EQ(legacy.response_ci.mean, from_spec.response_ci.mean);
-  EXPECT_EQ(legacy.response_ci.halfwidth, from_spec.response_ci.halfwidth);
-}
-
-TEST(ScenarioSpecEquivalence, SaturationHelperMatchesSpecPath) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  const auto legacy = make_saturation_config(scenario, 5000, /*seed=*/21);
-
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from_paper(scenario);
+TEST(ScenarioSpecSaturation, KeepsItsFixedWarmupAndBacklog) {
+  exp::ScenarioSpec spec;
   spec.mode = exp::RunMode::kSaturation;
   spec.saturation_completions = 5000;
   spec.seed = 21;
   spec.warmup_fraction = 0.3;  // not read: saturation keeps a fixed warmup
-  const auto from_spec = exp::to_simulation_config(spec);
+  const auto config = exp::to_simulation_config(spec);
 
-  EXPECT_EQ(legacy.cluster_sizes, from_spec.cluster_sizes);
-  EXPECT_EQ(legacy.seed, from_spec.seed);
-  EXPECT_EQ(legacy.pipeline, from_spec.pipeline);
-  EXPECT_EQ(from_spec.total_jobs, 5000u);
-  EXPECT_EQ(legacy.total_jobs, from_spec.total_jobs);
-  EXPECT_EQ(from_spec.backlog, 200u);
-  EXPECT_EQ(legacy.backlog, from_spec.backlog);
-  EXPECT_EQ(from_spec.warmup_fraction, 0.2);
-  EXPECT_EQ(legacy.warmup_fraction, from_spec.warmup_fraction);
+  EXPECT_EQ(config.cluster_sizes, (std::vector<std::uint32_t>{32, 32, 32, 32}));
+  EXPECT_EQ(config.seed, 21u);
+  EXPECT_EQ(config.pipeline, spec.pipeline());
+  EXPECT_EQ(config.total_jobs, 5000u);
+  EXPECT_EQ(config.backlog, 200u);
+  EXPECT_EQ(config.warmup_fraction, 0.2);
 }
 
 // Every checked-in scenario file must parse and validate, so a typo in
@@ -426,7 +377,7 @@ TEST(CheckedInScenarios, AllParseAndValidate) {
 TEST(ScenarioSpecLabel, FallsBackToPaperLabelAndAnnotatesExtensions) {
   exp::ScenarioSpec spec;
   spec.policy = PolicyKind::kLS;
-  EXPECT_EQ(spec.label(), spec.paper_scenario().label());
+  EXPECT_EQ(spec.label(), "LS limit=16 DAS-s-128");
 
   spec.policy = PolicyKind::kGS;
   spec.backfill = BackfillMode::kEasy;

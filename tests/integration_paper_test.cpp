@@ -5,38 +5,38 @@
 
 #include <limits>
 
-#include "exp/scenario.hpp"
+#include "exp/scenario_spec.hpp"
 #include "exp/sweep.hpp"
 #include "workload/das_workload.hpp"
 
 namespace mcsim {
 namespace {
 
-PaperScenario scenario_for(PolicyKind policy, std::uint32_t limit, bool balanced = true,
-                           bool das64 = false) {
-  PaperScenario scenario;
-  scenario.policy = policy;
-  scenario.component_limit = limit;
-  scenario.balanced_queues = balanced;
-  scenario.limit_total_size_64 = das64;
-  return scenario;
+exp::ScenarioSpec scenario_for(PolicyKind policy, std::uint32_t limit, bool balanced = true,
+                               bool das64 = false, std::uint64_t jobs = 12000,
+                               std::uint64_t seed = 42) {
+  exp::ScenarioSpec spec;
+  spec.policy = policy;
+  spec.component_limit = limit;
+  spec.balanced_queues = balanced;
+  spec.size_model = das64 ? "das-s-64" : "das-s-128";
+  spec.sim_jobs = jobs;
+  spec.seed = seed;
+  return spec;
 }
 
 double max_util(PolicyKind policy, std::uint32_t limit, bool balanced = true,
                 bool das64 = false, std::uint64_t jobs = 12000) {
-  SweepConfig config;
-  config.target_utilizations = SweepConfig::grid(0.30, 0.80, 0.05);
-  config.jobs_per_point = jobs;
-  config.seed = 42;
-  return run_sweep(scenario_for(policy, limit, balanced, das64), config)
-      .max_stable_utilization();
+  exp::ScenarioSpec spec = scenario_for(policy, limit, balanced, das64, jobs);
+  spec.mode = exp::RunMode::kSweep;
+  spec.utilization_grid = make_sweep_grid(0.30, 0.80, 0.05);
+  return run_sweep(spec).max_stable_utilization();
 }
 
 double response_at(PolicyKind policy, std::uint32_t limit, double rho, bool balanced = true,
                    bool das64 = false, std::uint64_t jobs = 12000) {
-  const auto result =
-      run_simulation(make_paper_config(scenario_for(policy, limit, balanced, das64), rho,
-                                       jobs, /*seed=*/42));
+  const auto result = run_simulation(
+      exp::to_simulation_config(scenario_for(policy, limit, balanced, das64, jobs), rho));
   return result.unstable ? std::numeric_limits<double>::infinity()
                          : result.mean_response();
 }
@@ -117,10 +117,9 @@ TEST(PaperShape, Limit24IsWorstForLs) {
 // Sect. 3.1.3 / Fig. 4: near LP saturation the global queue's response time
 // dwarfs the local queues'.
 TEST(PaperShape, LpGlobalQueueIsTheBottleneck) {
-  const auto scenario = scenario_for(PolicyKind::kLP, 16);
+  const auto spec = scenario_for(PolicyKind::kLP, 16, true, false, 15000);
   // Drive LP close to (but under) its saturation point.
-  const auto result =
-      run_simulation(make_paper_config(scenario, 0.42, 15000, /*seed=*/42));
+  const auto result = run_simulation(exp::to_simulation_config(spec, 0.42));
   ASSERT_FALSE(result.unstable);
   ASSERT_GT(result.response_global.count(), 0u);
   ASSERT_GT(result.response_local.count(), 0u);
@@ -133,8 +132,8 @@ TEST(PaperShape, GrossNetGapShrinksWithLimit) {
   const double r16 = gross_net_ratio(das_s_128(), 16, 4, 1.25);
   const double r32 = gross_net_ratio(das_s_128(), 32, 4, 1.25);
   EXPECT_GT(r16, r32);
-  const auto result =
-      run_simulation(make_paper_config(scenario_for(PolicyKind::kGS, 16), 0.4, 15000, 7));
+  const auto result = run_simulation(exp::to_simulation_config(
+      scenario_for(PolicyKind::kGS, 16, true, false, 15000, /*seed=*/7), 0.4));
   EXPECT_NEAR(result.offered_gross_utilization / result.offered_net_utilization, r16, 0.02);
 }
 

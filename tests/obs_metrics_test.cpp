@@ -6,9 +6,9 @@
 #include <sstream>
 
 #include "core/engine.hpp"
-#include "exp/scenario.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "test_support.hpp"
 
 namespace mcsim {
 namespace {
@@ -82,9 +82,7 @@ TEST(JsonWriter, NestedStructure) {
 }
 
 TEST(EngineMetrics, CountsMatchTheRunAndBooksBalance) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  auto config = make_paper_config(scenario, 0.4, 4000, /*seed=*/7);
+  auto config = testing::paper_point(PolicyKind::kGS, 0.4, 4000, /*seed=*/7);
   MulticlusterSimulation simulation(config);
   obs::MetricsRegistry metrics;
   simulation.set_metrics(&metrics);
@@ -110,9 +108,7 @@ TEST(EngineMetrics, CountsMatchTheRunAndBooksBalance) {
 }
 
 TEST(EngineMetrics, GsNeverRejectsLocally) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  MulticlusterSimulation simulation(make_paper_config(scenario, 0.4, 2000, 3));
+  MulticlusterSimulation simulation(testing::paper_point(PolicyKind::kGS, 0.4, 2000, 3));
   obs::MetricsRegistry metrics;
   simulation.set_metrics(&metrics);
   simulation.run();
@@ -121,9 +117,7 @@ TEST(EngineMetrics, GsNeverRejectsLocally) {
 }
 
 TEST(EngineMetrics, LsAttributesRejectsToLocalClusters) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kLS;
-  MulticlusterSimulation simulation(make_paper_config(scenario, 0.55, 6000, 3));
+  MulticlusterSimulation simulation(testing::paper_point(PolicyKind::kLS, 0.55, 6000, 3));
   obs::MetricsRegistry metrics;
   simulation.set_metrics(&metrics);
   simulation.run();
@@ -131,9 +125,7 @@ TEST(EngineMetrics, LsAttributesRejectsToLocalClusters) {
 }
 
 TEST(EngineMetrics, StepHookSamplingStrideStillObservesRun) {
-  PaperScenario scenario;
-  scenario.policy = PolicyKind::kGS;
-  MulticlusterSimulation simulation(make_paper_config(scenario, 0.4, 1000, 5));
+  MulticlusterSimulation simulation(testing::paper_point(PolicyKind::kGS, 0.4, 1000, 5));
   obs::MetricsRegistry metrics;
   simulation.set_metrics(&metrics);
   simulation.simulator().set_step_hook(

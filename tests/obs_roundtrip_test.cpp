@@ -13,21 +13,14 @@
 
 #include "core/engine.hpp"
 #include "exp/manifest.hpp"
-#include "exp/scenario.hpp"
 #include "obs/ring_recorder.hpp"
 #include "obs/swf_builder.hpp"
 #include "stats/welford.hpp"
 #include "trace/swf.hpp"
+#include "test_support.hpp"
 
 namespace mcsim {
 namespace {
-
-SimulationConfig paper_config(PolicyKind policy, double rho, std::uint64_t jobs,
-                              std::uint64_t seed) {
-  PaperScenario scenario;
-  scenario.policy = policy;
-  return make_paper_config(scenario, rho, jobs, seed);
-}
 
 struct TracedRun {
   SimulationResult result;
@@ -88,7 +81,7 @@ double manifest_mean_response(const std::string& json) {
 class RoundTrip : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(RoundTrip, SwfReconstructsMeanResponseBitExactly) {
-  const auto config = paper_config(GetParam(), 0.45, 8000, /*seed=*/5);
+  const auto config = testing::paper_point(GetParam(), 0.45, 8000, /*seed=*/5);
   const auto run = run_traced(config);
   ASSERT_FALSE(run.result.unstable);
   ASSERT_EQ(run.trace.records.size(), run.result.completed_jobs);
@@ -115,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, RoundTrip,
                          });
 
 TEST(RoundTripWait, WaitStatisticsAlsoReconstruct) {
-  const auto run = run_traced(paper_config(PolicyKind::kGS, 0.5, 6000, 9));
+  const auto run = run_traced(testing::paper_point(PolicyKind::kGS, 0.5, 6000, 9));
   ASSERT_FALSE(run.result.unstable);
   RunningStats waits;
   const std::size_t warmup = static_cast<std::size_t>(run.result.completed_jobs) -
@@ -127,7 +120,7 @@ TEST(RoundTripWait, WaitStatisticsAlsoReconstruct) {
 }
 
 TEST(NullSink, AttachingNothingChangesNothing) {
-  const auto config = paper_config(PolicyKind::kLS, 0.5, 6000, 3);
+  const auto config = testing::paper_point(PolicyKind::kLS, 0.5, 6000, 3);
 
   const auto bare = run_simulation(config);
 
@@ -150,7 +143,7 @@ TEST(NullSink, AttachingNothingChangesNothing) {
 }
 
 TEST(NullSink, DetachingResetsTheFastPath) {
-  const auto config = paper_config(PolicyKind::kGS, 0.4, 1000, 2);
+  const auto config = testing::paper_point(PolicyKind::kGS, 0.4, 1000, 2);
   MulticlusterSimulation simulation(config);
   obs::MetricsRegistry metrics;
   simulation.set_metrics(&metrics);
@@ -162,7 +155,7 @@ TEST(NullSink, DetachingResetsTheFastPath) {
 }
 
 TEST(SinkCoverage, EveryLifecycleKindAppearsInTheStream) {
-  const auto config = paper_config(PolicyKind::kLS, 0.55, 4000, 7);
+  const auto config = testing::paper_point(PolicyKind::kLS, 0.55, 4000, 7);
   MulticlusterSimulation simulation(config);
   obs::RingRecorder recorder;
   std::array<std::uint64_t, 6> kind_counts{};

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "stats/queueing.hpp"
+#include "queueing.hpp"
 #include "stats/welford.hpp"
 #include "util/rng.hpp"
 

@@ -1,4 +1,4 @@
-#include "stats/queueing.hpp"
+#include "queueing.hpp"
 
 #include <gtest/gtest.h>
 

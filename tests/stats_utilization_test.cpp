@@ -3,45 +3,9 @@
 #include <vector>
 
 #include "stats/utilization.hpp"
-#include "stats/warmup.hpp"
-#include "util/rng.hpp"
 
 namespace mcsim {
 namespace {
-
-TEST(Mser, EmptySeriesGivesZero) {
-  EXPECT_EQ(mser({}).truncation_point, 0u);
-}
-
-TEST(Mser, StationarySeriesNeedsNoTruncation) {
-  Rng rng(1);
-  std::vector<double> obs;
-  for (int i = 0; i < 1000; ++i) obs.push_back(rng.uniform());
-  EXPECT_LE(mser(obs, 5).truncation_point, 100u);
-}
-
-TEST(Mser, DetectsInitialTransient) {
-  // A strong transient: first 200 observations around 100, rest around 1.
-  Rng rng(2);
-  std::vector<double> obs;
-  for (int i = 0; i < 200; ++i) obs.push_back(100.0 + rng.uniform());
-  for (int i = 0; i < 800; ++i) obs.push_back(1.0 + rng.uniform());
-  const auto result = mser(obs, 5);
-  EXPECT_GE(result.truncation_point, 190u);
-  EXPECT_LE(result.truncation_point, 260u);
-}
-
-TEST(Mser, TruncationCappedAtHalf) {
-  // Linearly decreasing series: MSER wants to cut everything; the standard
-  // rule caps the search at half the series.
-  std::vector<double> obs;
-  for (int i = 0; i < 100; ++i) obs.push_back(100.0 - i);
-  EXPECT_LE(mser(obs, 5).truncation_point, 50u);
-}
-
-TEST(Mser, ZeroBatchSizeThrows) {
-  EXPECT_THROW(mser({1.0, 2.0}, 0), std::invalid_argument);
-}
 
 TEST(UtilizationTracker, SingleJobBusyFraction) {
   UtilizationTracker u(10, 0.0);

@@ -10,11 +10,23 @@
 #include <memory>
 
 #include "core/job.hpp"
+#include "exp/scenario_spec.hpp"
 #include "policy/composed_scheduler.hpp"
 #include "policy/pipeline.hpp"
 #include "policy/scheduler.hpp"
 
 namespace mcsim::testing {
+
+/// One load point of the paper's scenario (limit 16, balanced queues,
+/// DAS-s-128) built through the spec construction path.
+inline SimulationConfig paper_point(PolicyKind policy, double utilization,
+                                    std::uint64_t jobs, std::uint64_t seed) {
+  exp::ScenarioSpec spec;
+  spec.policy = policy;
+  spec.sim_jobs = jobs;
+  spec.seed = seed;
+  return exp::to_simulation_config(spec, utilization);
+}
 
 /// SchedulerContext stand-in: applies allocations to a real Multicluster
 /// and records the start order, so policy tests can drive the protocol

@@ -142,8 +142,9 @@ std::shared_ptr<const TraceWorkloadConfig> trace_config(bool streaming, bool spl
   auto config = std::make_shared<TraceWorkloadConfig>();
   const std::vector<TraceRecord> records = trace_records();
   if (streaming) {
-    VectorSource counter(records);
-    config->streamed_usable_records = summarize_trace_source(counter).usable_records;
+    TraceStreamSummary summary;
+    for (const TraceRecord& record : records) summary.add(record);
+    config->streamed_usable_records = summary.usable_records;
     config->open_source = [records]() { return std::make_unique<VectorSource>(records); };
   } else {
     config->records = usable_trace_records(records);

@@ -159,8 +159,8 @@ TEST(TraceStream, SummaryUtilizationMatchesVectorOverload) {
   const std::vector<TraceRecord> records = {
       record(1, 0.0, 50.0, 4), record(2, 100.0, 25.0, 8),
   };
-  VectorSource source{records};
-  const TraceStreamSummary summary = summarize_trace_source(source);
+  TraceStreamSummary summary;
+  for (const TraceRecord& r : records) summary.add(r);
   EXPECT_DOUBLE_EQ(trace_offered_gross_utilization(summary, 16),
                    trace_offered_gross_utilization(records, 16));
   EXPECT_DOUBLE_EQ(trace_scale_for_utilization(summary, 16, 0.5),
