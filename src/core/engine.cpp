@@ -42,20 +42,17 @@ void SimulationConfig::validate() const {
                 "config: a constant backlog draws synthetic jobs; a trace cannot "
                 "be replayed at constant backlog");
   if (trace_workload != nullptr) {
-    MCSIM_REQUIRE(!(trace_workload->streaming() && !trace_workload->records.empty()),
-                  "config: trace workload has both in-memory records and a "
-                  "stream source; pick one delivery mode");
-    MCSIM_REQUIRE(trace_workload->job_count() > 0,
+    MCSIM_REQUIRE(trace_workload->usable_records > 0,
                   "config: trace workload has no replayable records" +
                       (trace_workload->source_path.empty()
                            ? std::string()
                            : " (" + trace_workload->source_path + ")"));
     MCSIM_REQUIRE(trace_workload->arrival_scale > 0.0,
                   "config: trace arrival_scale must be positive");
-    MCSIM_REQUIRE(total_jobs <= trace_workload->job_count(),
+    MCSIM_REQUIRE(total_jobs <= trace_workload->usable_records,
                   "config: total_jobs (" + std::to_string(total_jobs) +
                       ") exceeds the trace length (" +
-                      std::to_string(trace_workload->job_count()) + ")");
+                      std::to_string(trace_workload->usable_records) + ")");
     if (is_single_cluster_policy(policy)) {
       MCSIM_REQUIRE(!trace_workload->split_jobs,
                     "config: SC replay uses total requests (split_jobs = false)");

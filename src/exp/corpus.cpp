@@ -58,7 +58,6 @@ ScenarioSpec corpus_log_spec(const ScenarioSpec& base, const std::string& log_pa
   spec.mode = RunMode::kPoint;
   spec.trace_path = log_path;
   spec.trace_lookahead = options.lookahead;
-  spec.trace_whole_file = options.whole_file;
   spec.cluster_sizes.assign(clusters, static_cast<std::uint32_t>(per_cluster));
   spec.trace_scale = trace_scale_for_utilization(
       scan.summary, facts.machine_processors, options.utilization);

@@ -54,9 +54,6 @@ struct CorpusOptions {
   double utilization = 0.7;
   /// Streaming lookahead override (0 = TraceWorkloadConfig default).
   std::uint32_t lookahead = 0;
-  /// Test-only: deliver each log whole-file instead of streaming (the
-  /// equivalence baseline; results never differ, only peak memory does).
-  bool whole_file = false;
   CorpusGoldenMode golden_mode = CorpusGoldenMode::kNone;
   /// Directory of `<log stem>.summary.json` sealed summaries (check /
   /// update modes).

@@ -7,7 +7,6 @@
 #include "exp/sweep.hpp"
 #include "obs/json.hpp"
 #include "obs/json_reader.hpp"
-#include "trace/swf.hpp"
 #include "trace/swf_stream.hpp"
 #include "util/assert.hpp"
 #include "util/strings.hpp"
@@ -237,8 +236,8 @@ void validate(const ScenarioSpec& spec) {
                   "scenario: trace replay supports unordered requests only "
                   "(the log does not record per-cluster orderings)");
   } else {
-    MCSIM_REQUIRE(spec.trace_lookahead == 0 && !spec.trace_whole_file,
-                  "scenario: lookahead/whole_file apply to trace replay only");
+    MCSIM_REQUIRE(spec.trace_lookahead == 0,
+                  "scenario: lookahead applies to trace replay only");
   }
   switch (spec.mode) {
     case RunMode::kPoint:
@@ -299,14 +298,11 @@ SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilizati
     // Pre-scan the log in one O(1)-memory streaming pass: it validates
     // every line (including header directives), counts the replayable
     // records, and yields the aggregate facts scale derivation needs —
-    // without materialising the records. Both delivery modes below share
-    // this scan, so the derived arrival scale is bit-identical between
-    // them. A custom resolver (the serve layer's warm cache) supplies the
-    // scan from memory instead of re-reading the file; the whole-file test
-    // hook always goes to disk — it exists to measure exactly that.
-    const ResolvedTrace resolved = (resolve_trace && !spec.trace_whole_file)
-                                       ? resolve_trace(spec.trace_path)
-                                       : resolve_trace_from_file(spec.trace_path);
+    // without materialising the records. A custom resolver (the serve
+    // layer's warm cache) supplies the scan and the records from memory
+    // instead of re-reading the file.
+    const ResolvedTrace resolved = resolve_trace ? resolve_trace(spec.trace_path)
+                                                 : resolve_trace_from_file(spec.trace_path);
     const SwfScan& scan = resolved.scan;
     MCSIM_REQUIRE(scan.summary.total_records > 0,
                   "scenario: trace " + spec.trace_path +
@@ -329,19 +325,13 @@ SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilizati
     trace->source_path = spec.trace_path;
     trace->skipped_records = scan.summary.total_records - scan.summary.usable_records;
     if (spec.trace_lookahead != 0) trace->lookahead_window = spec.trace_lookahead;
-    if (spec.trace_whole_file) {
-      // Test-only legacy mode: everything in memory (the equivalence
-      // baseline and the CI peak-RSS gate's "before" side).
-      trace->records = usable_trace_records(read_swf_file(spec.trace_path).records);
-    } else {
-      // Streaming mode: each engine opens its own stream on demand and
-      // re-sorts through the bounded lookahead window, so peak memory is
-      // O(window) however long the log is. The stream factory comes from
-      // the resolver: a fresh file reader by default, a cursor over warm
-      // in-memory records under the experiment daemon.
-      trace->open_source = resolved.open_source;
-      trace->streamed_usable_records = scan.summary.usable_records;
-    }
+    // Each engine opens its own stream on demand and re-sorts through the
+    // bounded lookahead window, so peak memory is O(window) however long
+    // the log is. The stream factory comes from the resolver: a fresh file
+    // reader by default, a cursor over warm in-memory records (in file
+    // order) under the experiment daemon.
+    trace->open_source = resolved.open_source;
+    trace->usable_records = scan.summary.usable_records;
     // Point mode replays at the spec's fixed scale; a sweep re-scales the
     // submit axis per target utilization (the paper's Fig. 3 methodology
     // applied to a recorded log).
@@ -409,7 +399,6 @@ void write_scenario_json(obs::JsonWriter& json, const ScenarioSpec& spec) {
     if (spec.trace_lookahead != 0) {
       json.key("lookahead").value(static_cast<std::uint64_t>(spec.trace_lookahead));
     }
-    if (spec.trace_whole_file) json.key("whole_file").value(true);
   }
   json.key("size_model").value(spec.size_model);
   json.key("component_limit").value(static_cast<std::uint64_t>(spec.component_limit));
@@ -521,8 +510,6 @@ void read_workload(const obs::JsonValue& value, ScenarioSpec& spec) {
       spec.trace_scale = v.as_double();
     } else if (key == "lookahead") {
       spec.trace_lookahead = static_cast<std::uint32_t>(v.as_uint());
-    } else if (key == "whole_file") {
-      spec.trace_whole_file = v.as_bool();
     } else if (key == "size_model") {
       spec.size_model = v.as_string();
     } else if (key == "component_limit") {

@@ -90,12 +90,6 @@ struct ScenarioSpec {
   /// logs whose submit order is scrambled beyond the default window
   /// (docs/WORKLOADS.md).
   std::uint32_t trace_lookahead = 0;
-  /// Test-only hook: deliver the trace by loading the whole log into
-  /// memory instead of streaming it — the legacy mode the streaming path
-  /// is pinned bit-identical against
-  /// (tests/trace_streaming_equivalence_test.cpp, the CI peak-RSS gate).
-  /// Results never differ; only peak memory does.
-  bool trace_whole_file = false;
 
   // -- policy -----------------------------------------------------------
   /// The policy alias: names the canonical pipeline composition this spec
@@ -178,9 +172,11 @@ void validate(const ScenarioSpec& spec);
 /// the scan, so a mismatched pair would silently skew results.
 struct ResolvedTrace {
   SwfScan scan;
-  /// Fresh per-engine record stream over the log, in an order no record of
-  /// which is displaced more than the lookahead window from its
-  /// (submit_time, job_id) sort position. Must be non-null.
+  /// Fresh per-engine record stream over the log, in file order (unusable
+  /// records may be dropped). Every resolver's records then pass through
+  /// the same lookahead window, so a log too scrambled for the spec's
+  /// `lookahead` fails the same way whichever resolver opened it. Must be
+  /// non-null.
   TraceSourceFactory open_source;
 };
 using TraceResolver = std::function<ResolvedTrace(const std::string& path)>;

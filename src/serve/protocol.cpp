@@ -112,11 +112,6 @@ Request parse_request(const std::string& line, const std::string& sandbox_root) 
                 std::string(exp::run_mode_name(request.spec.mode)) +
                 "\" submitted) — sweeps are a sequence of point submits");
       }
-      if (request.spec.trace_whole_file) {
-        throw ProtocolError(kErrInvalidScenario,
-                            "whole_file is a local test hook; the service "
-                            "always streams (and caches) trace records");
-      }
       if (request.spec.is_trace()) {
         request.spec.trace_path =
             sandboxed_path(sandbox_root, request.spec.trace_path);

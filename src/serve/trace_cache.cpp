@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "workload/trace_workload.hpp"
+#include "workload/trace_source.hpp"
 
 namespace mcsim::serve {
 
@@ -35,31 +35,26 @@ FileIdentity stat_identity(const std::string& path) {
 
 std::shared_ptr<const CachedTrace> load_trace(const std::string& path) {
   // One serial pass builds the scan (as scan_swf_file does) and keeps the
-  // usable records.
+  // usable records in file order; the replay's lookahead window sorts them.
   std::ifstream file(path);
   MCSIM_REQUIRE(file.good(), "cannot open trace file: " + path);
   SwfStreamReader reader(file, path);
   auto trace = std::make_shared<CachedTrace>();
-  std::vector<TraceRecord> raw;
   TraceRecord record;
   while (reader.next(record)) {
     trace->scan.summary.add(record);
-    if (trace_record_usable(record)) raw.push_back(record);
+    if (trace_record_usable(record)) trace->records.push_back(record);
   }
   trace->scan.header = reader.header();
-  trace->records = usable_trace_records(raw);
+  // Drop the growth slack: the entry stays resident, so it should cost
+  // what it holds.
+  trace->records.shrink_to_fit();
   trace->bytes = trace->records.capacity() * sizeof(TraceRecord) +
                  sizeof(CachedTrace);
   return trace;
 }
 
 }  // namespace
-
-bool CachedTraceSource::next(TraceRecord& out) {
-  if (index_ >= trace_->records.size()) return false;
-  out = trace_->records[index_++];
-  return true;
-}
 
 std::shared_ptr<const CachedTrace> TraceCache::get(const std::string& path) {
   const FileIdentity identity = stat_identity(path);
@@ -129,8 +124,11 @@ exp::TraceResolver TraceCache::resolver() {
     std::shared_ptr<const CachedTrace> trace = get(path);
     exp::ResolvedTrace resolved;
     resolved.scan = trace->scan;
-    resolved.open_source = [trace]() -> std::unique_ptr<TraceRecordSource> {
-      return std::make_unique<CachedTraceSource>(trace);
+    // Aliasing pointer: the source reads the records and keeps the whole
+    // entry alive past an eviction.
+    std::shared_ptr<const std::vector<TraceRecord>> records(trace, &trace->records);
+    resolved.open_source = [records]() -> std::unique_ptr<TraceRecordSource> {
+      return std::make_unique<VectorRecordSource>(records);
     };
     return resolved;
   };

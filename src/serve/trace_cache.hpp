@@ -2,13 +2,14 @@
 /// \brief The warm trace cache: parsed SWF logs kept in memory between
 /// served runs (docs/SERVING.md, "The warm cache").
 ///
-/// Parsing and sorting a large SWF log dominates the cost of a short
-/// served run; the whole point of a daemon over one-shot `mcsim run` is
-/// paying it once. The cache maps a trace path to its validating scan plus
-/// the usable records already in (submit_time, job_id) order — exactly the
-/// stream the file-backed resolver would deliver through the bounded
-/// lookahead heap, so a warm run is bit-identical to a cold one
-/// (tests/serve_server_test.cpp pins this).
+/// Parsing a large SWF log dominates the cost of a short served run; the
+/// whole point of a daemon over one-shot `mcsim run` is paying it once.
+/// The cache maps a trace path to its validating scan plus the usable
+/// records in file order — the stream the file-backed resolver delivers,
+/// minus the unusable records. A served run re-sorts them through the same
+/// bounded lookahead window as `mcsim run`, so a warm run is bit-identical
+/// to a cold one and a log too scrambled for the spec's `lookahead` fails
+/// the same way (tests/serve_server_test.cpp pins both).
 ///
 /// Invalidation is by (mtime, size): every get() stats the file, and a log
 /// rewritten in place is transparently reloaded. Residency is bounded by a
@@ -27,16 +28,14 @@
 #include "exp/scenario_spec.hpp"
 #include "trace/record.hpp"
 #include "trace/swf_stream.hpp"
-#include "workload/trace_source.hpp"
 
 namespace mcsim::serve {
 
-/// One cached log: the scan plus its usable records, pre-sorted. Shared
-/// (shared_ptr) so an eviction never invalidates a run in flight.
+/// One cached log: the scan plus its usable records. Shared (shared_ptr)
+/// so an eviction never invalidates a run in flight.
 struct CachedTrace {
   SwfScan scan;
-  /// The log's usable records sorted by (submit_time, job_id) — the order
-  /// every TraceSource must deliver within its lookahead window.
+  /// The log's usable records in file order.
   std::vector<TraceRecord> records;
   /// Approximate resident size charged against the cache budget.
   std::uint64_t bytes = 0;
@@ -97,20 +96,6 @@ class TraceCache {
   /// LRU order, most recently used first; values are entries_ keys.
   std::list<std::string> lru_;
   TraceCacheStats counters_;
-};
-
-/// A TraceRecordSource cursor over a cached record vector (shares
-/// ownership, so the vector outlives the engine even across an eviction).
-class CachedTraceSource final : public TraceRecordSource {
- public:
-  explicit CachedTraceSource(std::shared_ptr<const CachedTrace> trace)
-      : trace_(std::move(trace)) {}
-
-  bool next(TraceRecord& out) override;
-
- private:
-  std::shared_ptr<const CachedTrace> trace_;
-  std::size_t index_ = 0;
 };
 
 }  // namespace mcsim::serve

@@ -8,10 +8,10 @@
 
 namespace mcsim {
 
-// read_swf is the whole-file convenience wrapper over the incremental
-// SwfStreamReader (trace/swf_stream.hpp); all parsing, hardening and
-// header-directive validation lives there so the streaming replay path and
-// this one cannot drift apart.
+// read_swf, which reads a whole log into memory, is a convenience wrapper
+// over the incremental SwfStreamReader (trace/swf_stream.hpp); all parsing,
+// hardening and header-directive validation lives there so the streaming
+// replay path and this one cannot drift apart.
 SwfTrace read_swf(std::istream& in, const std::string& source) {
   SwfStreamReader reader(in, source);
   SwfTrace trace;

@@ -28,7 +28,7 @@ struct SwfTrace {
   std::vector<TraceRecord> records;
 };
 
-/// Parse an SWF stream into memory, whole-file. Tolerant of what real
+/// Parse a whole SWF stream into memory. Tolerant of what real
 /// Parallel Workloads Archive logs contain: CRLF line endings, blank
 /// lines, ';' comments anywhere, and truncated lines (absent trailing
 /// fields read as -1, SWF's "unknown"). Throws std::invalid_argument on

@@ -22,7 +22,8 @@
 //     internally inconsistent and silently replaying it would misreport
 //     utilization.
 //
-// read_swf (trace/swf.hpp) is a thin whole-file wrapper over this class.
+// read_swf (trace/swf.hpp) is a thin wrapper over this class that reads a
+// whole log into memory.
 #pragma once
 
 #include <cstddef>

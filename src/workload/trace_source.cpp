@@ -4,6 +4,12 @@
 
 namespace mcsim {
 
+bool VectorRecordSource::next(TraceRecord& out) {
+  if (next_ == records_->size()) return false;
+  out = (*records_)[next_++];
+  return true;
+}
+
 bool trace_record_usable(const TraceRecord& record) {
   return record.processors > 0 && record.run_time > 0.0 && record.submit_time >= 0.0;
 }

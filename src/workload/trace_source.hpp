@@ -1,7 +1,7 @@
 // Pull-based record source: the seam between the trace-replay workload and
-// whatever produces TraceRecords. TraceWorkload consumes one of these in
-// streaming mode, so a multi-year archive log is parsed a record at a time
-// and peak memory stays O(lookahead window) instead of O(log length)
+// whatever produces TraceRecords. TraceWorkload receives every record
+// through one of these, so a multi-year archive log is parsed a record at a
+// time and peak memory stays O(lookahead window) instead of O(log length)
 // (docs/WORKLOADS.md, "The streaming memory model").
 //
 // The interface lives here (not in src/trace) because of the layering:
@@ -11,9 +11,12 @@
 // never touches file I/O.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "trace/record.hpp"
 
@@ -33,14 +36,31 @@ class TraceRecordSource {
   virtual bool next(TraceRecord& out) = 0;
 };
 
+/// A source over records already in memory, delivered in vector order —
+/// the daemon's warm cache, the replay benchmark, tests. Records held in
+/// memory still pass through TraceWorkload's lookahead window like a
+/// file's. Shares ownership of the vector, so it stays valid after every
+/// other owner lets go (a cache eviction mid-run).
+class VectorRecordSource final : public TraceRecordSource {
+ public:
+  explicit VectorRecordSource(std::shared_ptr<const std::vector<TraceRecord>> records)
+      : records_(std::move(records)) {}
+
+  bool next(TraceRecord& out) override;
+
+ private:
+  std::shared_ptr<const std::vector<TraceRecord>> records_;
+  std::size_t next_ = 0;
+};
+
 /// Factory for fresh sources over the same underlying log. A
 /// TraceWorkloadConfig is shared immutably across sweep points and runner
 /// threads, but an open stream cannot be: every engine instance calls the
 /// factory once and owns the stream it gets back.
 using TraceSourceFactory = std::function<std::unique_ptr<TraceRecordSource>()>;
 
-/// The replayable-record filter shared by every path (in-memory
-/// usable_trace_records, the streaming pull loop, and the pre-scan):
+/// The replayable-record filter shared by every path (the replay pull
+/// loop, the pre-scan, and the usable_trace_records reference sort):
 /// cancelled-before-start jobs (run 0), interactive stubs (0 procs) and
 /// records with unknown submit times offer no work to schedule.
 [[nodiscard]] bool trace_record_usable(const TraceRecord& record);

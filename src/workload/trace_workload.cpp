@@ -22,23 +22,6 @@ std::vector<TraceRecord> usable_trace_records(const std::vector<TraceRecord>& ra
   return usable;
 }
 
-double trace_offered_gross_utilization(const std::vector<TraceRecord>& records,
-                                       std::uint32_t total_processors) {
-  MCSIM_REQUIRE(total_processors > 0, "trace utilization needs a non-empty system");
-  if (records.empty()) return 0.0;
-  double work = 0.0;
-  double first = records.front().submit_time;
-  double last = first;
-  for (const TraceRecord& rec : records) {
-    work += static_cast<double>(rec.processors) * rec.run_time;
-    first = std::min(first, rec.submit_time);
-    last = std::max(last, rec.submit_time);
-  }
-  const double span = last - first;
-  if (span <= 0.0) return 0.0;
-  return work / (static_cast<double>(total_processors) * span);
-}
-
 double trace_offered_gross_utilization(const TraceStreamSummary& summary,
                                        std::uint32_t total_processors) {
   MCSIM_REQUIRE(total_processors > 0, "trace utilization needs a non-empty system");
@@ -58,12 +41,6 @@ double scale_from_inherent(double inherent, double target) {
 }
 }  // namespace
 
-double trace_scale_for_utilization(const std::vector<TraceRecord>& records,
-                                   std::uint32_t total_processors, double target) {
-  return scale_from_inherent(trace_offered_gross_utilization(records, total_processors),
-                             target);
-}
-
 double trace_scale_for_utilization(const TraceStreamSummary& summary,
                                    std::uint32_t total_processors, double target) {
   return scale_from_inherent(trace_offered_gross_utilization(summary, total_processors),
@@ -78,15 +55,11 @@ TraceWorkload::TraceWorkload(std::shared_ptr<const TraceWorkloadConfig> config)
   MCSIM_REQUIRE(!config_->split_jobs || config_->component_limit > 0,
                 "trace component_limit must be positive when splitting");
   MCSIM_REQUIRE(config_->extension_factor >= 1.0, "extension factor must be >= 1");
-  if (config_->streaming()) {
-    MCSIM_REQUIRE(config_->records.empty(),
-                  "trace workload config has both in-memory records and a "
-                  "stream source; pick one delivery mode");
-    MCSIM_REQUIRE(config_->lookahead_window > 0,
-                  "trace lookahead_window must be positive");
-    stream_ = config_->open_source();
-    MCSIM_REQUIRE(stream_ != nullptr, "trace open_source returned no stream");
-  }
+  MCSIM_REQUIRE(config_->lookahead_window > 0, "trace lookahead_window must be positive");
+  MCSIM_REQUIRE(static_cast<bool>(config_->open_source),
+                "trace workload config has no record source");
+  stream_ = config_->open_source();
+  MCSIM_REQUIRE(stream_ != nullptr, "trace open_source returned no stream");
 }
 
 void TraceWorkload::refill_lookahead() {
@@ -131,12 +104,6 @@ void TraceWorkload::emit(const TraceRecord& rec, JobSpec& out) {
 }
 
 bool TraceWorkload::next(JobSpec& out) {
-  if (!config_->streaming()) {
-    if (emitted_ >= config_->records.size()) return false;
-    emit(config_->records[emitted_], out);
-    return true;
-  }
-
   refill_lookahead();
   if (lookahead_.empty()) return false;
   const TraceRecord rec = lookahead_.top();

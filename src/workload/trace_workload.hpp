@@ -24,21 +24,18 @@
 // methodology applied to a recorded log: service demand is untouched, so
 // scaling submit times by s divides the offered load by s.
 //
-// Two delivery modes (docs/WORKLOADS.md, "The streaming memory model"):
-//
-//   * streaming (`open_source` set): records are pulled on demand from a
-//     TraceRecordSource and re-ordered through a bounded lookahead heap of
-//     `lookahead_window` records, so peak memory is O(window) regardless
-//     of log length. Real archive logs are only approximately sorted by
-//     submit time; as long as no record is displaced by more than the
-//     window from its sorted position, the emission order — and therefore
-//     every downstream statistic — is bit-identical to the in-memory sort.
-//     A displacement beyond the window is detected and reported (never
-//     silently misordered).
-//   * in-memory (`records` filled): the legacy whole-file mode, retained
-//     for programmatic configs built from record vectors and as the
-//     equivalence baseline the streaming path is pinned against
-//     (tests/trace_streaming_equivalence_test.cpp).
+// Records reach the workload one way (docs/WORKLOADS.md, "The streaming
+// memory model"): pulled on demand from the TraceRecordSource that
+// `open_source` opens — a file stream, or a VectorRecordSource over
+// records already in memory — and re-ordered through a bounded lookahead
+// heap of `lookahead_window` records, so peak memory is O(window)
+// regardless of log length. Real archive logs are only approximately
+// sorted by submit time; as long as no record is displaced by more than
+// the window from its sorted position, the emission order — and therefore
+// every downstream statistic — is bit-identical to the full sort
+// (usable_trace_records; tests/trace_streaming_equivalence_test.cpp pins
+// this on every checked-in log). A displacement beyond the window is
+// detected and reported, never silently misordered.
 //
 // Depends only on header-only trace headers — file I/O (SwfFileStream)
 // stays in mcsim_trace, which links *against* this library, so opening a
@@ -58,24 +55,20 @@
 
 namespace mcsim {
 
-/// Everything needed to replay a trace: where its records come from (one
-/// of the two modes above) plus the splitting parameters the synthetic
-/// workload would have used. Shared immutably so a SimulationConfig stays
-/// cheap to copy across sweep points and runner threads; in streaming mode
-/// each engine calls `open_source` once and owns its stream.
+/// Everything needed to replay a trace: where its records come from plus
+/// the splitting parameters the synthetic workload would have used. Shared
+/// immutably so a SimulationConfig stays cheap to copy across sweep points
+/// and runner threads; each engine calls `open_source` once and owns its
+/// stream.
 struct TraceWorkloadConfig {
-  /// In-memory mode: records to replay, sorted by (submit_time, job_id).
-  /// Use usable_trace_records() to build this from a raw SWF read. Must be
-  /// empty when `open_source` is set.
-  std::vector<TraceRecord> records;
-  /// Streaming mode: factory for a fresh record stream per engine.
+  /// Factory for a fresh record stream per engine.
   TraceSourceFactory open_source;
-  /// Streaming mode: usable-record count from the pre-scan (drives
+  /// Usable records the stream will deliver, from the pre-scan (drives
   /// total_jobs validation; scan_swf_file computes it).
-  std::uint64_t streamed_usable_records = 0;
-  /// Streaming mode: size of the bounded re-sort heap. Replay order is
-  /// identical to the full in-memory sort as long as no record is further
-  /// than this many usable records from its sorted position.
+  std::uint64_t usable_records = 0;
+  /// Size of the bounded re-sort heap. Replay order is identical to the
+  /// full sort as long as no record is further than this many usable
+  /// records from its sorted position.
   std::uint32_t lookahead_window = kDefaultLookaheadWindow;
   /// Multiplies every submit time; < 1 compresses the trace (raises load).
   double arrival_scale = 1.0;
@@ -95,37 +88,25 @@ struct TraceWorkloadConfig {
   std::uint64_t skipped_records = 0;
 
   static constexpr std::uint32_t kDefaultLookaheadWindow = 4096;
-
-  [[nodiscard]] bool streaming() const { return static_cast<bool>(open_source); }
-  /// Replayable records this config will deliver, whichever the mode.
-  [[nodiscard]] std::uint64_t job_count() const {
-    return streaming() ? streamed_usable_records : records.size();
-  }
 };
 
 /// Filter a raw trace down to replayable records (trace_record_usable) and
-/// sort by (submit_time, job_id) so replay order is deterministic
-/// regardless of log order. The in-memory construction path.
+/// sort them by (submit_time, job_id): the full sort the lookahead window
+/// reproduces. Replay never calls it; it is the reference the equivalence
+/// tests compare against, and it pre-sorts the replay benchmark's trace.
 [[nodiscard]] std::vector<TraceRecord> usable_trace_records(
     const std::vector<TraceRecord>& raw);
 
 /// Offered gross utilization inherent in a trace on `total_processors`
-/// CPUs: sum(processors * run) / (total_processors * submit span). Returns
-/// 0 when the submit span is empty (single arrival instant). The summary
-/// overload is the canonical streaming form (sums in source order, O(1)
-/// memory); the vector form sums in the vector's order, so hand it the
-/// same ordering when bit-identical scales matter.
-[[nodiscard]] double trace_offered_gross_utilization(
-    const std::vector<TraceRecord>& records, std::uint32_t total_processors);
+/// CPUs: sum(processors * run) / (total_processors * submit span), from
+/// one streaming pass (sums in source order, O(1) memory). Returns 0 when
+/// the submit span is empty (single arrival instant).
 [[nodiscard]] double trace_offered_gross_utilization(
     const TraceStreamSummary& summary, std::uint32_t total_processors);
 
 /// Arrival scale that makes the trace offer gross utilization `target` on
 /// `total_processors` CPUs: scaling submits by s divides offered load by
 /// s, so s = inherent / target.
-[[nodiscard]] double trace_scale_for_utilization(
-    const std::vector<TraceRecord>& records, std::uint32_t total_processors,
-    double target);
 [[nodiscard]] double trace_scale_for_utilization(
     const TraceStreamSummary& summary, std::uint32_t total_processors,
     double target);
@@ -140,9 +121,8 @@ class TraceWorkload : public JobSource {
   [[nodiscard]] std::uint64_t jobs_emitted() const { return emitted_; }
 
  private:
-  /// Streaming mode: top up the lookahead heap from the stream, skipping
-  /// unusable records, until it holds `lookahead_window` records or the
-  /// stream runs dry.
+  /// Top up the lookahead heap from the stream, skipping unusable records,
+  /// until it holds `lookahead_window` records or the stream runs dry.
   void refill_lookahead();
   void emit(const TraceRecord& rec, JobSpec& out);
 
@@ -158,7 +138,6 @@ class TraceWorkload : public JobSource {
 
   std::shared_ptr<const TraceWorkloadConfig> config_;
   std::uint64_t emitted_ = 0;
-  // Streaming state (unused in in-memory mode).
   std::unique_ptr<TraceRecordSource> stream_;
   std::priority_queue<TraceRecord, std::vector<TraceRecord>, SubmitOrderAfter>
       lookahead_;

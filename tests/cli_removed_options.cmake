@@ -1,6 +1,8 @@
-# CLI contract: `--engine` (any verb) and `--jobs` on the single-run verbs
-# point and saturation are not options. Each must exit 2 with an "unknown
-# option" message, never be accepted and ignored.
+# CLI contract: `--engine` (any verb), `--jobs` on the single-run verbs
+# point and saturation, `--queue-discipline` (a second spelling of
+# `--discipline`) and `--whole-file` on replay (every replay streams) are
+# not options. Each must exit 2 with an "unknown option" message, never be
+# accepted and ignored.
 #
 #   cmake -DMCSIM=<path to mcsim> -DSCENARIO_DIR=<data/scenarios>
 #         -P cli_removed_options.cmake
@@ -25,3 +27,6 @@ expect_unknown_option(engine replay "${smoke}" --engine=parallel)
 expect_unknown_option(engine verify --engine=serial)
 expect_unknown_option(jobs point --sim-jobs=100 --jobs=2)
 expect_unknown_option(jobs saturation --completions=100 --jobs=2)
+expect_unknown_option(queue-discipline point --sim-jobs=100 --queue-discipline=sjf)
+expect_unknown_option(queue-discipline run "${smoke}" --queue-discipline=sjf)
+expect_unknown_option(whole-file replay "${smoke}" --whole-file)

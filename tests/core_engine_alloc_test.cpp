@@ -20,10 +20,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "exp/scenario_spec.hpp"
+#include "test_support.hpp"
 #include "workload/trace_workload.hpp"
 
 namespace {
@@ -67,8 +69,8 @@ SimulationConfig config_for(exp::ScenarioSpec spec, std::uint64_t jobs) {
 SimulationConfig trace_config_for(PolicyKind policy, std::uint64_t jobs) {
   SimulationConfig config = config_for(spec_for(policy), jobs);
   WorkloadGenerator generator(config.workload, kSeed);
-  auto trace = std::make_shared<TraceWorkloadConfig>();
-  trace->records.reserve(jobs);
+  std::vector<TraceRecord> records;
+  records.reserve(jobs);
   for (std::uint64_t i = 0; i < jobs; ++i) {
     const JobSpec job = generator.next();
     TraceRecord record;
@@ -77,8 +79,9 @@ SimulationConfig trace_config_for(PolicyKind policy, std::uint64_t jobs) {
     record.run_time = job.gross_service_time;
     record.processors = job.total_size;
     record.user_id = job.origin_queue;
-    trace->records.push_back(record);
+    records.push_back(record);
   }
+  auto trace = testing::in_memory_trace(std::move(records));
   trace->component_limit = config.workload.component_limit;
   trace->num_clusters = config.workload.num_clusters;
   config.trace_workload = std::move(trace);

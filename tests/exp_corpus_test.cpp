@@ -218,13 +218,11 @@ TEST_F(CorpusTest, StreamingKnobsRoundTripThroughScenarioJson) {
   ScenarioSpec spec;
   spec.trace_path = log;
   spec.trace_lookahead = 512;
-  spec.trace_whole_file = true;
 
   std::ostringstream out;
   write_scenario_file(out, spec);
   const std::string text = out.str();
   EXPECT_NE(text.find("\"lookahead\": 512"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"whole_file\": true"), std::string::npos) << text;
 
   const ScenarioSpec loaded = scenario_from_json(obs::parse_json(text));
   EXPECT_EQ(loaded, spec);
@@ -236,7 +234,6 @@ TEST_F(CorpusTest, StreamingKnobsRoundTripThroughScenarioJson) {
   std::ostringstream plain_out;
   write_scenario_file(plain_out, plain);
   EXPECT_EQ(plain_out.str().find("lookahead"), std::string::npos);
-  EXPECT_EQ(plain_out.str().find("whole_file"), std::string::npos);
 }
 
 TEST_F(CorpusTest, StreamingKnobsRejectedForSyntheticWorkloads) {

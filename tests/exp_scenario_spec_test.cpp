@@ -127,6 +127,16 @@ TEST(ScenarioSpecJson, UnknownKeysAreRejected) {
           << error.what();
     }
   }
+  // Nor is `whole_file` a workload key: every replay streams.
+  try {
+    (void)exp::scenario_from_json(obs::parse_json(
+        R"({"workload": {"type": "trace", "path": "a.swf", "whole_file": true}})"));
+    FAIL() << "workload.whole_file was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(R"(unknown workload key "whole_file")"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ScenarioSpecJson, WrongSchemaIsRejected) {

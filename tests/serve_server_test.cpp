@@ -16,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,6 +33,10 @@
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "util/socket.hpp"
+
+#ifndef MCSIM_DATA_DIR
+#define MCSIM_DATA_DIR "data"
+#endif
 
 namespace mcsim::serve {
 namespace {
@@ -256,6 +261,48 @@ TEST(ServeServer, WarmTraceRunsMatchTheColdFileResolver) {
   EXPECT_GE(cache->at("hits").as_uint(), 1u)
       << "the second run must be served from the warm cache";
   EXPECT_EQ(cache->at("misses").as_uint(), 1u);
+}
+
+TEST(ServeServer, ServedReplayHonoursTheLookaheadWindow) {
+  // The archive sample is scrambled beyond a one-record window. A served
+  // run must meet the same window as `mcsim run` and fail with its message,
+  // cold cache or warm.
+  const fs::path dir = scratch_dir("lookahead");
+  fs::copy_file(std::string(MCSIM_DATA_DIR) + "/archive_samples/sdsc_sp2_style.swf",
+                dir / "sdsc_sp2_style.swf");
+  ServerHarness harness(make_config(dir));
+  auto client = harness.client();
+
+  exp::ScenarioSpec spec = smoke_spec();
+  spec.trace_path = "sdsc_sp2_style.swf";
+  spec.trace_lookahead = 1;
+
+  exp::ScenarioSpec offline = spec;
+  offline.trace_path = sandboxed_path(dir.string(), spec.trace_path);
+  std::string offline_error;
+  try {
+    (void)offline_manifest(offline);
+  } catch (const std::invalid_argument& error) {
+    offline_error = error.what();
+  }
+  ASSERT_NE(offline_error.find("out of order beyond the lookahead window"),
+            std::string::npos)
+      << offline_error;
+
+  for (const char* cache : {"cold", "warm"}) {
+    SCOPED_TRACE(cache);
+    const std::uint64_t id = client->submit(spec_json(spec));
+    try {
+      client->await_result(id);
+      FAIL() << "a served run ignored the lookahead window";
+    } catch (const ServeError& error) {
+      EXPECT_EQ(error.code(), kErrRunFailed);
+    }
+    const obs::JsonValue status =
+        client->request("{\"op\":\"status\",\"id\":" + std::to_string(id) + "}");
+    EXPECT_EQ(status.at("state").as_string(), "failed");
+    EXPECT_EQ(status.at("error").as_string(), offline_error);
+  }
 }
 
 // -- the trust boundary over the wire ---------------------------------------

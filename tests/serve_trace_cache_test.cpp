@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "exp/scenario_spec.hpp"
 #include "trace/swf_stream.hpp"
+#include "workload/trace_source.hpp"
 
 namespace mcsim::serve {
 namespace {
@@ -81,21 +83,25 @@ TEST(ServeTraceCache, MissThenHit) {
   EXPECT_EQ(stats.budget_bytes, 1ull << 20);
 }
 
-TEST(ServeTraceCache, RecordsComeOutSortedBySubmitThenId) {
-  const fs::path dir = scratch_dir("sorted");
+TEST(ServeTraceCache, RecordsStayInFileOrder) {
+  // No sort at load: the replay's lookahead window orders the records, as
+  // it does for a file. Unusable records are dropped.
+  const fs::path dir = scratch_dir("file_order");
   const fs::path path = dir / "scrambled.swf";
   {
     std::ofstream out(path);
     out << record_line(3, 200.0, 50.0, 4) << record_line(1, 100.0, 50.0, 4)
+        << record_line(4, 150.0, 0.0, 4)  // zero run time: cancelled
         << record_line(5, 100.0, 50.0, 4) << record_line(2, 300.0, 50.0, 4);
   }
   TraceCache cache(1ull << 20);
   const auto trace = cache.get(path.string());
   ASSERT_EQ(trace->records.size(), 4u);
-  EXPECT_EQ(trace->records[0].job_id, 1u);  // submit 100, lower id first
-  EXPECT_EQ(trace->records[1].job_id, 5u);
-  EXPECT_EQ(trace->records[2].job_id, 3u);
+  EXPECT_EQ(trace->records[0].job_id, 3u);
+  EXPECT_EQ(trace->records[1].job_id, 1u);
+  EXPECT_EQ(trace->records[2].job_id, 5u);
   EXPECT_EQ(trace->records[3].job_id, 2u);
+  EXPECT_EQ(trace->scan.summary.total_records, 5u);
 }
 
 TEST(ServeTraceCache, RewrittenFileIsReloaded) {
@@ -201,7 +207,9 @@ TEST(ServeTraceCache, EvictionNeverInvalidatesAnInFlightTrace) {
   cache.clear();  // the harshest eviction
   EXPECT_EQ(cache.stats().entries, 0u);
 
-  CachedTraceSource source(trace);  // shares ownership past the eviction
+  // Shares ownership of the entry past the eviction.
+  VectorRecordSource source(
+      std::shared_ptr<const std::vector<TraceRecord>>(trace, &trace->records));
   TraceRecord record;
   std::size_t count = 0;
   while (source.next(record)) ++count;
@@ -213,36 +221,49 @@ TEST(ServeTraceCache, MissingFileThrows) {
   EXPECT_THROW(cache.get("/nonexistent/missing.swf"), std::invalid_argument);
 }
 
+/// The usable records a resolved source yields, in the order it yields them.
+std::vector<TraceRecord> drain_usable(const exp::ResolvedTrace& resolved) {
+  std::vector<TraceRecord> records;
+  auto source = resolved.open_source();
+  TraceRecord record;
+  while (source->next(record)) {
+    if (trace_record_usable(record)) records.push_back(record);
+  }
+  return records;
+}
+
 TEST(ServeTraceCache, ResolverMatchesTheFileBackedPath) {
+  // A sorted synthetic log and a scrambled archive sample: the warm source
+  // must yield the cold source's usable records in file order, so a served
+  // run meets the same lookahead window as `mcsim run`.
   const fs::path dir = scratch_dir("resolver");
-  const std::string log = write_log(dir, "a.swf", 4);
+  const std::vector<std::string> logs = {
+      write_log(dir, "a.swf", 4),
+      std::string(MCSIM_DATA_DIR) + "/archive_samples/sdsc_sp2_style.swf"};
 
   TraceCache cache(1ull << 20);
-  const exp::ResolvedTrace warm = cache.resolver()(log);
-  const exp::ResolvedTrace cold = exp::resolve_trace_from_file(log);
+  for (const std::string& log : logs) {
+    SCOPED_TRACE(log);
+    const exp::ResolvedTrace warm = cache.resolver()(log);
+    const exp::ResolvedTrace cold = exp::resolve_trace_from_file(log);
 
-  EXPECT_EQ(warm.scan.header.max_nodes, cold.scan.header.max_nodes);
-  EXPECT_EQ(warm.scan.summary.total_records, cold.scan.summary.total_records);
-  EXPECT_EQ(warm.scan.summary.usable_records, cold.scan.summary.usable_records);
-  EXPECT_DOUBLE_EQ(warm.scan.summary.gross_work, cold.scan.summary.gross_work);
+    EXPECT_EQ(warm.scan.header.max_nodes, cold.scan.header.max_nodes);
+    EXPECT_EQ(warm.scan.summary.total_records, cold.scan.summary.total_records);
+    EXPECT_EQ(warm.scan.summary.usable_records, cold.scan.summary.usable_records);
+    EXPECT_DOUBLE_EQ(warm.scan.summary.gross_work, cold.scan.summary.gross_work);
 
-  auto drain = [](const exp::ResolvedTrace& resolved) {
-    std::vector<TraceRecord> records;
-    auto source = resolved.open_source();
-    TraceRecord record;
-    while (source->next(record)) records.push_back(record);
-    return records;
-  };
-  const std::vector<TraceRecord> warm_records = drain(warm);
-  const std::vector<TraceRecord> cold_records = drain(cold);
-  ASSERT_EQ(warm_records.size(), cold_records.size());
-  for (std::size_t i = 0; i < warm_records.size(); ++i) {
-    EXPECT_EQ(warm_records[i].job_id, cold_records[i].job_id) << i;
-    EXPECT_DOUBLE_EQ(warm_records[i].submit_time, cold_records[i].submit_time)
-        << i;
-    EXPECT_DOUBLE_EQ(warm_records[i].run_time, cold_records[i].run_time) << i;
+    const std::vector<TraceRecord> warm_records = drain_usable(warm);
+    const std::vector<TraceRecord> cold_records = drain_usable(cold);
+    ASSERT_EQ(warm_records.size(), cold_records.size());
+    ASSERT_EQ(warm_records.size(), warm.scan.summary.usable_records);
+    for (std::size_t i = 0; i < warm_records.size(); ++i) {
+      EXPECT_EQ(warm_records[i].job_id, cold_records[i].job_id) << i;
+      EXPECT_DOUBLE_EQ(warm_records[i].submit_time, cold_records[i].submit_time)
+          << i;
+      EXPECT_DOUBLE_EQ(warm_records[i].run_time, cold_records[i].run_time) << i;
+    }
   }
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().misses, logs.size());
 }
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }

@@ -1,5 +1,6 @@
 // Shared helpers for mcsim tests: a fake SchedulerContext that tracks
-// started jobs on a real Multicluster, and JobSpec/Job builders.
+// started jobs on a real Multicluster, JobSpec/Job builders, and trace
+// configs over records held in memory.
 #pragma once
 
 #include <algorithm>
@@ -14,6 +15,9 @@
 #include "policy/composed_scheduler.hpp"
 #include "policy/pipeline.hpp"
 #include "policy/scheduler.hpp"
+#include "trace/record.hpp"
+#include "workload/trace_source.hpp"
+#include "workload/trace_workload.hpp"
 
 namespace mcsim::testing {
 
@@ -26,6 +30,22 @@ inline SimulationConfig paper_point(PolicyKind policy, double utilization,
   spec.sim_jobs = jobs;
   spec.seed = seed;
   return exp::to_simulation_config(spec, utilization);
+}
+
+/// A trace config replaying `records` from memory: a VectorRecordSource
+/// per engine, in the vector's order, through a lookahead window of
+/// `window` records (1 passes pre-sorted records straight through).
+inline std::shared_ptr<TraceWorkloadConfig> in_memory_trace(
+    std::vector<TraceRecord> records,
+    std::uint32_t window = TraceWorkloadConfig::kDefaultLookaheadWindow) {
+  auto shared = std::make_shared<const std::vector<TraceRecord>>(std::move(records));
+  TraceStreamSummary summary;
+  for (const TraceRecord& record : *shared) summary.add(record);
+  auto config = std::make_shared<TraceWorkloadConfig>();
+  config->open_source = [shared] { return std::make_unique<VectorRecordSource>(shared); };
+  config->usable_records = summary.usable_records;
+  config->lookahead_window = window;
+  return config;
 }
 
 /// SchedulerContext stand-in: applies allocations to a real Multicluster

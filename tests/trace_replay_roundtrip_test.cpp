@@ -26,6 +26,7 @@
 #include "exp/sweep.hpp"
 #include "obs/json.hpp"
 #include "obs/swf_builder.hpp"
+#include "test_support.hpp"
 #include "trace/swf.hpp"
 #include "workload/trace_workload.hpp"
 
@@ -64,13 +65,12 @@ ExportedRun run_and_export(const exp::ScenarioSpec& spec) {
 /// as the original spec, arrivals from the trace records.
 SimulationConfig replay_config(const exp::ScenarioSpec& spec, const SwfTrace& trace) {
   SimulationConfig config = exp::to_simulation_config(spec);
-  auto replay = std::make_shared<TraceWorkloadConfig>();
-  replay->records = usable_trace_records(trace.records);
+  auto replay = testing::in_memory_trace(usable_trace_records(trace.records));
   replay->component_limit = config.workload.component_limit;
   replay->num_clusters = config.workload.num_clusters;
   replay->extension_factor = config.workload.extension_factor;
   replay->split_jobs = config.workload.split_jobs;
-  config.total_jobs = replay->records.size();
+  config.total_jobs = replay->usable_records;
   config.trace_workload = std::move(replay);
   return config;
 }

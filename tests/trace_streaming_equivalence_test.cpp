@@ -1,19 +1,30 @@
 // Streaming-equivalence gate: every checked-in SWF log, replayed through
-// the bounded-lookahead streaming path, must produce the bit-identical
-// canonical observation the legacy whole-file load produces. The
-// whole-file delivery mode exists as a test-only hook exactly for this
-// pin (ScenarioSpec::trace_whole_file, docs/WORKLOADS.md).
+// the bounded lookahead window straight from the file, must produce the
+// bit-identical result of the same replay fed the full sort
+// (usable_trace_records over the whole file read into memory). The
+// reference goes through the same construction path as `mcsim run`, with
+// only the trace resolver swapped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "exp/corpus.hpp"
-#include "exp/golden.hpp"
+#include "exp/manifest.hpp"
 #include "exp/scenario_spec.hpp"
+#include "obs/json.hpp"
+#include "trace/swf.hpp"
+#include "trace/swf_stream.hpp"
+#include "workload/trace_source.hpp"
+#include "workload/trace_workload.hpp"
 
 #ifndef MCSIM_DATA_DIR
 #define MCSIM_DATA_DIR "data"
@@ -23,6 +34,9 @@ namespace mcsim::exp {
 namespace {
 
 namespace fs = std::filesystem;
+
+constexpr std::uint32_t kClusters = 4;
+constexpr double kUtilization = 0.7;
 
 /// Every SWF log the repo checks in: the DAS1 synthetic sample plus the
 /// archive-style corpus.
@@ -39,37 +53,66 @@ std::vector<std::string> checked_in_logs() {
   return logs;
 }
 
+/// A GS point replay of `log` on four clusters wide enough for its widest
+/// job, scaled to kUtilization.
+ScenarioSpec replay_spec(const std::string& log, std::uint32_t lookahead) {
+  const SwfScan scan = scan_swf_file(log);
+  const std::int64_t declared = scan.header.declared_processors();
+  const auto width = declared > 0 ? static_cast<std::uint32_t>(declared)
+                                  : scan.summary.max_processors;
+  const std::uint32_t per_cluster = (width + kClusters - 1) / kClusters;
+  ScenarioSpec spec;
+  spec.trace_path = log;
+  spec.trace_lookahead = lookahead;
+  spec.cluster_sizes.assign(kClusters, per_cluster);
+  spec.trace_scale =
+      trace_scale_for_utilization(scan.summary, kClusters * per_cluster, kUtilization);
+  return spec;
+}
+
+/// The reference resolver: the whole log read into memory and fully sorted.
+ResolvedTrace resolve_full_sort(const std::string& path) {
+  ResolvedTrace resolved;
+  resolved.scan = scan_swf_file(path);
+  auto records = std::make_shared<const std::vector<TraceRecord>>(
+      usable_trace_records(read_swf_file(path).records));
+  resolved.open_source = [records] { return std::make_unique<VectorRecordSource>(records); };
+  return resolved;
+}
+
+std::string result_text(const SimulationConfig& config) {
+  std::ostringstream text;
+  obs::JsonWriter json(text);
+  write_result_json(json, run_simulation(config));
+  return text.str();
+}
+
+/// The result JSON of `spec` streamed from its file, and of the same spec
+/// fed the full sort.
+std::pair<std::string, std::string> streamed_and_sorted(const ScenarioSpec& spec) {
+  return {result_text(to_simulation_config(spec, spec.utilization)),
+          result_text(to_simulation_config(spec, spec.utilization, resolve_full_sort))};
+}
+
 TEST(StreamingEquivalence, EveryCheckedInLogMatchesWholeFileBitExactly) {
   const std::vector<std::string> logs = checked_in_logs();
   ASSERT_GE(logs.size(), 5u) << "corpus went missing under " << MCSIM_DATA_DIR;
 
   for (const std::string& log : logs) {
-    ScenarioSpec base;  // GS, worst-fit, the corpus defaults
-    CorpusOptions streaming;
-    CorpusOptions whole_file;
-    whole_file.whole_file = true;
-
-    const std::string streamed = corpus_log_observation(base, log, streaming);
-    const std::string loaded = corpus_log_observation(base, log, whole_file);
-    // String equality of the canonical observations = bit-identical
-    // statistics, job for job (doubles print at round-trip precision).
-    EXPECT_EQ(streamed, loaded) << "streaming replay of " << log
-                                << " diverges from the whole-file load";
+    const auto [streamed, sorted] = streamed_and_sorted(replay_spec(log, 0));
+    // String equality of the result JSON = bit-identical statistics, job
+    // for job (doubles print at round-trip precision).
+    EXPECT_EQ(streamed, sorted) << "streaming replay of " << log
+                                << " diverges from the full sort";
   }
 }
 
 TEST(StreamingEquivalence, TinyLookaheadWindowStillMatchesWhenLogIsSorted) {
   // The DAS1 sample is submit-sorted, so even a 2-record window must
-  // reproduce the whole-file observation.
-  const std::string log =
-      std::string(MCSIM_DATA_DIR) + "/das1_synthetic_sample.swf";
-  ScenarioSpec base;
-  CorpusOptions tiny;
-  tiny.lookahead = 2;
-  CorpusOptions whole_file;
-  whole_file.whole_file = true;
-  EXPECT_EQ(corpus_log_observation(base, log, tiny),
-            corpus_log_observation(base, log, whole_file));
+  // reproduce the full sort.
+  const auto [streamed, sorted] = streamed_and_sorted(
+      replay_spec(std::string(MCSIM_DATA_DIR) + "/das1_synthetic_sample.swf", 2));
+  EXPECT_EQ(streamed, sorted);
 }
 
 TEST(StreamingEquivalence, ArchiveSampleNeedsTheLookaheadWindow) {

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "test_support.hpp"
 #include "util/rng.hpp"
 #include "workload/das_workload.hpp"
 #include "workload/trace_source.hpp"
@@ -122,33 +123,13 @@ std::vector<TraceRecord> trace_records() {
   return records;
 }
 
-class VectorSource final : public TraceRecordSource {
- public:
-  explicit VectorSource(std::vector<TraceRecord> records)
-      : records_(std::move(records)) {}
-
-  bool next(TraceRecord& out) override {
-    if (next_ >= records_.size()) return false;
-    out = records_[next_++];
-    return true;
-  }
-
- private:
-  std::vector<TraceRecord> records_;
-  std::size_t next_ = 0;
-};
-
+/// "Streaming": the scrambled records re-sorted through the default
+/// window. "InMemory": the full sort of the same records, passed straight
+/// through a one-record window.
 std::shared_ptr<const TraceWorkloadConfig> trace_config(bool streaming, bool split_jobs) {
-  auto config = std::make_shared<TraceWorkloadConfig>();
   const std::vector<TraceRecord> records = trace_records();
-  if (streaming) {
-    TraceStreamSummary summary;
-    for (const TraceRecord& record : records) summary.add(record);
-    config->streamed_usable_records = summary.usable_records;
-    config->open_source = [records]() { return std::make_unique<VectorSource>(records); };
-  } else {
-    config->records = usable_trace_records(records);
-  }
+  auto config = streaming ? testing::in_memory_trace(records)
+                          : testing::in_memory_trace(usable_trace_records(records), 1);
   config->arrival_scale = 0.75;
   config->split_jobs = split_jobs;
   return config;
@@ -173,7 +154,7 @@ TEST_P(TraceInPlace, StaleSpecMatchesFreshDraw) {
     expect_same_spec(spec, expected);
     ++jobs;
   }
-  EXPECT_EQ(jobs, config->job_count());
+  EXPECT_EQ(jobs, config->usable_records);
   // A dry source leaves `out` untouched.
   EXPECT_EQ(spec.id, 987654321u);
 }

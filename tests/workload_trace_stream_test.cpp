@@ -1,6 +1,6 @@
-// TraceWorkload streaming mode: the bounded-lookahead merge must emit the
-// exact sequence the in-memory sort emits — and fail loudly when the log's
-// disorder exceeds the window instead of silently misordering.
+// TraceWorkload's bounded-lookahead merge must emit the exact sequence the
+// full sort emits — and fail loudly when the log's disorder exceeds the
+// window instead of silently misordering.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "test_support.hpp"
 #include "workload/trace_source.hpp"
 #include "workload/trace_workload.hpp"
 
@@ -25,38 +26,7 @@ TraceRecord record(std::uint64_t id, double submit, double run,
   return rec;
 }
 
-/// Vector-backed TraceRecordSource for driving the streaming path without
-/// file I/O.
-class VectorSource final : public TraceRecordSource {
- public:
-  explicit VectorSource(std::vector<TraceRecord> records)
-      : records_(std::move(records)) {}
-
-  bool next(TraceRecord& out) override {
-    if (next_ >= records_.size()) return false;
-    out = records_[next_++];
-    return true;
-  }
-
- private:
-  std::vector<TraceRecord> records_;
-  std::size_t next_ = 0;
-};
-
-std::shared_ptr<TraceWorkloadConfig> streaming_config(
-    std::vector<TraceRecord> records, std::uint32_t window) {
-  auto config = std::make_shared<TraceWorkloadConfig>();
-  std::uint64_t usable = 0;
-  for (const TraceRecord& rec : records) {
-    if (trace_record_usable(rec)) ++usable;
-  }
-  config->streamed_usable_records = usable;
-  config->lookahead_window = window;
-  config->open_source = [records = std::move(records)]() {
-    return std::make_unique<VectorSource>(records);
-  };
-  return config;
-}
+using testing::in_memory_trace;
 
 std::vector<JobSpec> drain(TraceWorkload& source) {
   std::vector<JobSpec> jobs;
@@ -74,13 +44,11 @@ TEST(TraceStream, StreamingMatchesInMemoryOnScrambledInput) {
       record(4, 30.0, 20.0, 16), record(6, 50.0, 5.0, 2),
   };
 
-  auto in_memory = std::make_shared<TraceWorkloadConfig>();
-  in_memory->records = usable_trace_records(scrambled);
-  TraceWorkload whole(in_memory);
+  // The reference: the full sort, passed straight through.
+  TraceWorkload sorted(in_memory_trace(usable_trace_records(scrambled), 1));
+  TraceWorkload streamed(in_memory_trace(scrambled, 4));
 
-  TraceWorkload streamed(streaming_config(scrambled, 4));
-
-  const std::vector<JobSpec> expected = drain(whole);
+  const std::vector<JobSpec> expected = drain(sorted);
   const std::vector<JobSpec> got = drain(streamed);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -101,7 +69,7 @@ TEST(TraceStream, SkipsUnusableRecordsMidStream) {
       record(3, 20.0, 60.0, 0),  // zero processors
       record(4, 30.0, 20.0, 4),
   };
-  TraceWorkload streamed(streaming_config(records, 64));
+  TraceWorkload streamed(in_memory_trace(records, 64));
   const std::vector<JobSpec> jobs = drain(streamed);
   ASSERT_EQ(jobs.size(), 2u);
   // Replay ids are sequential emission indices, not the log's ids.
@@ -117,7 +85,7 @@ TEST(TraceStream, DisorderBeyondWindowThrowsInsteadOfMisordering) {
       record(2, 10.0, 30.0, 2), record(3, 20.0, 30.0, 2),
       record(4, 30.0, 30.0, 2), record(1, 0.0, 30.0, 2),
   };
-  auto config = streaming_config(std::move(records), 2);
+  auto config = in_memory_trace(std::move(records), 2);
   config->source_path = "scrambled.swf";
   TraceWorkload streamed(std::move(config));
   JobSpec job;
@@ -139,32 +107,14 @@ TEST(TraceStream, WindowOfOneHandlesSortedInput) {
       record(1, 0.0, 30.0, 2), record(2, 10.0, 45.0, 8),
       record(3, 20.0, 60.0, 4),
   };
-  TraceWorkload streamed(streaming_config(records, 1));
+  TraceWorkload streamed(in_memory_trace(records, 1));
   EXPECT_EQ(drain(streamed).size(), 3u);
 }
 
-TEST(TraceStream, RejectsBothDeliveryModesAtOnce) {
-  auto config = streaming_config({record(1, 0.0, 30.0, 2)}, 16);
-  config->records = {record(1, 0.0, 30.0, 2)};
-  EXPECT_THROW(TraceWorkload{std::move(config)}, std::invalid_argument);
-}
-
 TEST(TraceStream, RejectsZeroWindow) {
-  auto config = streaming_config({record(1, 0.0, 30.0, 2)}, 16);
+  auto config = in_memory_trace({record(1, 0.0, 30.0, 2)}, 16);
   config->lookahead_window = 0;
   EXPECT_THROW(TraceWorkload{std::move(config)}, std::invalid_argument);
-}
-
-TEST(TraceStream, SummaryUtilizationMatchesVectorOverload) {
-  const std::vector<TraceRecord> records = {
-      record(1, 0.0, 50.0, 4), record(2, 100.0, 25.0, 8),
-  };
-  TraceStreamSummary summary;
-  for (const TraceRecord& r : records) summary.add(r);
-  EXPECT_DOUBLE_EQ(trace_offered_gross_utilization(summary, 16),
-                   trace_offered_gross_utilization(records, 16));
-  EXPECT_DOUBLE_EQ(trace_scale_for_utilization(summary, 16, 0.5),
-                   trace_scale_for_utilization(records, 16, 0.5));
 }
 
 }  // namespace

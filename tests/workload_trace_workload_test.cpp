@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "test_support.hpp"
 #include "workload/job_splitter.hpp"
 
 namespace mcsim {
@@ -23,9 +24,13 @@ TraceRecord record(std::uint64_t id, double submit, double run, std::uint32_t pr
 }
 
 std::shared_ptr<TraceWorkloadConfig> config_for(std::vector<TraceRecord> records) {
-  auto config = std::make_shared<TraceWorkloadConfig>();
-  config->records = std::move(records);
-  return config;
+  return testing::in_memory_trace(std::move(records));
+}
+
+TraceStreamSummary summary_of(const std::vector<TraceRecord>& records) {
+  TraceStreamSummary summary;
+  for (const TraceRecord& record : records) summary.add(record);
+  return summary;
 }
 
 TEST(UsableTraceRecords, FiltersUnreplayableRecords) {
@@ -64,14 +69,14 @@ TEST(TraceUtilization, MatchesHandComputation) {
       record(1, 0.0, 50.0, 4),
       record(2, 100.0, 25.0, 8),
   };
-  EXPECT_DOUBLE_EQ(trace_offered_gross_utilization(records, 16), 0.25);
+  EXPECT_DOUBLE_EQ(trace_offered_gross_utilization(summary_of(records), 16), 0.25);
 }
 
 TEST(TraceUtilization, ZeroSpanIsZero) {
   const std::vector<TraceRecord> records = {record(1, 5.0, 50.0, 4),
                                             record(2, 5.0, 25.0, 8)};
-  EXPECT_DOUBLE_EQ(trace_offered_gross_utilization(records, 16), 0.0);
-  EXPECT_DOUBLE_EQ(trace_offered_gross_utilization(std::vector<TraceRecord>{}, 16), 0.0);
+  EXPECT_DOUBLE_EQ(trace_offered_gross_utilization(summary_of(records), 16), 0.0);
+  EXPECT_DOUBLE_EQ(trace_offered_gross_utilization(TraceStreamSummary{}, 16), 0.0);
 }
 
 TEST(TraceUtilization, ScaleIsInherentOverTarget) {
@@ -80,9 +85,10 @@ TEST(TraceUtilization, ScaleIsInherentOverTarget) {
       record(2, 100.0, 25.0, 8),
   };
   // inherent 0.25 -> target 0.5 compresses submits by half.
-  EXPECT_DOUBLE_EQ(trace_scale_for_utilization(records, 16, 0.5), 0.5);
-  EXPECT_DOUBLE_EQ(trace_scale_for_utilization(records, 16, 0.125), 2.0);
-  EXPECT_THROW(trace_scale_for_utilization(std::vector<TraceRecord>{}, 16, 0.5),
+  const TraceStreamSummary summary = summary_of(records);
+  EXPECT_DOUBLE_EQ(trace_scale_for_utilization(summary, 16, 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(trace_scale_for_utilization(summary, 16, 0.125), 2.0);
+  EXPECT_THROW(trace_scale_for_utilization(TraceStreamSummary{}, 16, 0.5),
                std::invalid_argument);
 }
 
@@ -150,6 +156,9 @@ TEST(TraceWorkload, RejectsBadConfigs) {
   auto zero_limit = config_for({record(1, 0.0, 1.0, 1)});
   zero_limit->component_limit = 0;
   EXPECT_THROW(TraceWorkload{zero_limit}, std::invalid_argument);
+  auto no_source = config_for({record(1, 0.0, 1.0, 1)});
+  no_source->open_source = nullptr;
+  EXPECT_THROW(TraceWorkload{no_source}, std::invalid_argument);
 }
 
 // --- engine integration -------------------------------------------------
@@ -157,7 +166,7 @@ TEST(TraceWorkload, RejectsBadConfigs) {
 SimulationConfig trace_sim_config(std::shared_ptr<const TraceWorkloadConfig> trace) {
   SimulationConfig config;
   config.trace_workload = std::move(trace);
-  config.total_jobs = config.trace_workload->records.size();
+  config.total_jobs = config.trace_workload->usable_records;
   config.warmup_fraction = 0.0;
   config.batch_count = 1;
   return config;

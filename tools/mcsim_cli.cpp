@@ -112,8 +112,6 @@ void add_scenario_options(CliParser& parser) {
                     "single-queue backfilling: none, aggressive, easy, conservative");
   parser.add_option("discipline", "fcfs",
                     "queue order: fcfs, sjf, ljf, smallest-first, largest-first");
-  parser.add_option("queue-discipline", "",
-                    "synonym for --discipline (takes precedence when both given)");
   parser.add_option("queue", "",
                     "pipeline override: queue structure (single, per-cluster, "
                     "local-global)");
@@ -134,9 +132,6 @@ exp::ScenarioSpec spec_from(const CliParser& parser) {
   spec.placement = parse_placement_rule(parser.get("placement"));
   spec.backfill = parse_backfill_mode(parser.get("backfill"));
   spec.discipline = parse_queue_discipline(parser.get("discipline"));
-  if (!parser.get("queue-discipline").empty()) {
-    spec.discipline = parse_queue_discipline(parser.get("queue-discipline"));
-  }
   if (!parser.get("queue").empty()) {
     spec.queue_structure = parse_queue_structure(parser.get("queue"));
   }
@@ -413,7 +408,6 @@ int execute_corpus(const exp::ScenarioSpec& base, const CliParser& parser) {
   if (!parser.get("lookahead").empty()) {
     options.lookahead = static_cast<std::uint32_t>(parser.get_uint("lookahead"));
   }
-  options.whole_file = parser.get_flag("whole-file");
   options.golden_dir = parser.get("goldens");
   if (parser.get_flag("update-goldens")) {
     options.golden_mode = exp::CorpusGoldenMode::kUpdate;
@@ -460,9 +454,6 @@ int cmd_replay(int argc, const char* const* argv) {
   parser.add_option("lookahead", "",
                     "streaming reader: bounded re-sort window in records "
                     "(default 4096; raise for heavily scrambled logs)");
-  parser.add_flag("whole-file",
-                  "load the whole log into memory instead of streaming it "
-                  "(equivalence/memory baseline; results are identical)");
   parser.add_option("corpus", "",
                     "replay every .swf under this directory instead of one "
                     "log (per-log machine from the SWF header)");
@@ -504,7 +495,6 @@ int cmd_replay(int argc, const char* const* argv) {
   if (!parser.get("lookahead").empty()) {
     spec.trace_lookahead = static_cast<std::uint32_t>(parser.get_uint("lookahead"));
   }
-  spec.trace_whole_file = parser.get_flag("whole-file");
   int code = 0;
   if (emit_spec_requested(parser, spec, &code)) return code;
   SimulationResult result;
@@ -607,8 +597,6 @@ void add_run_options(CliParser& parser) {
   parser.add_option("discipline", "",
                     "override the scenario's queue order (fcfs, sjf, ljf, "
                     "smallest-first, largest-first)");
-  parser.add_option("queue-discipline", "",
-                    "synonym for --discipline (takes precedence when both given)");
 }
 
 void apply_run_overrides(const CliParser& parser, exp::ScenarioSpec* spec) {
@@ -623,9 +611,6 @@ void apply_run_overrides(const CliParser& parser, exp::ScenarioSpec* spec) {
   }
   if (!parser.get("discipline").empty()) {
     spec->discipline = parse_queue_discipline(parser.get("discipline"));
-  }
-  if (!parser.get("queue-discipline").empty()) {
-    spec->discipline = parse_queue_discipline(parser.get("queue-discipline"));
   }
 }
 
