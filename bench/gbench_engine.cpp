@@ -1,9 +1,11 @@
 // Engine microbenchmarks (google-benchmark): the DES calendar, placement
 // rules (the WF/FF/BF ablation from DESIGN.md, and the per-attempt
-// placement row), one backfilling scheduler round, distribution sampling,
-// SWF trace ingest, and end-to-end simulation throughput per policy.
+// placement row), one backfilling scheduler round, the per-departure
+// statistics folds, distribution sampling, SWF trace ingest, the trace
+// lookahead window, and end-to-end simulation throughput per policy.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <sstream>
@@ -18,10 +20,15 @@
 #include "obs/swf_builder.hpp"
 #include "policy/scheduler_factory.hpp"
 #include "sim/calendar.hpp"
+#include "stats/batch_means.hpp"
+#include "stats/percentile.hpp"
+#include "stats/welford.hpp"
 #include "trace/swf.hpp"
 #include "util/rng.hpp"
 #include "workload/das_workload.hpp"
 #include "workload/job_splitter.hpp"
+#include "workload/trace_source.hpp"
+#include "workload/trace_workload.hpp"
 
 namespace {
 
@@ -193,6 +200,51 @@ void BM_BackfillRound(benchmark::State& state, BackfillMode backfill) {
 BENCHMARK_CAPTURE(BM_BackfillRound, easy, BackfillMode::kEasy);
 BENCHMARK_CAPTURE(BM_BackfillRound, conservative, BackfillMode::kConservative);
 
+// The statistics folds of one measured departure, as the engine's
+// departure handler runs them: six RunningStats adds (response, wait,
+// local or global queue, size class, slowdown), one BatchMeans add and one
+// P2 95th-percentile add. Inputs cycle through 4096 seeded departures so
+// the folds see varied values. Advisory only.
+void BM_StatsFold(benchmark::State& state) {
+  struct Departure {
+    double wait;
+    double response;
+    double gross_service;
+    std::uint32_t size;
+    bool local;
+  };
+  Rng rng(13);
+  std::vector<Departure> departures(4096);
+  for (Departure& d : departures) {
+    d.wait = rng.uniform(0.0, 5000.0);
+    d.gross_service = rng.uniform(1.0, 900.0);
+    d.response = d.wait + d.gross_service;
+    d.size = static_cast<std::uint32_t>(das_s_128().sample(rng));
+    d.local = rng.uniform(0.0, 1.0) < 0.5;
+  }
+  RunningStats response_all, wait_all, response_local, response_global;
+  RunningStats response_small, response_medium, response_large, slowdown_all;
+  BatchMeans batches(10000);
+  P2Quantile p95(0.95);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Departure& d = departures[i++ & 4095];
+    response_all.add(d.response);
+    wait_all.add(d.wait);
+    batches.add(d.response);
+    p95.add(d.response);
+    (d.local ? response_local : response_global).add(d.response);
+    if (d.size <= 16) response_small.add(d.response);
+    else if (d.size <= 64) response_medium.add(d.response);
+    else response_large.add(d.response);
+    slowdown_all.add(d.response / d.gross_service);
+  }
+  benchmark::DoNotOptimize(response_all.mean() + wait_all.mean() + slowdown_all.mean() +
+                           p95.value() + batches.grand_mean());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StatsFold);
+
 void BM_SampleDasS128(benchmark::State& state) {
   Rng rng(4);
   for (auto _ : state) benchmark::DoNotOptimize(das_s_128().sample(rng));
@@ -242,6 +294,64 @@ void BM_SwfParse(benchmark::State& state) {
                           static_cast<std::int64_t>(kRecords));
 }
 BENCHMARK(BM_SwfParse)->Unit(benchmark::kMillisecond);
+
+// The trace lookahead window alone: 100k in-memory records pulled through
+// TraceWorkload (default 4096-record window) from a VectorRecordSource,
+// emit included, no engine. The argument is the share of stragglers in
+// percent: 0 is a sorted log; 3 swaps seeded adjacent pairs (the archive
+// sample's 3.1% of records arriving behind a later one); 100 reverses
+// every 4096-record block, so nearly every record lands on the straggler
+// heap at full depth. Advisory only.
+void BM_TraceLookahead(benchmark::State& state) {
+  constexpr std::size_t kRecords = 100000;
+  constexpr std::size_t kBlock = TraceWorkloadConfig::kDefaultLookaheadWindow;
+  const auto percent = state.range(0);
+  Rng rng(17);
+  std::vector<TraceRecord> records(kRecords);
+  double submit = 0.0;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    TraceRecord& rec = records[i];
+    rec.job_id = i + 1;
+    submit += rng.uniform(0.0, 60.0);
+    rec.submit_time = submit;
+    rec.run_time = rng.uniform(1.0, 3600.0);
+    rec.processors = static_cast<std::uint32_t>(rng.uniform(1.0, 129.0));
+    rec.user_id = static_cast<std::uint32_t>(rng.uniform(0.0, 64.0));
+  }
+  if (percent >= 100) {
+    for (std::size_t start = 0; start < kRecords; start += kBlock) {
+      std::reverse(records.begin() + static_cast<std::ptrdiff_t>(start),
+                   records.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(kRecords, start + kBlock)));
+    }
+  } else {
+    // Each swapped pair puts one record behind a later one.
+    const double swap_chance = 2.0 * static_cast<double>(percent) / 100.0;
+    for (std::size_t i = 0; i + 1 < kRecords; i += 2) {
+      if (rng.uniform(0.0, 1.0) < swap_chance) std::swap(records[i], records[i + 1]);
+    }
+  }
+  std::size_t behind = 0;
+  double latest = -1.0;
+  for (const TraceRecord& rec : records) {
+    if (rec.submit_time < latest) ++behind;
+    latest = std::max(latest, rec.submit_time);
+  }
+  auto config = std::make_shared<TraceWorkloadConfig>();
+  const auto shared = std::make_shared<const std::vector<TraceRecord>>(std::move(records));
+  config->open_source = [shared] { return std::make_unique<VectorRecordSource>(shared); };
+  config->usable_records = kRecords;
+  JobSpec job;
+  for (auto _ : state) {
+    TraceWorkload source(config);
+    while (source.next(job)) benchmark::DoNotOptimize(job.arrival_time);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords));
+  state.counters["straggler_frac"] =
+      static_cast<double>(behind) / static_cast<double>(kRecords);
+}
+BENCHMARK(BM_TraceLookahead)->Arg(0)->Arg(3)->Arg(100)->Unit(benchmark::kMillisecond);
 
 // One 5000-job paper point (limit 16, balanced, DAS-s-128).
 SimulationConfig paper_point(PolicyKind policy, double utilization, std::uint64_t seed,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <ostream>
+#include <string>
 
 #include "exp/sweep.hpp"
 #include "obs/json.hpp"
@@ -468,12 +470,22 @@ void write_scenario_file(std::ostream& out, const ScenarioSpec& spec) {
 
 namespace {
 
-std::vector<std::uint32_t> read_u32_array(const obs::JsonValue& value) {
+/// An unsigned value that must fit 32 bits; `key` names it in the error,
+/// so an oversized value fails instead of wrapping modulo 2^32.
+std::uint32_t read_u32(const obs::JsonValue& value, const std::string& key) {
+  const std::uint64_t wide = value.as_uint();
+  MCSIM_REQUIRE(wide <= std::numeric_limits<std::uint32_t>::max(),
+                "scenario: " + key + " = " + std::to_string(wide) +
+                    " exceeds the largest allowed value " +
+                    std::to_string(std::numeric_limits<std::uint32_t>::max()));
+  return static_cast<std::uint32_t>(wide);
+}
+
+std::vector<std::uint32_t> read_u32_array(const obs::JsonValue& value,
+                                          const std::string& key) {
   std::vector<std::uint32_t> out;
   out.reserve(value.items().size());
-  for (const auto& item : value.items()) {
-    out.push_back(static_cast<std::uint32_t>(item.as_uint()));
-  }
+  for (const auto& item : value.items()) out.push_back(read_u32(item, key));
   return out;
 }
 
@@ -487,7 +499,7 @@ std::vector<double> read_double_array(const obs::JsonValue& value) {
 void read_system(const obs::JsonValue& value, ScenarioSpec& spec) {
   for (const auto& [key, v] : value.members()) {
     if (key == "cluster_sizes") {
-      spec.cluster_sizes = read_u32_array(v);
+      spec.cluster_sizes = read_u32_array(v, "system.cluster_sizes");
     } else if (key == "cluster_speeds") {
       spec.cluster_speeds = read_double_array(v);
     } else {
@@ -509,11 +521,11 @@ void read_workload(const obs::JsonValue& value, ScenarioSpec& spec) {
     } else if (key == "arrival_scale") {
       spec.trace_scale = v.as_double();
     } else if (key == "lookahead") {
-      spec.trace_lookahead = static_cast<std::uint32_t>(v.as_uint());
+      spec.trace_lookahead = read_u32(v, "workload.lookahead");
     } else if (key == "size_model") {
       spec.size_model = v.as_string();
     } else if (key == "component_limit") {
-      spec.component_limit = static_cast<std::uint32_t>(v.as_uint());
+      spec.component_limit = read_u32(v, "workload.component_limit");
     } else if (key == "extension_factor") {
       spec.extension_factor = v.as_double();
     } else if (key == "balanced_queues") {
@@ -613,7 +625,7 @@ void read_run(const obs::JsonValue& value, ScenarioSpec& spec) {
     } else if (key == "sim_jobs") {
       spec.sim_jobs = v.as_uint();
     } else if (key == "replications") {
-      spec.replications = static_cast<std::uint32_t>(v.as_uint());
+      spec.replications = read_u32(v, "run.replications");
     } else if (key == "saturation") {
       read_saturation(v, spec);
     } else if (key == "seed") {

@@ -8,6 +8,16 @@
 
 namespace mcsim {
 
+namespace {
+
+/// The replay order: (submit_time, job_id), ascending.
+bool submits_before(const TraceRecord& a, const TraceRecord& b) {
+  if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
+  return a.job_id < b.job_id;
+}
+
+}  // namespace
+
 std::vector<TraceRecord> usable_trace_records(const std::vector<TraceRecord>& raw) {
   std::vector<TraceRecord> usable;
   usable.reserve(raw.size());
@@ -15,10 +25,7 @@ std::vector<TraceRecord> usable_trace_records(const std::vector<TraceRecord>& ra
     if (!trace_record_usable(rec)) continue;
     usable.push_back(rec);
   }
-  std::sort(usable.begin(), usable.end(), [](const TraceRecord& a, const TraceRecord& b) {
-    if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
-    return a.job_id < b.job_id;
-  });
+  std::stable_sort(usable.begin(), usable.end(), submits_before);
   return usable;
 }
 
@@ -64,14 +71,73 @@ TraceWorkload::TraceWorkload(std::shared_ptr<const TraceWorkloadConfig> config)
 
 void TraceWorkload::refill_lookahead() {
   TraceRecord rec;
-  while (!stream_exhausted_ && lookahead_.size() < config_->lookahead_window) {
+  while (!stream_exhausted_ &&
+         ring_count_ + stragglers_.size() < config_->lookahead_window) {
     if (!stream_->next(rec)) {
       stream_exhausted_ = true;
       break;
     }
     if (!trace_record_usable(rec)) continue;
-    lookahead_.push(rec);
+    admit(rec);
   }
+}
+
+bool TraceWorkload::StragglerAfter::operator()(const Straggler& a,
+                                               const Straggler& b) const {
+  // Field by field, each compared once: composing submits_before twice
+  // made an all-straggler log measurably slower than the old heap.
+  if (a.record.submit_time != b.record.submit_time) {
+    return a.record.submit_time > b.record.submit_time;
+  }
+  if (a.record.job_id != b.record.job_id) return a.record.job_id > b.record.job_id;
+  return a.arrival > b.arrival;
+}
+
+void TraceWorkload::admit(const TraceRecord& rec) {
+  const std::uint64_t arrival = admitted_++;
+  if (ring_count_ > 0) {
+    if (submits_before(rec, ring_[ring_slot(ring_count_ - 1)])) {
+      stragglers_.push_back(Straggler{rec, arrival});
+      std::push_heap(stragglers_.begin(), stragglers_.end(), StragglerAfter{});
+      return;
+    }
+  }
+  if (ring_count_ == ring_.size()) grow_ring();
+  ring_[ring_slot(ring_count_)] = rec;
+  ++ring_count_;
+}
+
+void TraceWorkload::grow_ring() {
+  // Doubling from 16, capped by the window and by the usable records the
+  // pre-scan counted: the window is user input, so it is never allocated
+  // up front. The last clamp keeps room for the record being admitted
+  // should the pre-scan's count be stale.
+  std::size_t limit = config_->lookahead_window;
+  if (config_->usable_records > 0 && config_->usable_records < limit) {
+    limit = static_cast<std::size_t>(config_->usable_records);
+  }
+  const std::size_t capacity = std::max(
+      std::min(ring_.empty() ? std::size_t{16} : 2 * ring_.size(), limit),
+      ring_count_ + 1);
+  std::vector<TraceRecord> grown(capacity);
+  for (std::size_t i = 0; i < ring_count_; ++i) grown[i] = ring_[ring_slot(i)];
+  ring_.swap(grown);
+  ring_head_ = 0;
+}
+
+TraceRecord TraceWorkload::take_earliest() {
+  // Equal keys go to the ring first: a straggler arrived after every ring
+  // record that shares its key (later ring records sort strictly after it).
+  if (!stragglers_.empty() && submits_before(stragglers_.front().record, ring_[ring_head_])) {
+    std::pop_heap(stragglers_.begin(), stragglers_.end(), StragglerAfter{});
+    const TraceRecord rec = stragglers_.back().record;
+    stragglers_.pop_back();
+    return rec;
+  }
+  const TraceRecord rec = ring_[ring_head_];
+  if (++ring_head_ == ring_.size()) ring_head_ = 0;
+  --ring_count_;
+  return rec;
 }
 
 void TraceWorkload::emit(const TraceRecord& rec, JobSpec& out) {
@@ -105,9 +171,10 @@ void TraceWorkload::emit(const TraceRecord& rec, JobSpec& out) {
 
 bool TraceWorkload::next(JobSpec& out) {
   refill_lookahead();
-  if (lookahead_.empty()) return false;
-  const TraceRecord rec = lookahead_.top();
-  lookahead_.pop();
+  // Stragglers never outlast the ring (see stragglers_), so an empty ring
+  // is an empty window.
+  if (ring_count_ == 0) return false;
+  const TraceRecord rec = take_earliest();
   // The bounded merge only reproduces the full sort when the log's
   // disorder fits the window; a record surfacing *behind* one we already
   // emitted means it does not. Fail loudly — a silently misordered replay
@@ -123,7 +190,8 @@ bool TraceWorkload::next(JobSpec& out) {
                     std::to_string(rec.submit_time) +
                     ") is out of order beyond the lookahead window (" +
                     std::to_string(config_->lookahead_window) +
-                    " records); raise lookahead_window or pre-sort the log");
+                    " records); raise --lookahead (workload.lookahead in a scenario) or "
+                    "pre-sort the log");
   last_submit_ = rec.submit_time;
   last_job_id_ = rec.job_id;
   emit(rec, out);

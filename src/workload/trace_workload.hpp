@@ -28,23 +28,29 @@
 // memory model"): pulled on demand from the TraceRecordSource that
 // `open_source` opens — a file stream, or a VectorRecordSource over
 // records already in memory — and re-ordered through a bounded lookahead
-// heap of `lookahead_window` records, so peak memory is O(window)
+// window of `lookahead_window` records, so peak memory is O(window)
 // regardless of log length. Real archive logs are only approximately
 // sorted by submit time; as long as no record is displaced by more than
 // the window from its sorted position, the emission order — and therefore
 // every downstream statistic — is bit-identical to the full sort
 // (usable_trace_records; tests/trace_streaming_equivalence_test.cpp pins
-// this on every checked-in log). A displacement beyond the window is
-// detected and reported, never silently misordered.
+// this on every checked-in log). Records with equal (submit, job id) keep
+// their file order, as the stable full sort does. A displacement beyond
+// the window is detected and reported, never silently misordered.
+//
+// The window is a FIFO ring of the records that arrived in order (at or
+// after the ring's back) plus a min-heap of the "stragglers" that arrived
+// before it: an in-order record costs O(1), a straggler O(log k) for k
+// stragglers in the window.
 //
 // Depends only on header-only trace headers — file I/O (SwfFileStream)
 // stays in mcsim_trace, which links *against* this library, so opening a
 // log happens one layer up (exp) through the open_source factory.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -66,9 +72,10 @@ struct TraceWorkloadConfig {
   /// Usable records the stream will deliver, from the pre-scan (drives
   /// total_jobs validation; scan_swf_file computes it).
   std::uint64_t usable_records = 0;
-  /// Size of the bounded re-sort heap. Replay order is identical to the
+  /// Size of the bounded re-sort window. Replay order is identical to the
   /// full sort as long as no record is further than this many usable
-  /// records from its sorted position.
+  /// records from its sorted position. Storage grows on demand, so a huge
+  /// window costs only what the log fills of it.
   std::uint32_t lookahead_window = kDefaultLookaheadWindow;
   /// Multiplies every submit time; < 1 compresses the trace (raises load).
   double arrival_scale = 1.0;
@@ -91,9 +98,10 @@ struct TraceWorkloadConfig {
 };
 
 /// Filter a raw trace down to replayable records (trace_record_usable) and
-/// sort them by (submit_time, job_id): the full sort the lookahead window
-/// reproduces. Replay never calls it; it is the reference the equivalence
-/// tests compare against, and it pre-sorts the replay benchmark's trace.
+/// stable-sort them by (submit_time, job_id), so equal keys keep their file
+/// order: the full sort the lookahead window reproduces. Replay never calls
+/// it; it is the reference the equivalence tests compare against, and it
+/// pre-sorts the replay benchmark's trace.
 [[nodiscard]] std::vector<TraceRecord> usable_trace_records(
     const std::vector<TraceRecord>& raw);
 
@@ -121,26 +129,48 @@ class TraceWorkload : public JobSource {
   [[nodiscard]] std::uint64_t jobs_emitted() const { return emitted_; }
 
  private:
-  /// Top up the lookahead heap from the stream, skipping unusable records,
-  /// until it holds `lookahead_window` records or the stream runs dry.
+  /// Top up the lookahead window from the stream, skipping unusable
+  /// records, until it holds `lookahead_window` records or the stream runs
+  /// dry.
   void refill_lookahead();
+  /// Put one usable record into the window: onto the ring when it sorts at
+  /// or after the ring's back, else onto the straggler heap.
+  void admit(const TraceRecord& rec);
+  /// Take the window's earliest record out of it.
+  TraceRecord take_earliest();
+  void grow_ring();
+  /// Slot of the ring record `offset` places behind the front.
+  std::size_t ring_slot(std::size_t offset) const {
+    const std::size_t slot = ring_head_ + offset;
+    return slot < ring_.size() ? slot : slot - ring_.size();
+  }
   void emit(const TraceRecord& rec, JobSpec& out);
 
-  struct SubmitOrderAfter {
-    bool operator()(const TraceRecord& a, const TraceRecord& b) const {
-      // priority_queue keeps the *largest* on top, so "greater" comparison
-      // makes top() the earliest (submit_time, job_id) — a bounded merge
-      // of the almost-sorted stream.
-      if (a.submit_time != b.submit_time) return a.submit_time > b.submit_time;
-      return a.job_id > b.job_id;
-    }
+  /// A record that arrived before the ring's back, with its arrival index:
+  /// equal (submit, job id) keys leave the heap in file order.
+  struct Straggler {
+    TraceRecord record;
+    std::uint64_t arrival = 0;
+  };
+  /// std::push_heap keeps the *largest* on top, so "after" puts the
+  /// earliest (submit, job id, arrival) there.
+  struct StragglerAfter {
+    bool operator()(const Straggler& a, const Straggler& b) const;
   };
 
   std::shared_ptr<const TraceWorkloadConfig> config_;
   std::uint64_t emitted_ = 0;
   std::unique_ptr<TraceRecordSource> stream_;
-  std::priority_queue<TraceRecord, std::vector<TraceRecord>, SubmitOrderAfter>
-      lookahead_;
+  /// Circular FIFO in (submit, job id) order: `ring_count_` records from
+  /// slot `ring_head_`, wrapping at ring_.size(), the capacity.
+  std::vector<TraceRecord> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t ring_count_ = 0;
+  /// Min-heap (std::push_heap/pop_heap) by (submit, job id, arrival).
+  /// Every straggler sorts strictly before the ring's back, so the ring is
+  /// never empty while this is not.
+  std::vector<Straggler> stragglers_;
+  std::uint64_t admitted_ = 0;
   bool stream_exhausted_ = false;
   double last_submit_ = 0.0;
   std::uint64_t last_job_id_ = 0;

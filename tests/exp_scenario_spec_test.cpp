@@ -139,6 +139,36 @@ TEST(ScenarioSpecJson, UnknownKeysAreRejected) {
   }
 }
 
+TEST(ScenarioSpecJson, ThirtyTwoBitFieldsRejectWiderValues) {
+  // UINT32_MAX is the largest window; one more used to wrap to 0 (the
+  // default window) and 2^32 + 1 to a one-record window.
+  const auto lookahead = [](const std::string& value) {
+    return exp::scenario_from_json(obs::parse_json(
+        R"({"workload": {"type": "trace", "path": "a.swf", "lookahead": )" + value +
+        "}}"));
+  };
+  EXPECT_EQ(lookahead("4294967295").trace_lookahead, 4294967295u);
+  for (const char* value : {"4294967296", "4294967297", "18446744073709551615"}) {
+    try {
+      (void)lookahead(value);
+      FAIL() << "workload.lookahead = " << value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("workload.lookahead"), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+  }
+  // The other 32-bit fields read through the same check.
+  for (const char* json :
+       {R"({"workload": {"component_limit": 4294967312}})",
+        R"({"run": {"replications": 4294967297}})",
+        R"({"system": {"cluster_sizes": [32, 4294967328]}})"}) {
+    EXPECT_THROW((void)exp::scenario_from_json(obs::parse_json(json)),
+                 std::invalid_argument)
+        << json;
+  }
+}
+
 TEST(ScenarioSpecJson, WrongSchemaIsRejected) {
   EXPECT_THROW(exp::scenario_from_json(obs::parse_json(R"({"schema": "other"})")),
                std::invalid_argument);

@@ -53,6 +53,7 @@
 // lifecycle events in the binary ring format.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -101,6 +102,18 @@ auto as_usage(Fn&& fn) -> decltype(fn()) {
   } catch (const std::invalid_argument& error) {
     throw CliUsageError(error.what());
   }
+}
+
+/// `--lookahead` as the window size it sets: a value past 32 bits is a
+/// usage error, not a window wrapped modulo 2^32.
+std::uint32_t lookahead_option(const CliParser& parser) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::uint64_t value = parser.get_uint("lookahead");
+  if (value > kMax) {
+    throw CliUsageError("mcsim: option --lookahead must be at most " +
+                        std::to_string(kMax) + ": " + parser.get("lookahead"));
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 void add_scenario_options(CliParser& parser) {
@@ -406,7 +419,7 @@ int execute_corpus(const exp::ScenarioSpec& base, const CliParser& parser) {
   exp::CorpusOptions options;
   options.utilization = parser.get_double("utilization");
   if (!parser.get("lookahead").empty()) {
-    options.lookahead = static_cast<std::uint32_t>(parser.get_uint("lookahead"));
+    options.lookahead = lookahead_option(parser);
   }
   options.golden_dir = parser.get("goldens");
   if (parser.get_flag("update-goldens")) {
@@ -493,7 +506,7 @@ int cmd_replay(int argc, const char* const* argv) {
   spec.trace_path = parser.positional().front();
   spec.trace_scale = parser.get_double("scale");
   if (!parser.get("lookahead").empty()) {
-    spec.trace_lookahead = static_cast<std::uint32_t>(parser.get_uint("lookahead"));
+    spec.trace_lookahead = lookahead_option(parser);
   }
   int code = 0;
   if (emit_spec_requested(parser, spec, &code)) return code;
