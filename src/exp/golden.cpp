@@ -158,7 +158,7 @@ void write_point_observation(obs::JsonWriter& json, const ScenarioSpec& spec) {
   simulation.set_metrics(&metrics);
   const SimulationResult result = simulation.run();
 
-  // Digest the SWF record stream exactly as `mcsim point --trace-out`
+  // Digest the SWF record stream exactly as `mcsim run --trace-out`
   // writes it, minus the header comments (which carry provenance).
   std::ostringstream swf;
   write_swf(swf, builder.trace());

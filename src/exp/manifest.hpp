@@ -49,7 +49,7 @@ struct ManifestInfo {
   std::uint64_t events_recorded = 0;
   std::uint64_t events_dropped = 0;
   /// When set, the manifest embeds this spec verbatim as its "scenario"
-  /// object, which is what makes the manifest replayable: `mcsim rerun
+  /// object, which is what makes the manifest replayable: `mcsim run
   /// manifest.json` rebuilds the identical run from it (exp::load_scenario
   /// accepts manifests directly).
   const exp::ScenarioSpec* scenario = nullptr;

@@ -472,17 +472,16 @@ namespace {
 
 /// An unsigned value that must fit 32 bits; `key` names it in the error,
 /// so an oversized value fails instead of wrapping modulo 2^32.
-std::uint32_t read_u32(const obs::JsonValue& value, const std::string& key) {
+std::uint32_t read_u32(const obs::JsonValue& value, const char* key) {
   const std::uint64_t wide = value.as_uint();
   MCSIM_REQUIRE(wide <= std::numeric_limits<std::uint32_t>::max(),
-                "scenario: " + key + " = " + std::to_string(wide) +
+                std::string("scenario: ") + key + " = " + std::to_string(wide) +
                     " exceeds the largest allowed value " +
                     std::to_string(std::numeric_limits<std::uint32_t>::max()));
   return static_cast<std::uint32_t>(wide);
 }
 
-std::vector<std::uint32_t> read_u32_array(const obs::JsonValue& value,
-                                          const std::string& key) {
+std::vector<std::uint32_t> read_u32_array(const obs::JsonValue& value, const char* key) {
   std::vector<std::uint32_t> out;
   out.reserve(value.items().size());
   for (const auto& item : value.items()) out.push_back(read_u32(item, key));
@@ -635,7 +634,7 @@ void read_run(const obs::JsonValue& value, ScenarioSpec& spec) {
     } else if (key == "batch_count") {
       spec.batch_count = v.as_uint();
     } else if (key == "parallelism") {
-      spec.parallelism = static_cast<unsigned>(v.as_uint());
+      spec.parallelism = read_u32(v, "run.parallelism");
     } else {
       MCSIM_REQUIRE(false, "scenario: unknown run key \"" + key + "\"");
     }
@@ -693,6 +692,9 @@ ScenarioSpec load_scenario(const std::string& path) {
   ScenarioSpec spec;
   if (schema != nullptr && schema->is_string() &&
       schema->as_string() == "mcsim-run-manifest") {
+    // A manifest's scenario is the one the run executed, its trace path
+    // already resolved against the directory that run started from: take
+    // it verbatim, wherever the manifest was moved since.
     const obs::JsonValue* embedded = document.find("scenario");
     MCSIM_REQUIRE(embedded != nullptr,
                   "scenario: " + path +
@@ -701,8 +703,8 @@ ScenarioSpec load_scenario(const std::string& path) {
     spec = scenario_from_json(*embedded);
   } else {
     spec = scenario_from_json(document);
+    resolve_trace_path(spec, path);
   }
-  resolve_trace_path(spec, path);
   return spec;
 }
 

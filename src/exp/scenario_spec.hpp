@@ -79,7 +79,7 @@ struct ScenarioSpec {
   /// instead of the synthetic distributions (size_model and the arrival
   /// process are then unused; component_limit/extension_factor still
   /// drive the splitting). Relative paths in scenario files resolve
-  /// against the file's directory (load_scenario).
+  /// against the file's directory; manifests keep theirs (load_scenario).
   std::string trace_path;
   /// Trace replay: multiplies every submit time (< 1 compresses the trace
   /// and raises the offered load; the sweep mode ignores this and derives
@@ -217,7 +217,10 @@ void write_scenario_file(std::ostream& out, const ScenarioSpec& spec);
 ScenarioSpec scenario_from_json(const obs::JsonValue& value);
 
 /// Load a spec from a file holding either a scenario document or a run
-/// manifest with an embedded "scenario" object (`mcsim rerun`).
+/// manifest with an embedded "scenario" object (`mcsim run FILE`). A
+/// scenario's relative trace path resolves against the file's directory;
+/// a manifest's scenario is taken verbatim (its path was resolved when the
+/// recorded run loaded it).
 ScenarioSpec load_scenario(const std::string& path);
 
 }  // namespace mcsim::exp

@@ -33,9 +33,9 @@ inline constexpr EventId kNoEvent = 0;
 /// advanced.
 class EventFn {
  public:
-  /// Inline storage: sized for the engine's largest closure (a coroutine
-  /// resume is 8 bytes, engine closures are 16, a copied std::function is
-  /// 32) plus headroom for test fixtures capturing a few references.
+  /// Inline storage: sized for the engine's largest closure (engine
+  /// closures are 16 bytes, a copied std::function is 32) plus headroom
+  /// for test fixtures capturing a few references.
   static constexpr std::size_t kInlineSize = 48;
 
   EventFn() noexcept = default;

@@ -129,7 +129,8 @@ std::string CliParser::help_text() const {
   out << description_ << "\n\nUsage: " << program_name_ << " [options]\n\nOptions:\n";
   for (const auto& [name, opt] : options_) {
     out << "  --" << name;
-    if (!opt.is_flag) out << "=<value>  (default: " << opt.default_value << ")";
+    if (!opt.is_flag) out << "=<value>";
+    if (!opt.default_value.empty()) out << "  (default: " << opt.default_value << ")";
     out << "\n      " << opt.help << "\n";
   }
   out << "  --help\n      Show this message.\n";

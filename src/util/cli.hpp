@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -53,6 +54,21 @@ class CliParser {
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] std::uint64_t get_uint(const std::string& name) const;
+  /// get_uint with an upper bound: a larger value is a usage error naming
+  /// the option, never a value that wraps where it is stored.
+  [[nodiscard]] std::uint64_t get_uint(const std::string& name, std::uint64_t max) const {
+    const std::uint64_t value = get_uint(name);
+    if (value > max) {
+      throw CliUsageError("mcsim: option --" + name + " must be at most " +
+                          std::to_string(max) + ": " + get(name));
+    }
+    return value;
+  }
+  /// get_uint bounded to 32 bits (4294967295).
+  [[nodiscard]] std::uint32_t get_u32(const std::string& name) const {
+    constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+    return static_cast<std::uint32_t>(get_uint(name, kMax));
+  }
   [[nodiscard]] bool get_flag(const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
 

@@ -24,14 +24,14 @@ function(maximal_gross out_var text)
   set(${out_var} "${CMAKE_MATCH_1}" PARENT_SCOPE)
 endfunction()
 
-set(sat saturation --policy=GS --completions=100)
+# The sealed Table 3 GS scenario, shortened, with each override as a flag.
+set(plain "${SCENARIO_DIR}/table3_gs_limit16_saturation.json")
 foreach(flag --backfill=conservative --discipline=sjf --queue=single --coallocation=co)
-  run_mcsim(out ${sat} ${flag})
+  run_mcsim(out run "${plain}" --completions=100 ${flag})
 endforeach()
 
-# The sealed Table 3 GS scenario, as is and with a conservative backfill
-# stage added to its pipeline.
-set(plain "${SCENARIO_DIR}/table3_gs_limit16_saturation.json")
+# The same scenario, as is and with a conservative backfill stage added to
+# its pipeline.
 file(READ "${plain}" scenario)
 string(REPLACE "\"kind\": \"GS\"" "\"kind\": \"GS\", \"backfill\": \"conservative\""
        scenario "${scenario}")

@@ -102,9 +102,9 @@ TEST(Manifest, GitDescribeIsNonEmpty) {
 
 TEST(Manifest, CommandLineIsEscaped) {
   ManifestInfo info;
-  info.command_line = "mcsim point \"quoted\"";
+  info.command_line = "mcsim run \"quoted\"";
   const auto fixture = run_and_write(info);
-  EXPECT_NE(fixture.json.find("mcsim point \\\"quoted\\\""), std::string::npos);
+  EXPECT_NE(fixture.json.find("mcsim run \\\"quoted\\\""), std::string::npos);
 }
 
 }  // namespace

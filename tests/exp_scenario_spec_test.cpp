@@ -162,6 +162,7 @@ TEST(ScenarioSpecJson, ThirtyTwoBitFieldsRejectWiderValues) {
   for (const char* json :
        {R"({"workload": {"component_limit": 4294967312}})",
         R"({"run": {"replications": 4294967297}})",
+        R"({"run": {"parallelism": 4294967298}})",
         R"({"system": {"cluster_sizes": [32, 4294967328]}})"}) {
     EXPECT_THROW((void)exp::scenario_from_json(obs::parse_json(json)),
                  std::invalid_argument)
@@ -326,13 +327,35 @@ TEST(ScenarioSpecEquivalence, ManifestRerunIsBitIdentical) {
     write_run_manifest(out, config, result, /*metrics=*/nullptr, info);
   }
 
-  // load_scenario accepts the manifest directly (the `mcsim rerun` path).
+  // load_scenario accepts the manifest directly (`mcsim run <manifest>`).
   const auto replayed = exp::load_scenario(file.path());
   EXPECT_EQ(replayed, spec);
   const auto rerun = run_simulation(exp::to_simulation_config(replayed));
   EXPECT_EQ(result.mean_response(), rerun.mean_response());
   EXPECT_EQ(result.completed_jobs, rerun.completed_jobs);
   EXPECT_EQ(result.busy_fraction, rerun.busy_fraction);
+}
+
+TEST(ScenarioSpecEquivalence, ManifestTracePathIsTakenVerbatim) {
+  // The embedded path was resolved when the recorded run loaded its
+  // scenario, against the directory that run started from. Loading the
+  // manifest from another directory must not resolve it a second time.
+  exp::ScenarioSpec spec;
+  spec.trace_path = "data/das1_synthetic_sample.swf";
+  const fs::path dir = fs::temp_directory_path() / "mcsim_scenario_spec_test_manifests";
+  fs::create_directories(dir);
+  const std::string path = (dir / "trace_run.json").string();
+  {
+    std::ofstream out(path);
+    ManifestInfo info;
+    info.scenario = &spec;
+    write_run_manifest(out, exp::to_simulation_config(exp::ScenarioSpec{}),
+                       SimulationResult{}, /*metrics=*/nullptr, info);
+  }
+  const exp::ScenarioSpec loaded = exp::load_scenario(path);
+  fs::remove_all(dir);
+  EXPECT_EQ(loaded.trace_path, spec.trace_path);
+  EXPECT_EQ(loaded, spec);
 }
 
 TEST(ScenarioSpecEquivalence, ManifestScenarioWithEngineKeyIsRejected) {

@@ -86,7 +86,7 @@ TEST(SwfStream, FreeTextColonCommentsAreNotDirectives) {
   // lines; neither is a numeric archive directive and neither may error.
   std::istringstream in(
       "; Version: v1.2.3-4-gdeadbee-dirty\n"
-      "; Command: mcsim point --policy=GS\n"
+      "; Command: mcsim run --policy=GS\n"
       "; Conversion: ask the archive maintainer\n" +
       record_line(1, 0.0, 60.0, 4));
   SwfStreamReader reader(in, "<swf>");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace mcsim {
 namespace {
@@ -108,6 +109,29 @@ TEST(CliParser, NegativeUintThrows) {
   const char* argv[] = {"prog", "--jobs=-3"};
   ASSERT_TRUE(parser.parse(2, argv));
   EXPECT_THROW(parser.get_uint("jobs"), std::invalid_argument);
+}
+
+TEST(CliParser, U32RejectsWiderValuesNamingTheOption) {
+  auto parser = make_parser();
+  const char* argv[] = {"prog", "--jobs=4294967295", "--rho=4294967312"};
+  ASSERT_TRUE(parser.parse(3, argv));
+  EXPECT_EQ(parser.get_u32("jobs"), 4294967295u);
+  try {
+    (void)parser.get_u32("rho");
+    FAIL() << "--rho=4294967312 was wrapped instead of rejected";
+  } catch (const CliUsageError& error) {
+    EXPECT_NE(std::string(error.what()).find("--rho"), std::string::npos) << error.what();
+    EXPECT_NE(std::string(error.what()).find("4294967312"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(CliParser, BoundedUintAcceptsTheBoundAndRejectsAbove) {
+  auto parser = make_parser();
+  const char* argv[] = {"prog", "--jobs=2147483"};
+  ASSERT_TRUE(parser.parse(2, argv));
+  EXPECT_EQ(parser.get_uint("jobs", 2147483), 2147483u);
+  EXPECT_THROW((void)parser.get_uint("jobs", 2147482), CliUsageError);
 }
 
 TEST(CliParser, HelpReturnsFalse) {

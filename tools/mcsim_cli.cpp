@@ -1,14 +1,9 @@
 // mcsim — the unified command-line front end to the library.
 //
 // Subcommands (first positional argument):
-//   run          execute a scenario file (docs/SCENARIOS.md)
-//   rerun        replay a run bit-exactly from its run manifest
+//   run          run a scenario file, a run manifest, or the default scenario
 //   verify       check every scenario against its golden record (docs/GOLDEN.md)
-//   point        one simulation at a target utilization, full metrics
 //   replay       drive the schedulers from a recorded SWF trace
-//   sweep        a response-vs-utilization curve for one scenario
-//   saturation   maximal utilization by constant backlog
-//   replications independent-replication CI for one load point
 //   serve        warm-cache experiment daemon on a Unix socket (docs/SERVING.md)
 //   submit       run a scenario on a running serve daemon
 //   trace-gen    generate a synthetic DAS1 log (SWF)
@@ -20,37 +15,37 @@
 //
 // Examples:
 //   mcsim run data/scenarios/fig3_gs_limit16.json --metrics-out=run.json
-//   mcsim rerun run.json
+//   mcsim run run.json                        # re-run a manifest bit-exactly
+//   mcsim run --policy=LS --utilization=0.55 --limit=16
+//   mcsim run --policy=GS --trace-out=run.swf --metrics-out=run.json
+//   mcsim run data/scenarios/fig3_sc.json --from=0.3 --to=0.8 --gnuplot=out/
+//   mcsim run data/scenarios/fig3_ls_limit16.json --jobs=8   # same output
+//   mcsim run data/scenarios/table3_gs_limit16_saturation.json --limit=24
 //   mcsim verify data/golden                  # the regression gate CI runs
 //   mcsim verify data/golden --update         # re-pin after a reviewed change
-//   mcsim point --policy=LS --utilization=0.55 --limit=16
-//   mcsim point --policy=GS --trace-out=run.swf --metrics-out=run.json
 //   mcsim replay run.swf --policy=GS --verify-against=run.json
 //   mcsim replay das1.swf --policy=LS --scale=0.5   # double the offered load
-//   mcsim sweep --policy=SC --from=0.3 --to=0.8 --step=0.05 --gnuplot=out/
-//   mcsim sweep --policy=LS --jobs=8          # 8 parallel runs, same output
-//   mcsim saturation --policy=GS --limit=24
 //   mcsim trace-gen --sim-jobs=30000 --out=das1.swf --sessions
 //   mcsim trace-stats das1.swf
 //
-// Every simulating command is a thin translator onto exp::ScenarioSpec —
-// the legacy flag commands build a spec from their flags, `run` loads one
-// from a file, and `rerun` extracts the one embedded in a manifest — and
-// all of them execute through the same spec executors below, so the same
-// experiment is bit-identical no matter how it was described. Pass
-// --emit-spec=FILE to a legacy command to write its flags as a scenario
-// file (and exit) instead of simulating.
+// `run` and `replay` build an exp::ScenarioSpec and execute it through the
+// spec executors below, so the same experiment is bit-identical however it
+// was described. The base spec is run's FILE (a scenario file or a run
+// manifest), or ScenarioSpec{} without one; replay's base is ScenarioSpec{}
+// under LS with the trace as its workload. Each spec flag (kRunFlags) then
+// overrides the one field it names. The run mode comes from the base alone,
+// and a flag that mode never reads, spec flag or output, is a usage error.
 //
-// sweep and replications fan their independent runs out over --jobs worker
-// threads (default: all hardware threads); results are bit-identical to a
+// Sweeps and replications fan their independent runs out over --jobs worker
+// threads (run.parallelism in the file); results are bit-identical to a
 // serial run for every --jobs value.
 //
-// point (and run in point mode) can export the run through the
-// observability layer (docs/TRACING.md): --trace-out writes the realised
-// schedule as an SWF trace, --metrics-out writes the JSON run manifest
-// (provenance, config, results, collected metrics, and the scenario —
-// which is what `rerun` replays), --events-out dumps the most recent
-// lifecycle events in the binary ring format.
+// A point run can export itself through the observability layer
+// (docs/TRACING.md): --trace-out writes the realised schedule as an SWF
+// trace, --metrics-out writes the JSON run manifest (provenance, config,
+// results, collected metrics, and the scenario — which `mcsim run` re-runs),
+// --events-out dumps the most recent lifecycle events in the binary ring
+// format.
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -104,76 +99,127 @@ auto as_usage(Fn&& fn) -> decltype(fn()) {
   }
 }
 
-/// `--lookahead` as the window size it sets: a value past 32 bits is a
-/// usage error, not a window wrapped modulo 2^32.
-std::uint32_t lookahead_option(const CliParser& parser) {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
-  const std::uint64_t value = parser.get_uint("lookahead");
-  if (value > kMax) {
-    throw CliUsageError("mcsim: option --lookahead must be at most " +
-                        std::to_string(kMax) + ": " + parser.get("lookahead"));
+// -- the flag → spec translator shared by `run` and `replay` ---------------
+
+/// The runs a flag applies to: one bit per exp::RunMode, and one for
+/// `replay --corpus`, which fans point replays out over a directory of logs.
+constexpr unsigned run_bit(exp::RunMode mode) { return 1u << static_cast<unsigned>(mode); }
+constexpr unsigned kPoint = run_bit(exp::RunMode::kPoint);
+constexpr unsigned kSweep = run_bit(exp::RunMode::kSweep);
+constexpr unsigned kSaturation = run_bit(exp::RunMode::kSaturation);
+constexpr unsigned kReplications = run_bit(exp::RunMode::kReplications);
+constexpr unsigned kCorpus = 1u << 4;
+constexpr unsigned kEveryRun = kPoint | kSweep | kSaturation | kReplications | kCorpus;
+
+/// A flag a run reads: one that sets a ScenarioSpec field, or (no `set`)
+/// an output the run writes. It has no default, so an absent spec flag
+/// keeps the base spec's value.
+struct RunFlag {
+  const char* name;
+  const char* help;
+  unsigned runs;  ///< the runs that read it
+  void (*set)(const CliParser& parser, const char* name, exp::ScenarioSpec& spec);
+  bool presence = false;  ///< a flag without a value (add_flag)
+};
+
+constexpr RunFlag kRunFlags[] = {
+    {"policy", "GS, LS, LP or SC", kEveryRun,
+     [](auto& p, auto n, auto& s) { s.policy = parse_policy_kind(p.get(n)); }},
+    {"limit", "job-component-size limit (16, 24, 32, ...)", kEveryRun,
+     [](auto& p, auto n, auto& s) { s.component_limit = p.get_u32(n); }},
+    {"extension", "wide-area service-time extension factor", kEveryRun,
+     [](auto& p, auto n, auto& s) { s.extension_factor = p.get_double(n); }},
+    {"placement", "component placement rule: WF, FF, BF or LA", kEveryRun,
+     [](auto& p, auto n, auto& s) { s.placement = parse_placement_rule(p.get(n)); }},
+    {"backfill", "single-queue backfilling: none, aggressive, easy, conservative",
+     kEveryRun, [](auto& p, auto n, auto& s) { s.backfill = parse_backfill_mode(p.get(n)); }},
+    {"discipline", "queue order: fcfs, sjf, ljf, smallest-first, largest-first", kEveryRun,
+     [](auto& p, auto n, auto& s) { s.discipline = parse_queue_discipline(p.get(n)); }},
+    {"queue", "pipeline override: queue structure (single, per-cluster, local-global)",
+     kEveryRun,
+     [](auto& p, auto n, auto& s) { s.queue_structure = parse_queue_structure(p.get(n)); }},
+    {"coallocation", "pipeline override: co-allocation rule (co, no-co, limit-<L>)",
+     kEveryRun,
+     [](auto& p, auto n, auto& s) { s.coallocation = parse_coallocation_rule(p.get(n)); }},
+    {"unbalanced", "one local queue gets 40% of local submissions", kEveryRun,
+     [](auto&, auto, auto& s) { s.balanced_queues = false; }, true},
+    {"das64", "cap total job sizes at 64 (DAS-s-64)", kEveryRun,
+     [](auto&, auto, auto& s) { s.size_model = "das-s-64"; }, true},
+    {"seed", "master random seed", kEveryRun,
+     [](auto& p, auto n, auto& s) { s.seed = p.get_uint(n); }},
+    {"trace-in", "replay this SWF trace instead of the base's workload",
+     kPoint | kSweep | kReplications,
+     [](auto& p, auto n, auto& s) { s.trace_path = p.get(n); }},
+    {"scale",
+     "trace replay: multiply every submit time (<1 compresses the trace and raises "
+     "the offered load; a sweep derives its own)",
+     kPoint | kReplications,
+     [](auto& p, auto n, auto& s) { s.trace_scale = p.get_double(n); }},
+    {"lookahead",
+     "trace replay: bounded re-sort window in records (default 4096; raise for "
+     "heavily scrambled logs)",
+     kEveryRun, [](auto& p, auto n, auto& s) { s.trace_lookahead = p.get_u32(n); }},
+    {"utilization", "target gross utilization (replay --corpus: per log, default 0.7)",
+     kPoint | kReplications | kCorpus,
+     [](auto& p, auto n, auto& s) { s.utilization = p.get_double(n); }},
+    {"sim-jobs", "simulated jobs per run", kPoint | kSweep | kReplications,
+     [](auto& p, auto n, auto& s) { s.sim_jobs = p.get_uint(n); }},
+    // A generated grid replaces the base's explicit one, which would
+    // otherwise leave these three unread.
+    {"from", "sweep: first target utilization", kSweep,
+     [](auto& p, auto n, auto& s) {
+       s.sweep_from = p.get_double(n);
+       s.utilization_grid.clear();
+     }},
+    {"to", "sweep: last target utilization", kSweep,
+     [](auto& p, auto n, auto& s) {
+       s.sweep_to = p.get_double(n);
+       s.utilization_grid.clear();
+     }},
+    {"step", "sweep: grid step", kSweep,
+     [](auto& p, auto n, auto& s) {
+       s.sweep_step = p.get_double(n);
+       s.utilization_grid.clear();
+     }},
+    {"completions", "saturation: jobs to complete", kSaturation,
+     [](auto& p, auto n, auto& s) { s.saturation_completions = p.get_uint(n); }},
+    {"reps", "replications: number of replications", kReplications,
+     [](auto& p, auto n, auto& s) { s.replications = p.get_u32(n); }},
+    {"jobs", "worker threads for sweep points, replications or corpus logs (0 = all cores)",
+     kSweep | kReplications | kCorpus,
+     [](auto& p, auto n, auto& s) { s.parallelism = p.get_u32(n); }},
+    {"trace-out", "point: write the realised schedule as an SWF trace", kPoint, nullptr},
+    {"metrics-out", "point: write the JSON run manifest (config, metrics)", kPoint, nullptr},
+    {"events-out", "point: dump recent lifecycle events (binary ring)", kPoint, nullptr},
+    {"gnuplot", "sweep: write .dat/.gp into this directory", kSweep, nullptr},
+};
+
+void add_run_flags(CliParser& parser) {
+  parser.add_option("ring", "65536", "event ring capacity for --events-out");
+  for (const RunFlag& flag : kRunFlags) {
+    if (flag.presence) {
+      parser.add_flag(flag.name, flag.help);
+    } else {
+      parser.add_option(flag.name, "", flag.help);
+    }
   }
-  return static_cast<std::uint32_t>(value);
 }
 
-void add_scenario_options(CliParser& parser) {
-  parser.add_option("policy", "LS", "GS, LS, LP or SC");
-  parser.add_option("limit", "16", "job-component-size limit (16, 24, 32, ...)");
-  parser.add_option("extension", "1.25", "wide-area service-time extension factor");
-  parser.add_option("placement", "WF", "component placement rule: WF, FF, BF or LA");
-  parser.add_option("backfill", "none",
-                    "single-queue backfilling: none, aggressive, easy, conservative");
-  parser.add_option("discipline", "fcfs",
-                    "queue order: fcfs, sjf, ljf, smallest-first, largest-first");
-  parser.add_option("queue", "",
-                    "pipeline override: queue structure (single, per-cluster, "
-                    "local-global)");
-  parser.add_option("coallocation", "",
-                    "pipeline override: co-allocation rule (co, no-co, limit-<L>)");
-  parser.add_option("seed", "1", "master random seed");
-  parser.add_option("emit-spec", "", "write these flags as a scenario file and exit");
-  parser.add_flag("unbalanced", "one local queue gets 40% of local submissions");
-  parser.add_flag("das64", "cap total job sizes at 64 (DAS-s-64)");
-}
-
-/// The flag → spec translation shared by every legacy command.
-exp::ScenarioSpec spec_from(const CliParser& parser) {
-  exp::ScenarioSpec spec;
-  spec.policy = parse_policy_kind(parser.get("policy"));
-  spec.component_limit = static_cast<std::uint32_t>(parser.get_uint("limit"));
-  spec.extension_factor = parser.get_double("extension");
-  spec.placement = parse_placement_rule(parser.get("placement"));
-  spec.backfill = parse_backfill_mode(parser.get("backfill"));
-  spec.discipline = parse_queue_discipline(parser.get("discipline"));
-  if (!parser.get("queue").empty()) {
-    spec.queue_structure = parse_queue_structure(parser.get("queue"));
+/// Override `spec` with every spec flag given. The base's run mode (or the
+/// corpus replay, when `corpus`) decides which flags apply: a spec flag or
+/// output it never reads is a usage error naming the flag and the run, not
+/// a no-op.
+void apply_run_flags(const CliParser& parser, exp::ScenarioSpec& spec, bool corpus = false) {
+  const unsigned run = corpus ? kCorpus : run_bit(spec.mode);
+  for (const RunFlag& flag : kRunFlags) {
+    if (flag.presence ? !parser.get_flag(flag.name) : parser.get(flag.name).empty()) continue;
+    if ((flag.runs & run) == 0) {
+      throw CliUsageError(std::string("mcsim: option --") + flag.name +
+                          " is not read by a " +
+                          (corpus ? "corpus" : exp::run_mode_name(spec.mode)) + " run");
+    }
+    if (flag.set != nullptr) as_usage([&] { flag.set(parser, flag.name, spec); });
   }
-  if (!parser.get("coallocation").empty()) {
-    spec.coallocation = parse_coallocation_rule(parser.get("coallocation"));
-  }
-  spec.balanced_queues = !parser.get_flag("unbalanced");
-  spec.size_model = parser.get_flag("das64") ? "das-s-64" : "das-s-128";
-  spec.seed = parser.get_uint("seed");
-  return spec;
-}
-
-/// Handle --emit-spec: write the spec as a scenario file instead of
-/// simulating. Returns true when the command should exit (status in *code).
-bool emit_spec_requested(const CliParser& parser, const exp::ScenarioSpec& spec,
-                         int* code) {
-  const std::string path = parser.get("emit-spec");
-  if (path.empty()) return false;
-  exp::validate(spec);
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "mcsim: cannot open " << path << '\n';
-    *code = 1;
-    return true;
-  }
-  exp::write_scenario_file(out, spec);
-  std::cout << "scenario -> " << path << '\n';
-  *code = 0;
-  return true;
 }
 
 // argv here is the shifted subcommand view (argv[0] is the subcommand).
@@ -186,17 +232,10 @@ std::string join_command_line(int argc, const char* const* argv) {
   return joined;
 }
 
-void add_point_output_options(CliParser& parser) {
-  parser.add_option("trace-out", "", "write the realised schedule as an SWF trace");
-  parser.add_option("metrics-out", "", "write the JSON run manifest (config, metrics)");
-  parser.add_option("events-out", "", "dump recent lifecycle events (binary ring)");
-  parser.add_option("ring", "65536", "event ring capacity for --events-out");
-}
-
 /// Run one load point from a spec: simulate, export (trace / manifest /
 /// events as requested) and print the summary table. The spec is embedded
-/// in the manifest, so any manifest written here can be replayed with
-/// `mcsim rerun`. `result_out`, when given, receives the run's result
+/// in the manifest, so any manifest written here can be re-run with
+/// `mcsim run`. `result_out`, when given, receives the run's result
 /// (used by `replay --verify-against`).
 int execute_point(const exp::ScenarioSpec& spec, const CliParser& parser,
                   const std::string& command_line,
@@ -328,23 +367,6 @@ int execute_replications(const exp::ScenarioSpec& spec) {
   return 0;
 }
 
-int cmd_point(int argc, const char* const* argv) {
-  CliParser parser("mcsim point: one simulation at a target gross utilization");
-  add_scenario_options(parser);
-  parser.add_option("utilization", "0.5", "target gross utilization");
-  parser.add_option("sim-jobs", "30000", "simulated jobs");
-  add_point_output_options(parser);
-  if (!parser.parse(argc, argv)) return 0;
-
-  exp::ScenarioSpec spec = as_usage([&] { return spec_from(parser); });
-  spec.mode = exp::RunMode::kPoint;
-  spec.utilization = parser.get_double("utilization");
-  spec.sim_jobs = parser.get_uint("sim-jobs");
-  int code = 0;
-  if (emit_spec_requested(parser, spec, &code)) return code;
-  return execute_point(spec, parser, join_command_line(argc, argv));
-}
-
 // The statistic groups a replay must reproduce bit-exactly from the run
 // that exported its trace: everything derived from per-job waits and
 // responses. Slowdown and the net-utilization figures are excluded by
@@ -417,10 +439,8 @@ int verify_replay_against(const SimulationResult& result,
 /// goldens (docs/WORKLOADS.md).
 int execute_corpus(const exp::ScenarioSpec& base, const CliParser& parser) {
   exp::CorpusOptions options;
-  options.utilization = parser.get_double("utilization");
-  if (!parser.get("lookahead").empty()) {
-    options.lookahead = lookahead_option(parser);
-  }
+  if (!parser.get("utilization").empty()) options.utilization = base.utilization;
+  options.lookahead = base.trace_lookahead;
   options.golden_dir = parser.get("goldens");
   if (parser.get_flag("update-goldens")) {
     options.golden_mode = exp::CorpusGoldenMode::kUpdate;
@@ -457,21 +477,13 @@ int execute_corpus(const exp::ScenarioSpec& base, const CliParser& parser) {
 
 int cmd_replay(int argc, const char* const* argv) {
   CliParser parser("mcsim replay: drive the schedulers from a recorded SWF trace");
-  add_scenario_options(parser);
-  parser.add_option("scale", "1.0",
-                    "multiply every submit time (<1 compresses the trace and "
-                    "raises the offered load)");
+  add_run_flags(parser);
   parser.add_option("verify-against", "",
                     "manifest of the run that exported this trace: compare "
                     "wait/response statistics bit-exactly, non-zero exit on drift");
-  parser.add_option("lookahead", "",
-                    "streaming reader: bounded re-sort window in records "
-                    "(default 4096; raise for heavily scrambled logs)");
   parser.add_option("corpus", "",
                     "replay every .swf under this directory instead of one "
                     "log (per-log machine from the SWF header)");
-  parser.add_option("utilization", "0.7",
-                    "corpus mode: per-log target gross utilization");
   parser.add_option("goldens", "data/golden/corpus",
                     "corpus mode: directory of sealed per-log summaries");
   parser.add_flag("check-goldens",
@@ -479,106 +491,36 @@ int cmd_replay(int argc, const char* const* argv) {
                   "non-zero exit on drift");
   parser.add_flag("update-goldens",
                   "corpus mode: regenerate the sealed per-log summaries");
-  parser.add_option("jobs", "1",
-                    "corpus mode: logs replayed at once (worker threads, "
-                    "0 = all cores); a single replay is one serial run");
-  add_point_output_options(parser);
   if (!parser.parse(argc, argv)) return 0;
 
+  // The base: the default spec under replay's documented policy, LS.
+  exp::ScenarioSpec spec;
+  spec.policy = PolicyKind::kLS;
   if (!parser.get("corpus").empty()) {
     if (!parser.positional().empty()) {
       std::cerr << "mcsim replay: --corpus replays a directory; drop the "
                    "positional trace argument\n";
       return kExitUsage;
     }
-    exp::ScenarioSpec base = as_usage([&] { return spec_from(parser); });
-    base.parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
-    return execute_corpus(base, parser);
+    apply_run_flags(parser, spec, /*corpus=*/true);
+    return execute_corpus(spec, parser);
   }
   if (parser.positional().empty()) {
     std::cerr << "usage: mcsim replay <trace.swf> [options]\n"
                  "       mcsim replay --corpus=<dir> [options]\n";
     return kExitUsage;
   }
-
-  exp::ScenarioSpec spec = as_usage([&] { return spec_from(parser); });
-  spec.mode = exp::RunMode::kPoint;
   spec.trace_path = parser.positional().front();
-  spec.trace_scale = parser.get_double("scale");
-  if (!parser.get("lookahead").empty()) {
-    spec.trace_lookahead = lookahead_option(parser);
-  }
-  int code = 0;
-  if (emit_spec_requested(parser, spec, &code)) return code;
+  apply_run_flags(parser, spec);
   SimulationResult result;
-  code = execute_point(spec, parser, join_command_line(argc, argv), &result);
+  const int code = execute_point(spec, parser, join_command_line(argc, argv), &result);
   if (code != 0) return code;
   const std::string against = parser.get("verify-against");
   if (!against.empty()) return verify_replay_against(result, against);
   return 0;
 }
 
-int cmd_sweep(int argc, const char* const* argv) {
-  CliParser parser("mcsim sweep: response-vs-utilization curve");
-  add_scenario_options(parser);
-  parser.add_option("from", "0.30", "first target utilization");
-  parser.add_option("to", "0.80", "last target utilization");
-  parser.add_option("step", "0.05", "grid step");
-  parser.add_option("sim-jobs", "20000", "jobs per sweep point");
-  parser.add_option("jobs", std::to_string(exp::Runner::default_jobs()),
-                    "parallel sweep points (worker threads)");
-  parser.add_option("gnuplot", "", "write .dat/.gp into this directory");
-  if (!parser.parse(argc, argv)) return 0;
-
-  exp::ScenarioSpec spec = as_usage([&] { return spec_from(parser); });
-  spec.mode = exp::RunMode::kSweep;
-  spec.sweep_from = parser.get_double("from");
-  spec.sweep_to = parser.get_double("to");
-  spec.sweep_step = parser.get_double("step");
-  spec.sim_jobs = parser.get_uint("sim-jobs");
-  spec.parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
-  int code = 0;
-  if (emit_spec_requested(parser, spec, &code)) return code;
-  return execute_sweep(spec, parser.get("gnuplot"));
-}
-
-int cmd_saturation(int argc, const char* const* argv) {
-  CliParser parser("mcsim saturation: maximal utilization by constant backlog");
-  add_scenario_options(parser);
-  parser.add_option("completions", "40000", "jobs to complete");
-  if (!parser.parse(argc, argv)) return 0;
-
-  exp::ScenarioSpec spec = as_usage([&] { return spec_from(parser); });
-  spec.mode = exp::RunMode::kSaturation;
-  spec.saturation_completions = parser.get_uint("completions");
-  int code = 0;
-  if (emit_spec_requested(parser, spec, &code)) return code;
-  return execute_saturation(spec);
-}
-
-int cmd_replications(int argc, const char* const* argv) {
-  CliParser parser("mcsim replications: independent-replication CI for one load point");
-  add_scenario_options(parser);
-  parser.add_option("utilization", "0.5", "target gross utilization");
-  parser.add_option("sim-jobs", "20000", "jobs per replication");
-  parser.add_option("reps", "10", "number of replications");
-  parser.add_option("jobs", std::to_string(exp::Runner::default_jobs()),
-                    "parallel replications (worker threads)");
-  if (!parser.parse(argc, argv)) return 0;
-
-  exp::ScenarioSpec spec = as_usage([&] { return spec_from(parser); });
-  spec.mode = exp::RunMode::kReplications;
-  spec.utilization = parser.get_double("utilization");
-  spec.sim_jobs = parser.get_uint("sim-jobs");
-  spec.replications = static_cast<std::uint32_t>(parser.get_uint("reps"));
-  spec.parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
-  int code = 0;
-  if (emit_spec_requested(parser, spec, &code)) return code;
-  return execute_replications(spec);
-}
-
-/// Dispatch a loaded spec to the executor for its run mode; shared by
-/// `run` and `rerun`.
+/// Dispatch a spec to the executor for its run mode.
 int execute_spec(const exp::ScenarioSpec& spec, const CliParser& parser,
                  const std::string& command_line) {
   switch (spec.mode) {
@@ -594,78 +536,21 @@ int execute_spec(const exp::ScenarioSpec& spec, const CliParser& parser,
   return 1;
 }
 
-void add_run_options(CliParser& parser) {
-  add_point_output_options(parser);
-  parser.add_option("gnuplot", "", "sweep mode: write .dat/.gp into this directory");
-  parser.add_option("seed", "", "override the scenario's master seed");
-  parser.add_option("jobs", "",
-                    "override the scenario's worker threads (sweep and "
-                    "replications fan-out)");
-  parser.add_option("trace-in", "",
-                    "replay this SWF trace instead of the scenario's workload");
-  parser.add_option("scale", "", "trace replay: override the arrival-time scale");
-  parser.add_option("backfill", "",
-                    "override the scenario's backfill mode (none, aggressive, "
-                    "easy, conservative)");
-  parser.add_option("discipline", "",
-                    "override the scenario's queue order (fcfs, sjf, ljf, "
-                    "smallest-first, largest-first)");
-}
-
-void apply_run_overrides(const CliParser& parser, exp::ScenarioSpec* spec) {
-  if (!parser.get("seed").empty()) spec->seed = parser.get_uint("seed");
-  if (!parser.get("jobs").empty()) {
-    spec->parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
-  }
-  if (!parser.get("trace-in").empty()) spec->trace_path = parser.get("trace-in");
-  if (!parser.get("scale").empty()) spec->trace_scale = parser.get_double("scale");
-  if (!parser.get("backfill").empty()) {
-    spec->backfill = parse_backfill_mode(parser.get("backfill"));
-  }
-  if (!parser.get("discipline").empty()) {
-    spec->discipline = parse_queue_discipline(parser.get("discipline"));
-  }
-}
-
 int cmd_run(int argc, const char* const* argv) {
-  CliParser parser("mcsim run: execute a scenario file (docs/SCENARIOS.md)");
-  add_run_options(parser);
+  CliParser parser(
+      "mcsim run [FILE]: run a scenario file or a run manifest, or without FILE "
+      "the default scenario; each flag overrides the one field it names "
+      "(docs/SCENARIOS.md)");
+  add_run_flags(parser);
   if (!parser.parse(argc, argv)) return 0;
-  if (parser.positional().empty()) {
-    std::cerr << "usage: mcsim run <scenario.json> [options]\n";
+  if (parser.positional().size() > 1) {
+    std::cerr << "usage: mcsim run [FILE] [options]\n";
     return kExitUsage;
   }
-  exp::ScenarioSpec spec = exp::load_scenario(parser.positional().front());
-  as_usage([&] { apply_run_overrides(parser, &spec); });
-  return execute_spec(spec, parser, join_command_line(argc, argv));
-}
-
-int cmd_rerun(int argc, const char* const* argv) {
-  CliParser parser("mcsim rerun: replay a run bit-exactly from its run manifest");
-  add_run_options(parser);
-  if (!parser.parse(argc, argv)) return 0;
-  if (parser.positional().empty()) {
-    std::cerr << "usage: mcsim rerun <manifest.json> [options]\n";
-    return kExitUsage;
-  }
-  const std::string path = parser.positional().front();
-  const obs::JsonValue document = obs::parse_json_file(path);
-  const obs::JsonValue* schema =
-      document.is_object() ? document.find("schema") : nullptr;
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "mcsim-run-manifest") {
-    std::cerr << "mcsim: " << path
-              << " is not a run manifest (use `mcsim run` for scenario files)\n";
-    return 1;
-  }
-  const obs::JsonValue* embedded = document.find("scenario");
-  if (embedded == nullptr) {
-    std::cerr << "mcsim: " << path
-              << " has no embedded scenario (written before scenario support?)\n";
-    return 1;
-  }
-  exp::ScenarioSpec spec = exp::scenario_from_json(*embedded);
-  as_usage([&] { apply_run_overrides(parser, &spec); });
+  exp::ScenarioSpec spec = parser.positional().empty()
+                               ? exp::ScenarioSpec{}
+                               : exp::load_scenario(parser.positional().front());
+  apply_run_flags(parser, spec);
   return execute_spec(spec, parser, join_command_line(argc, argv));
 }
 
@@ -689,7 +574,7 @@ int cmd_verify(int argc, const char* const* argv) {
       as_usage([&] { return exp::parse_compare_mode(parser.get("mode")); });
   options.compare.rel_tol = parser.get_double("rel-tol");
   options.compare.abs_tol = parser.get_double("abs-tol");
-  options.parallelism = static_cast<unsigned>(parser.get_uint("jobs"));
+  options.parallelism = parser.get_u32("jobs");
   options.update = parser.get_flag("update");
 
   const exp::VerifyReport report =
@@ -748,6 +633,7 @@ int cmd_trace_stats(int argc, const char* const* argv) {
     std::cerr << "usage: mcsim trace-stats <trace.swf>\n";
     return kExitUsage;
   }
+  const std::uint32_t capacity = parser.get_u32("capacity");
   const auto trace = read_swf_file(parser.positional().front());
   const auto summary = summarize_trace(trace.records);
   TextTable table({"statistic", "value"});
@@ -762,8 +648,7 @@ int cmd_trace_stats(int argc, const char* const* argv) {
   table.add_row({"service cv", format_double(summary.service_cv, 2)});
   table.add_row({"under 15 min", format_util(summary.fraction_under_15min)});
   std::cout << table.render() << '\n';
-  std::cout << render_utilization_timeline(
-      trace.records, static_cast<std::uint32_t>(parser.get_uint("capacity")));
+  std::cout << render_utilization_timeline(trace.records, capacity);
   return 0;
 }
 
@@ -782,8 +667,10 @@ int cmd_serve(int argc, const char* const* argv) {
 
   serve::ServerConfig config;
   config.socket_path = parser.get("socket");
-  config.jobs = static_cast<unsigned>(parser.get_uint("jobs"));
-  config.cache_bytes = parser.get_uint("cache-mb") << 20;
+  config.jobs = parser.get_u32("jobs");
+  // MiB to bytes: a budget that would not fit 64 bits is a usage error.
+  constexpr std::uint64_t kMaxCacheMb = std::numeric_limits<std::uint64_t>::max() >> 20;
+  config.cache_bytes = parser.get_uint("cache-mb", kMaxCacheMb) << 20;
   config.sandbox_root = parser.get("sandbox");
   serve::Server server(config);
   // Blocks until a `shutdown` request or SIGTERM/SIGINT drains the queue;
@@ -811,6 +698,9 @@ int cmd_submit(int argc, const char* const* argv) {
   // scenario travels verbatim and is resolved by the SERVER against its
   // sandbox root, so the same scenario file means the same thing to every
   // client wherever it runs (docs/SERVING.md, "The sandbox").
+  // Seconds to milliseconds in an int: a longer timeout is a usage error.
+  const std::uint64_t timeout_s =
+      parser.get_uint("timeout", std::numeric_limits<int>::max() / 1000);
   const std::string path = parser.positional().front();
   obs::JsonValue document = obs::parse_json_file(path);
   const obs::JsonValue* spec = &document;
@@ -825,7 +715,7 @@ int cmd_submit(int argc, const char* const* argv) {
   }
 
   serve::ServeClient client(parser.get("socket"));
-  client.set_timeout_ms(static_cast<int>(parser.get_uint("timeout")) * 1000);
+  client.set_timeout_ms(static_cast<int>(timeout_s) * 1000);
   const std::uint64_t id =
       client.submit(serve::compact_json(*spec), parser.get("name"));
   std::cout << "submitted run " << id << '\n';
@@ -862,14 +752,12 @@ void print_usage() {
       << "mcsim — trace-based multicluster co-allocation simulator (HPDC'03 repro)\n\n"
          "usage: mcsim <command> [options]   (each command supports --help)\n\n"
          "commands:\n"
-         "  run           execute a scenario file (docs/SCENARIOS.md)\n"
-         "  rerun         replay a run bit-exactly from its run manifest\n"
+         "  run [FILE]    run a scenario file or a run manifest (docs/SCENARIOS.md);\n"
+         "                without FILE the default scenario, a point run. Flags\n"
+         "                override the fields they name; the run mode (point,\n"
+         "                sweep, saturation, replications) comes from FILE\n"
          "  verify        check every scenario against its golden record\n"
-         "  point         one simulation at a target utilization\n"
          "  replay        drive the schedulers from a recorded SWF trace\n"
-         "  sweep         response-vs-utilization curve\n"
-         "  saturation    maximal utilization (constant backlog)\n"
-         "  replications  independent-replication confidence interval\n"
          "  serve         warm-cache experiment daemon (docs/SERVING.md)\n"
          "  submit        run a scenario on a running serve daemon\n"
          "  trace-gen     generate a synthetic DAS1 log (SWF)\n"
@@ -890,13 +778,8 @@ int main(int argc, char** argv) {
   const char* const* sub_argv = argv + 1;
   try {
     if (command == "run") return cmd_run(sub_argc, sub_argv);
-    if (command == "rerun") return cmd_rerun(sub_argc, sub_argv);
     if (command == "verify") return cmd_verify(sub_argc, sub_argv);
-    if (command == "point") return cmd_point(sub_argc, sub_argv);
     if (command == "replay") return cmd_replay(sub_argc, sub_argv);
-    if (command == "sweep") return cmd_sweep(sub_argc, sub_argv);
-    if (command == "saturation") return cmd_saturation(sub_argc, sub_argv);
-    if (command == "replications") return cmd_replications(sub_argc, sub_argv);
     if (command == "serve") return cmd_serve(sub_argc, sub_argv);
     if (command == "submit") return cmd_submit(sub_argc, sub_argv);
     if (command == "trace-gen") return cmd_trace_gen(sub_argc, sub_argv);
