@@ -9,19 +9,21 @@
 //   * ReplayGS / ReplayLS exercise the per-event path end to end — job
 //     construction, queue hops, placement, calendar traffic — on a trace
 //     long enough (100k replayed jobs) that per-event costs dominate setup.
-//   * CalendarCalibration is a machine-speed yardstick: the gate compares
+//   * HeapHoldCalibration is a machine-speed yardstick: the gate compares
 //     each benchmark's time *relative to the calibration time from the same
 //     run*, so a uniformly slower machine (or a noisy CI runner) does not
 //     produce false regressions; only the engine getting slower relative to
-//     a fixed workload does.
+//     a fixed workload does. It shares no code with mcsim, so a change to
+//     the engine cannot move the yardstick it is measured against.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "sim/calendar.hpp"
 #include "trace/synthetic_log.hpp"
 #include "workload/trace_workload.hpp"
 
@@ -95,29 +97,37 @@ BENCHMARK_CAPTURE(BM_ReplayThroughput, GS, PolicyKind::kGS)
 BENCHMARK_CAPTURE(BM_ReplayThroughput, LS, PolicyKind::kLS)
     ->Unit(benchmark::kMillisecond);
 
-// Machine-speed yardstick for the regression gate: a fixed calendar
-// hold-model loop (push one, pop one, at a steady occupancy) whose cost is
-// dominated by the same cache/branch behaviour as the simulator's event
-// loop but is independent of the engine code being gated.
-void BM_CalendarCalibration(benchmark::State& state) {
-  constexpr std::size_t kOccupancy = 1024;
+// Machine-speed yardstick for the regression gate: a fixed hold model (pop
+// the earliest key, push it back later) on a 1024-entry binary heap of
+// doubles, the shape of perfbench's heap_hold_s. Like the engine's event
+// loop it is branch-bound and cache-resident, but it calls only the
+// standard library, so no change to mcsim can move it.
+void BM_HeapHoldCalibration(benchmark::State& state) {
+  constexpr std::size_t kEntries = 1024;
+  constexpr int kOperations = 100000;
+  std::vector<double> heap(kEntries);
   for (auto _ : state) {
     state.PauseTiming();
-    Calendar calendar;
-    double time = 0.0;
-    for (std::size_t i = 0; i < kOccupancy; ++i) calendar.push(time + 1.0);
-    state.ResumeTiming();
-    for (int i = 0; i < 100000; ++i) {
-      const auto entry = calendar.pop();
-      time = entry.time;
-      calendar.push(time + 1.0 + 0.001 * static_cast<double>(i % 97));
-      benchmark::DoNotOptimize(entry);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (double& key : heap) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      key = static_cast<double>(x >> 44);
     }
+    std::make_heap(heap.begin(), heap.end(), std::greater<>());
+    state.ResumeTiming();
+    for (int i = 0; i < kOperations; ++i) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      heap.back() += 1.0 + 0.001 * static_cast<double>(i % 97);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    }
+    benchmark::DoNotOptimize(heap.front());
   }
-  state.SetItemsProcessed(state.iterations() * 100000);
+  state.SetItemsProcessed(state.iterations() * kOperations);
 }
 
-BENCHMARK(BM_CalendarCalibration)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HeapHoldCalibration)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mcsim

@@ -7,10 +7,11 @@ threshold (default 10%).
 
 Raw events/sec depends on the host, so the gate scores each benchmark by
 its *calibration-normalized ratio*: throughput divided by the
-BM_CalendarCalibration items/sec measured in the same run. The calibration
-loop (raw calendar push/pop at fixed occupancy) scales with machine speed
-the same way the replay loop does, so the ratio is stable across hosts
-while still catching real regressions in the simulation hot path.
+BM_HeapHoldCalibration items/sec measured in the same run. The calibration
+loop (a std::push_heap/pop_heap hold model on 1024 doubles, no mcsim code)
+scales with machine speed the same way the replay loop does, so the ratio
+is stable across hosts while still catching real regressions in the
+simulation hot path.
 
 Usage:
   # Gate a fresh run against the checked-in baseline:
@@ -27,7 +28,7 @@ import argparse
 import json
 import sys
 
-CALIBRATION = "BM_CalendarCalibration"
+CALIBRATION = "BM_HeapHoldCalibration"
 GATED = ["BM_ReplayThroughput/GS", "BM_ReplayThroughput/LS"]
 
 

@@ -20,7 +20,7 @@ REPO_ROOT = pathlib.Path(
     os.environ.get("MCSIM_REPO_ROOT", pathlib.Path(__file__).resolve().parent.parent))
 BENCH_COMPARE = REPO_ROOT / "tools" / "bench_compare.py"
 
-CALIBRATION = "BM_CalendarCalibration"
+CALIBRATION = "BM_HeapHoldCalibration"
 GS = "BM_ReplayThroughput/GS"
 LS = "BM_ReplayThroughput/LS"
 
