@@ -1,4 +1,4 @@
-// Engine microbenchmarks (google-benchmark): the DES calendar, placement
+// Engine microbenchmarks (google-benchmark): the event core, placement
 // rules (the WF/FF/BF ablation from DESIGN.md, and the per-attempt
 // placement row), one backfilling scheduler round, the per-departure
 // statistics folds, distribution sampling, SWF trace ingest, the trace
@@ -15,11 +15,11 @@
 
 #include "cluster/placement.hpp"
 #include "core/engine.hpp"
+#include "core/event_core.hpp"
 #include "exp/scenario_spec.hpp"
 #include "obs/ring_recorder.hpp"
 #include "obs/swf_builder.hpp"
 #include "policy/scheduler_factory.hpp"
-#include "sim/calendar.hpp"
 #include "stats/batch_means.hpp"
 #include "stats/percentile.hpp"
 #include "stats/welford.hpp"
@@ -34,56 +34,26 @@ namespace {
 
 using namespace mcsim;
 
-void BM_CalendarPushPop(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  for (auto _ : state) {
-    Calendar cal;
-    for (std::size_t i = 0; i < batch; ++i) cal.push(rng.uniform(0.0, 1e6));
-    while (!cal.empty()) benchmark::DoNotOptimize(cal.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_CalendarPushPop)->Arg(256)->Arg(4096)->Arg(65536);
-
-void BM_CalendarHold(benchmark::State& state) {
-  // The classic "hold" model: steady-state push/pop on a part-full calendar.
+void BM_EventCoreHold(benchmark::State& state) {
+  // The "hold" model at the engine's real occupancy: at most one arrival
+  // plus one departure per busy processor is pending, 1 + 128 on the
+  // paper's 4x32 system.
+  constexpr std::size_t kOccupancy = 129;
   Rng rng(2);
-  Calendar cal;
-  for (int i = 0; i < 1024; ++i) cal.push(rng.uniform(0.0, 1000.0));
-  double now = 0.0;
+  std::vector<Job> jobs(kOccupancy);
+  EventCore core;
+  for (Job& job : jobs) core.push(rng.uniform(0.0, 1000.0), Event::Kind::kDeparture, &job);
   for (auto _ : state) {
-    const auto entry = cal.pop();
-    now = entry.time;
-    cal.push(now + rng.uniform(0.0, 1000.0));
+    // One pop and one push per iteration: the dispatch pushes the event
+    // back later and stops the run.
+    core.run([&](const Event& event) {
+      core.push(core.now() + rng.uniform(0.0, 1000.0), event.kind(), event.job);
+      core.stop();
+    });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_CalendarHold);
-
-void BM_CalendarCancelHeavy(benchmark::State& state) {
-  // The engine's real pop path: jobs schedule cancellable events (departure
-  // guards, backfill reservations) and many get cancelled before they fire.
-  // Each iteration pops one event, pushes two and cancels one of them, so
-  // half of all heap entries are stale and both the cancel path and the
-  // liveness check on pop are exercised; the calendar stays at 1024 live.
-  Rng rng(7);
-  Calendar cal;
-  for (int i = 0; i < 1024; ++i) cal.push(rng.uniform(0.0, 1000.0));
-  double now = 0.0;
-  std::uint64_t cursor = 0;
-  for (auto _ : state) {
-    const auto entry = cal.pop();
-    now = entry.time;
-    const EventId a = cal.push(now + rng.uniform(0.0, 1000.0));
-    const EventId b = cal.push(now + rng.uniform(0.0, 1000.0));
-    cal.cancel((cursor & 1) != 0 ? a : b);
-    ++cursor;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_CalendarCancelHeavy);
+BENCHMARK(BM_EventCoreHold);
 
 void BM_Placement(benchmark::State& state) {
   const auto rule = static_cast<PlacementRule>(state.range(0));

@@ -7,7 +7,7 @@
 // docs/PERFORMANCE.md). Two design points matter for gating:
 //
 //   * ReplayGS / ReplayLS exercise the per-event path end to end — job
-//     construction, queue hops, placement, calendar traffic — on a trace
+//     construction, queue hops, placement, event-heap traffic — on a trace
 //     long enough (100k replayed jobs) that per-event costs dominate setup.
 //   * HeapHoldCalibration is a machine-speed yardstick: the gate compares
 //     each benchmark's time *relative to the calibration time from the same

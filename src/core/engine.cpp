@@ -143,7 +143,6 @@ void MulticlusterSimulation::set_metrics(obs::MetricsRegistry* metrics) {
     ctr_arrivals_ = ctr_started_ = ctr_finished_ = nullptr;
     ctr_attempts_ = ctr_rejects_ = ctr_rejects_local_ = nullptr;
     calendar_series_ = nullptr;
-    sim_.set_step_hook(nullptr);
     return;
   }
   ctr_arrivals_ = &metrics_->counter("jobs.arrived");
@@ -154,15 +153,12 @@ void MulticlusterSimulation::set_metrics(obs::MetricsRegistry* metrics) {
   ctr_rejects_local_ = &metrics_->counter("placement.rejects.local");
   calendar_series_ = &metrics_->series("calendar.pending");
   calendar_series_->start(0.0, 0.0);
-  sim_.set_step_hook([this](double time, std::size_t pending) {
-    calendar_series_->update(time, static_cast<double>(pending));
-  });
 }
 
 void MulticlusterSimulation::emit(obs::EventKind kind, const Job& job, double value,
                                   std::int16_t cluster) {
   obs::TraceEvent event;
-  event.time = sim_.now();
+  event.time = now();
   event.value = value;
   event.job = job.spec.id;
   event.size = job.spec.total_size;
@@ -186,7 +182,7 @@ void MulticlusterSimulation::finish_metrics() {
           ? static_cast<double>(result_.events_executed) / event_loop_seconds_
           : 0.0;
   metrics_->gauge("run.peak_rss_bytes") = static_cast<double>(peak_rss_bytes());
-  metrics_->gauge("run.sim_end_time") = sim_.now();
+  metrics_->gauge("run.sim_end_time") = now();
   metrics_->gauge("run.unstable") = result_.unstable ? 1.0 : 0.0;
   // Snapshot the engine's own time-weighted processes (measurement window,
   // i.e. post-warmup) into the registry so the manifest carries them.
@@ -202,13 +198,9 @@ SimulationResult MulticlusterSimulation::run() {
   MCSIM_REQUIRE(!ran_, "MulticlusterSimulation::run may be called once");
   ran_ = true;
   const auto wall_start = std::chrono::steady_clock::now();
-  // Auto-tune the event core from the run's known horizon: every job is at
-  // most one arrival plus one departure event, and the pending set is
-  // bounded by the running jobs (<= total processors) plus the one
-  // in-flight arrival. Sized here, the calendar heap, the handler slots and
-  // the resolved bitmap never rehash or reallocate mid-run.
-  sim_.reserve_events(config_.total_jobs * 2 + 16,
-                      static_cast<std::size_t>(system_.total_processors()) + 8);
+  // The pending set is bounded by the running jobs (<= total processors)
+  // plus the one in-flight arrival, so the heap never reallocates mid-run.
+  events_.reserve(static_cast<std::size_t>(system_.total_processors()) + 8);
   if (warmup_completions_ == 0) begin_measurement();
   if (config_.backlog > 0) {
     // Prime the backlog at t = 0; each departure then submits one more.
@@ -218,7 +210,16 @@ SimulationResult MulticlusterSimulation::run() {
     schedule_next_arrival();
   }
   const auto loop_start = std::chrono::steady_clock::now();
-  sim_.run();
+  events_.run([this](const Event& event) {
+    if (event.kind() == Event::Kind::kArrival) {
+      on_arrival(event.job);
+    } else {
+      on_departure(event.job);
+    }
+    if (calendar_series_ != nullptr) {
+      calendar_series_->update(now(), static_cast<double>(events_.pending()));
+    }
+  });
   event_loop_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - loop_start)
           .count();
@@ -227,18 +228,18 @@ SimulationResult MulticlusterSimulation::run() {
           .count();
 
   result_.completed_jobs = completions_;
-  result_.end_time = sim_.now();
-  result_.events_executed = sim_.executed_events();
+  result_.end_time = now();
+  result_.events_executed = events_.executed();
   result_.final_queue_lengths = scheduler_->queue_lengths();
   result_.response_ci = response_batches_->confidence();
   result_.response_p95 = response_p95_.value();
-  result_.busy_fraction = utilization_.busy_fraction(sim_.now());
-  result_.carried_net_utilization = utilization_.net_utilization(sim_.now());
-  result_.mean_queue_length = queue_length_.time_average(sim_.now());
+  result_.busy_fraction = utilization_.busy_fraction(now());
+  result_.carried_net_utilization = utilization_.net_utilization(now());
+  result_.mean_queue_length = queue_length_.time_average(now());
   result_.per_cluster_busy_fraction.reserve(cluster_busy_.size());
   for (std::uint32_t c = 0; c < cluster_busy_.size(); ++c) {
     result_.per_cluster_busy_fraction.push_back(
-        cluster_busy_[c].time_average(sim_.now()) /
+        cluster_busy_[c].time_average(now()) /
         static_cast<double>(system_.cluster(c).capacity()));
   }
 
@@ -257,15 +258,14 @@ SimulationResult MulticlusterSimulation::run() {
 void MulticlusterSimulation::schedule_next_arrival() {
   if (arrivals_generated_ >= config_.total_jobs) return;
   // The source fills a pooled job's spec in place, reusing the vectors a
-  // recycled job already owns, and the arrival event captures one plain
-  // pointer (the handler stays inside EventFn's inline buffer).
+  // recycled job already owns; the arrival event carries the job pointer.
   JobPtr job = pool_.acquire();
   if (!source_->next(job->spec)) {  // finite source (trace) ran dry
     pool_.release(job);
     return;
   }
   ++arrivals_generated_;
-  sim_.schedule_at(job->spec.arrival_time, [this, job]() { on_arrival(job); });
+  events_.push(job->spec.arrival_time, Event::Kind::kArrival, job);
 }
 
 // Constant-backlog arrivals bypass the instability guards: the queue
@@ -273,7 +273,7 @@ void MulticlusterSimulation::schedule_next_arrival() {
 void MulticlusterSimulation::submit_backlog_job() {
   JobPtr job = pool_.acquire();
   source_->next(job->spec);
-  job->spec.arrival_time = sim_.now();
+  job->spec.arrival_time = now();
   ++arrivals_generated_;
   if (ctr_arrivals_ != nullptr) ++*ctr_arrivals_;
   if (sink_ != nullptr) {
@@ -284,7 +284,7 @@ void MulticlusterSimulation::submit_backlog_job() {
 }
 
 void MulticlusterSimulation::on_arrival(JobPtr job) {
-  last_arrival_time_ = sim_.now();
+  last_arrival_time_ = now();
   if (measuring_) {
     arrived_gross_work_ +=
         static_cast<double>(job->spec.total_size) * job->spec.gross_service_time;
@@ -297,13 +297,13 @@ void MulticlusterSimulation::on_arrival(JobPtr job) {
          static_cast<std::int16_t>(job->spec.origin_queue));
   }
   scheduler_->submit(job);
-  queue_length_.update(sim_.now(), static_cast<double>(scheduler_->queued_jobs()));
+  queue_length_.update(now(), static_cast<double>(scheduler_->queued_jobs()));
 
   if (scheduler_->max_queue_length() > config_.instability_queue_limit) {
     MCSIM_LOG(kInfo) << result_.policy << ": queue exceeded "
                      << config_.instability_queue_limit << " jobs; marking unstable";
     result_.unstable = true;
-    sim_.stop();
+    events_.stop();
     return;
   }
   if (arrivals_generated_ >= config_.total_jobs) {
@@ -316,7 +316,7 @@ void MulticlusterSimulation::on_arrival(JobPtr job) {
       MCSIM_LOG(kInfo) << result_.policy << ": backlog of " << scheduler_->queued_jobs()
                        << " jobs at end of arrivals; marking unstable";
       result_.unstable = true;
-      sim_.stop();
+      events_.stop();
       return;
     }
   }
@@ -345,31 +345,31 @@ void MulticlusterSimulation::record_placement(Job& job, bool success,
 void MulticlusterSimulation::start_job(JobPtr job) {
   MCSIM_REQUIRE(!job->started(), "job started twice");
   MCSIM_REQUIRE(!job->allocation.empty(), "job started without a placement");
-  job->start_time = sim_.now();
+  job->start_time = now();
   system_.allocate(job->allocation);
   // A co-allocated job's tasks synchronise, so its execution stretches by
   // the slowest cluster it touches (speed 1.0 everywhere in the paper).
   const double runtime = job->spec.gross_service_time / system_.slowest_speed(job->allocation);
-  utilization_.on_job_start(sim_.now(), job->spec.total_size, runtime,
+  utilization_.on_job_start(now(), job->spec.total_size, runtime,
                             job->spec.service_time);
   for (const auto& placement : job->allocation) {
     cluster_busy_[placement.cluster].update(
-        sim_.now(), static_cast<double>(system_.cluster(placement.cluster).busy()));
+        now(), static_cast<double>(system_.cluster(placement.cluster).busy()));
   }
   if (ctr_started_ != nullptr) ++*ctr_started_;
   if (sink_ != nullptr) {
-    emit(obs::EventKind::kStart, *job, sim_.now() - job->spec.arrival_time,
+    emit(obs::EventKind::kStart, *job, now() - job->spec.arrival_time,
          static_cast<std::int16_t>(job->allocation.front().cluster));
   }
-  sim_.schedule_in(runtime, [this, job]() { on_departure(job); });
+  events_.push(now() + runtime, Event::Kind::kDeparture, job);
 }
 
 void MulticlusterSimulation::on_departure(JobPtr job) {
   system_.release(job->allocation);
-  utilization_.on_job_finish(sim_.now(), job->spec.total_size);
+  utilization_.on_job_finish(now(), job->spec.total_size);
   for (const auto& placement : job->allocation) {
     cluster_busy_[placement.cluster].update(
-        sim_.now(), static_cast<double>(system_.cluster(placement.cluster).busy()));
+        now(), static_cast<double>(system_.cluster(placement.cluster).busy()));
   }
   ++completions_;
 
@@ -378,7 +378,7 @@ void MulticlusterSimulation::on_departure(JobPtr job) {
   // trace exported as wait/run fields reconstructs the response — and
   // therefore every response-time statistic — bit-exactly.
   const double wait = job->start_time - job->spec.arrival_time;
-  const double run_elapsed = sim_.now() - job->start_time;
+  const double run_elapsed = now() - job->start_time;
   if (ctr_finished_ != nullptr) ++*ctr_finished_;
   if (sink_ != nullptr) {
     emit(obs::EventKind::kFinish, *job, run_elapsed,
@@ -402,20 +402,20 @@ void MulticlusterSimulation::on_departure(JobPtr job) {
     ++result_.measured_jobs;
   }
 
-  if (observer_) observer_(*job, sim_.now());
+  if (observer_) observer_(*job, now());
 
   if (config_.backlog > 0) {
     // One in for one out, submitted before the scheduler reacts to the
     // departure; the last completion ends the run.
     if (completions_ >= config_.total_jobs) {
-      sim_.stop();
+      events_.stop();
       pool_.release(job);
       return;
     }
     submit_backlog_job();
   }
   scheduler_->on_departure();
-  queue_length_.update(sim_.now(), static_cast<double>(scheduler_->queued_jobs()));
+  queue_length_.update(now(), static_cast<double>(scheduler_->queued_jobs()));
   // The job is out of every queue, off the machine, and fully accounted:
   // recycle it. Departure order is deterministic, so the pool's free list —
   // and with it the addresses handed to future arrivals — replays
@@ -425,13 +425,13 @@ void MulticlusterSimulation::on_departure(JobPtr job) {
 
 void MulticlusterSimulation::begin_measurement() {
   measuring_ = true;
-  measure_start_time_ = sim_.now();
-  utilization_.reset_at(sim_.now());
-  queue_length_.update(sim_.now(), static_cast<double>(scheduler_->queued_jobs()));
-  queue_length_.reset_at(sim_.now());
+  measure_start_time_ = now();
+  utilization_.reset_at(now());
+  queue_length_.update(now(), static_cast<double>(scheduler_->queued_jobs()));
+  queue_length_.reset_at(now());
   for (std::uint32_t c = 0; c < cluster_busy_.size(); ++c) {
-    cluster_busy_[c].update(sim_.now(), static_cast<double>(system_.cluster(c).busy()));
-    cluster_busy_[c].reset_at(sim_.now());
+    cluster_busy_[c].update(now(), static_cast<double>(system_.cluster(c).busy()));
+    cluster_busy_[c].reset_at(now());
   }
 }
 

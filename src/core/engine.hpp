@@ -26,12 +26,12 @@
 #include <vector>
 
 #include "cluster/multicluster.hpp"
+#include "core/event_core.hpp"
 #include "core/job_pool.hpp"
 #include "policy/pipeline.hpp"
 #include "policy/scheduler_factory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
-#include "sim/simulator.hpp"
 #include "stats/batch_means.hpp"
 #include "stats/percentile.hpp"
 #include "stats/utilization.hpp"
@@ -156,7 +156,8 @@ class MulticlusterSimulation final : public SchedulerContext {
   void set_trace_sink(obs::TraceSink* sink) { sink_ = sink; }
 
   /// Attach a metrics registry: the engine resolves its counters/series
-  /// once here and fills events/sec, calendar occupancy, queue length,
+  /// once here and fills events/sec, calendar occupancy (the pending-event
+  /// count after each dispatched event), queue length,
   /// per-cluster utilization and placement-failure counts during run().
   /// Non-owning; call before run().
   void set_metrics(obs::MetricsRegistry* metrics);
@@ -164,15 +165,18 @@ class MulticlusterSimulation final : public SchedulerContext {
   /// Run to completion and return the metrics. Callable once.
   SimulationResult run();
 
+  /// Make run() return after the current event (e.g. from a job
+  /// observer); the result covers the jobs completed so far.
+  void stop() { events_.stop(); }
+
   // SchedulerContext:
   [[nodiscard]] const Multicluster& system() const override { return system_; }
-  [[nodiscard]] double now() const override { return sim_.now(); }
+  [[nodiscard]] double now() const override { return events_.now(); }
   void start_job(JobPtr job) override;
   void record_placement(Job& job, bool success, std::int16_t cluster) override;
 
   [[nodiscard]] const SimulationConfig& config() const { return config_; }
   [[nodiscard]] Scheduler& scheduler() { return *scheduler_; }
-  [[nodiscard]] Simulator& simulator() { return sim_; }
 
  private:
   void schedule_next_arrival();
@@ -184,7 +188,7 @@ class MulticlusterSimulation final : public SchedulerContext {
   void finish_metrics();
 
   SimulationConfig config_;
-  Simulator sim_;
+  EventCore events_;
   Multicluster system_;
   /// Per-engine slab pool backing every Job this run touches. Jobs live
   /// from schedule-time of their arrival event to the end of on_departure,
@@ -215,7 +219,7 @@ class MulticlusterSimulation final : public SchedulerContext {
   std::uint64_t* ctr_rejects_local_ = nullptr;
   TimeWeightedStat* calendar_series_ = nullptr;
 
-  /// Wall-clock seconds spent inside the event loop proper (sim_.run()),
+  /// Wall-clock seconds spent inside the event loop proper (events_.run()),
   /// excluding setup and result assembly; exported as the
   /// run.event_loop_seconds gauge (excluded from golden digests).
   double event_loop_seconds_ = 0.0;

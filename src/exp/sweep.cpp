@@ -71,8 +71,8 @@ SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
     if (i > cutoff.load(std::memory_order_relaxed)) return SimulationResult{};
     SimulationConfig config = exp::to_simulation_config(spec, grid[i]);
     MulticlusterSimulation simulation(std::move(config));
-    simulation.set_job_observer([&sim = simulation.simulator(), &cutoff, i](const Job&, double) {
-      if (i > cutoff.load(std::memory_order_relaxed)) sim.stop();
+    simulation.set_job_observer([&simulation, &cutoff, i](const Job&, double) {
+      if (i > cutoff.load(std::memory_order_relaxed)) simulation.stop();
     });
     SimulationResult result = simulation.run();
     std::size_t known = cutoff.load(std::memory_order_relaxed);

@@ -75,14 +75,14 @@ TEST(JobObserver, StopFromTheObserverEndsTheRunAndItsResultStillFolds) {
     MulticlusterSimulation sim(config);
     std::uint64_t seen = 0;
     sim.set_job_observer([&](const Job&, double) {
-      if (++seen == stop_at) sim.simulator().stop();
+      if (++seen == stop_at) sim.stop();
     });
     SimulationResult result;
     ASSERT_NO_THROW(result = sim.run());
     EXPECT_FALSE(result.unstable);
     EXPECT_EQ(result.completed_jobs, stop_at);
     EXPECT_LT(result.completed_jobs, config.total_jobs);
-    EXPECT_LE(result.end_time, sim.simulator().now());
+    EXPECT_LE(result.end_time, sim.now());
     if (stop_at < warmup) {
       EXPECT_EQ(result.measured_jobs, 0u);
       EXPECT_EQ(result.response_all.count(), 0u);

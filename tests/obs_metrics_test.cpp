@@ -124,18 +124,5 @@ TEST(EngineMetrics, LsAttributesRejectsToLocalClusters) {
   EXPECT_GT(metrics.counters().at("placement.rejects.local"), 0u);
 }
 
-TEST(EngineMetrics, StepHookSamplingStrideStillObservesRun) {
-  MulticlusterSimulation simulation(testing::paper_point(PolicyKind::kGS, 0.4, 1000, 5));
-  obs::MetricsRegistry metrics;
-  simulation.set_metrics(&metrics);
-  simulation.simulator().set_step_hook(
-      [&metrics](double time, std::size_t pending) {
-        metrics.series("calendar.pending").update(time, static_cast<double>(pending));
-      },
-      /*stride=*/64);
-  simulation.run();
-  EXPECT_GT(metrics.all_series().at("calendar.pending").last_time(), 0.0);
-}
-
 }  // namespace
 }  // namespace mcsim

@@ -34,7 +34,8 @@
 // manifest), or ScenarioSpec{} without one; replay's base is ScenarioSpec{}
 // under LS with the trace as its workload. Each spec flag (kRunFlags) then
 // overrides the one field it names. The run mode comes from the base alone,
-// and a flag that mode never reads, spec flag or output, is a usage error.
+// and a flag that mode or the run's workload (synthetic or a trace) never
+// reads, spec flag or output, is a usage error.
 //
 // Sweeps and replications fan their independent runs out over --jobs worker
 // threads (run.parallelism in the file); results are bit-identical to a
@@ -46,6 +47,7 @@
 // results, collected metrics, and the scenario — which `mcsim run` re-runs),
 // --events-out dumps the most recent lifecycle events in the binary ring
 // format.
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -110,6 +112,10 @@ constexpr unsigned kSaturation = run_bit(exp::RunMode::kSaturation);
 constexpr unsigned kReplications = run_bit(exp::RunMode::kReplications);
 constexpr unsigned kCorpus = 1u << 4;
 constexpr unsigned kEveryRun = kPoint | kSweep | kSaturation | kReplications | kCorpus;
+/// The workloads a flag applies to. A corpus run is a trace replay whose
+/// `runs` bit already says what it reads.
+constexpr unsigned kSynthetic = 1u;
+constexpr unsigned kTrace = 2u;
 
 /// A flag a run reads: one that sets a ScenarioSpec field, or (no `set`)
 /// an output the run writes. It has no default, so an absent spec flag
@@ -120,6 +126,7 @@ struct RunFlag {
   unsigned runs;  ///< the runs that read it
   void (*set)(const CliParser& parser, const char* name, exp::ScenarioSpec& spec);
   bool presence = false;  ///< a flag without a value (add_flag)
+  unsigned workloads = kSynthetic | kTrace;  ///< the workloads whose runs read it
 };
 
 constexpr RunFlag kRunFlags[] = {
@@ -141,10 +148,12 @@ constexpr RunFlag kRunFlags[] = {
     {"coallocation", "pipeline override: co-allocation rule (co, no-co, limit-<L>)",
      kEveryRun,
      [](auto& p, auto n, auto& s) { s.coallocation = parse_coallocation_rule(p.get(n)); }},
-    {"unbalanced", "one local queue gets 40% of local submissions", kEveryRun,
-     [](auto&, auto, auto& s) { s.balanced_queues = false; }, true},
-    {"das64", "cap total job sizes at 64 (DAS-s-64)", kEveryRun,
-     [](auto&, auto, auto& s) { s.size_model = "das-s-64"; }, true},
+    {"unbalanced", "one local queue gets 40% of local submissions",
+     kPoint | kSweep | kSaturation | kReplications,
+     [](auto&, auto, auto& s) { s.balanced_queues = false; }, true, kSynthetic},
+    {"das64", "cap total job sizes at 64 (DAS-s-64)",
+     kPoint | kSweep | kSaturation | kReplications,
+     [](auto&, auto, auto& s) { s.size_model = "das-s-64"; }, true, kSynthetic},
     {"seed", "master random seed", kEveryRun,
      [](auto& p, auto n, auto& s) { s.seed = p.get_uint(n); }},
     {"trace-in", "replay this SWF trace instead of the base's workload",
@@ -154,16 +163,17 @@ constexpr RunFlag kRunFlags[] = {
      "trace replay: multiply every submit time (<1 compresses the trace and raises "
      "the offered load; a sweep derives its own)",
      kPoint | kReplications,
-     [](auto& p, auto n, auto& s) { s.trace_scale = p.get_double(n); }},
+     [](auto& p, auto n, auto& s) { s.trace_scale = p.get_double(n); }, false, kTrace},
     {"lookahead",
      "trace replay: bounded re-sort window in records (default 4096; raise for "
      "heavily scrambled logs)",
-     kEveryRun, [](auto& p, auto n, auto& s) { s.trace_lookahead = p.get_u32(n); }},
+     kEveryRun, [](auto& p, auto n, auto& s) { s.trace_lookahead = p.get_u32(n); }, false,
+     kTrace},
     {"utilization", "target gross utilization (replay --corpus: per log, default 0.7)",
      kPoint | kReplications | kCorpus,
-     [](auto& p, auto n, auto& s) { s.utilization = p.get_double(n); }},
+     [](auto& p, auto n, auto& s) { s.utilization = p.get_double(n); }, false, kSynthetic},
     {"sim-jobs", "simulated jobs per run", kPoint | kSweep | kReplications,
-     [](auto& p, auto n, auto& s) { s.sim_jobs = p.get_uint(n); }},
+     [](auto& p, auto n, auto& s) { s.sim_jobs = p.get_uint(n); }, false, kSynthetic},
     // A generated grid replaces the base's explicit one, which would
     // otherwise leave these three unread.
     {"from", "sweep: first target utilization", kSweep,
@@ -191,7 +201,8 @@ constexpr RunFlag kRunFlags[] = {
     {"trace-out", "point: write the realised schedule as an SWF trace", kPoint, nullptr},
     {"metrics-out", "point: write the JSON run manifest (config, metrics)", kPoint, nullptr},
     {"events-out", "point: dump recent lifecycle events (binary ring)", kPoint, nullptr},
-    {"gnuplot", "sweep: write .dat/.gp into this directory", kSweep, nullptr},
+    {"gnuplot", "sweep: write .dat/.gp into this directory (made if missing)", kSweep,
+     nullptr},
 };
 
 void add_run_flags(CliParser& parser) {
@@ -206,17 +217,24 @@ void add_run_flags(CliParser& parser) {
 }
 
 /// Override `spec` with every spec flag given. The base's run mode (or the
-/// corpus replay, when `corpus`) decides which flags apply: a spec flag or
+/// corpus replay, when `corpus`) and its workload, synthetic or a trace
+/// (the base's or --trace-in's), decide which flags apply: a spec flag or
 /// output it never reads is a usage error naming the flag and the run, not
 /// a no-op.
 void apply_run_flags(const CliParser& parser, exp::ScenarioSpec& spec, bool corpus = false) {
   const unsigned run = corpus ? kCorpus : run_bit(spec.mode);
+  const bool trace = spec.is_trace() || !parser.get("trace-in").empty();
+  const std::string mode = corpus ? "corpus" : exp::run_mode_name(spec.mode);
   for (const RunFlag& flag : kRunFlags) {
     if (flag.presence ? !parser.get_flag(flag.name) : parser.get(flag.name).empty()) continue;
     if ((flag.runs & run) == 0) {
       throw CliUsageError(std::string("mcsim: option --") + flag.name +
-                          " is not read by a " +
-                          (corpus ? "corpus" : exp::run_mode_name(spec.mode)) + " run");
+                          " is not read by a " + mode + " run");
+    }
+    if (!corpus && (flag.workloads & (trace ? kTrace : kSynthetic)) == 0) {
+      throw CliUsageError(std::string("mcsim: option --") + flag.name +
+                          " is not read by a " + (trace ? "trace " : "synthetic ") + mode +
+                          " run");
     }
     if (flag.set != nullptr) as_usage([&] { flag.set(parser, flag.name, spec); });
   }
@@ -332,6 +350,17 @@ int execute_point(const exp::ScenarioSpec& spec, const CliParser& parser,
 }
 
 int execute_sweep(const exp::ScenarioSpec& spec, const std::string& gnuplot_dir) {
+  // Make the plot directory before the sweep runs, so a path that cannot
+  // be one fails in a moment instead of after the whole sweep.
+  if (!gnuplot_dir.empty()) {
+    std::error_code error;
+    std::filesystem::create_directories(gnuplot_dir, error);
+    if (error) {
+      std::cerr << "mcsim: --gnuplot: cannot make directory " << gnuplot_dir << ": "
+                << error.message() << '\n';
+      return kExitUsage;
+    }
+  }
   const auto series = run_sweep(spec);
   print_panel(std::cout, "sweep: " + spec.label(), {series});
   print_ascii_plot(std::cout, {series});
