@@ -130,7 +130,7 @@ CompareOutcome compare_observations(const obs::JsonValue& expected,
 /// serialization byte-for-byte (integer-formatted numbers stay integers;
 /// doubles go through the idempotent json_double path). Used wherever a
 /// sealed document embeds a previously-serialized observation (golden
-/// files, the trace-corpus summaries of exp/corpus.hpp).
+/// files, served run manifests).
 void write_parsed_json(obs::JsonWriter& json, const obs::JsonValue& value);
 
 /// Write one complete golden document: schema header, scenario file name

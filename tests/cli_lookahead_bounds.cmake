@@ -22,7 +22,6 @@ function(expect_exit code)
 endfunction()
 
 set(log "${TRACE_DIR}/sdsc_sp2_style.swf")
-expect_exit(2 replay "${log}" --lookahead=4294967296)
-expect_exit(2 replay "${log}" --lookahead=4294967297)
-expect_exit(2 replay --corpus=${TRACE_DIR} --lookahead=4294967296)
-expect_exit(0 replay "${log}" --lookahead=4294967295)
+expect_exit(2 run --trace-in=${log} --lookahead=4294967296)
+expect_exit(2 run --trace-in=${log} --lookahead=4294967297)
+expect_exit(0 run --trace-in=${log} --lookahead=4294967295)

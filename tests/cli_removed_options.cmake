@@ -1,13 +1,13 @@
 # CLI contract: `run` is the one verb that builds and runs a spec. The
-# retired verbs point, sweep, saturation, replications and rerun are
-# unknown commands. `--emit-spec` (on run and replay), `--engine` (any
-# verb), `--queue-discipline` (a second spelling of `--discipline`) and
-# `--whole-file` on replay (every replay streams) are not options. Each must
-# exit 2 with an "unknown command" or "unknown option" message, never be
-# accepted and ignored.
+# retired verbs point, sweep, saturation, replications, rerun and replay
+# are unknown commands. `--emit-spec`, `--engine` (any verb),
+# `--queue-discipline` (a second spelling of `--discipline`) and
+# `--whole-file` on a trace replay (every replay streams) are not options.
+# Each must exit 2 with an "unknown command" or "unknown option" message,
+# never be accepted and ignored.
 #
 #   cmake -DMCSIM=<path to mcsim> -DSCENARIO_DIR=<data/scenarios>
-#         -P cli_removed_options.cmake
+#         -DTRACE_DIR=<data/archive_samples> -P cli_removed_options.cmake
 
 function(expect_usage_error message)
   list(JOIN ARGN " " command)
@@ -27,15 +27,15 @@ function(expect_unknown_option option)
 endfunction()
 
 set(smoke "${SCENARIO_DIR}/smoke.json")
-foreach(verb point sweep saturation replications rerun)
+set(log "${TRACE_DIR}/sdsc_sp2_style.swf")
+foreach(verb point sweep saturation replications rerun replay)
   expect_usage_error("unknown command '${verb}'" ${verb} "${smoke}")
 endforeach()
 expect_unknown_option(emit-spec run --emit-spec=unused.json)
-expect_unknown_option(emit-spec replay "${smoke}" --emit-spec=unused.json)
 expect_unknown_option(engine run --sim-jobs=100 --engine=serial)
 expect_unknown_option(engine run "${smoke}" --engine=serial)
-expect_unknown_option(engine replay "${smoke}" --engine=parallel)
+expect_unknown_option(engine run --trace-in=${log} --engine=parallel)
 expect_unknown_option(engine verify --engine=serial)
 expect_unknown_option(queue-discipline run --sim-jobs=100 --queue-discipline=sjf)
 expect_unknown_option(queue-discipline run "${smoke}" --queue-discipline=sjf)
-expect_unknown_option(whole-file replay "${smoke}" --whole-file)
+expect_unknown_option(whole-file run --trace-in=${log} --whole-file)

@@ -1,9 +1,10 @@
 # CLI contract: the run mode comes from the base spec (run's FILE, or a
-# point run without one; replay is a point run, replay --corpus a corpus
-# run), and a flag that mode or the run's workload (synthetic or a trace)
-# never reads — a spec flag, or an output the run does not write — exits 2
-# naming the flag and the run, instead of being accepted and ignored. The same flags run (exit 0) where the mode
-# reads them, and the sweep flags replace a file's explicit grid.
+# point run without one), and a flag that mode or the run's workload
+# (synthetic, or a trace from the file or --trace-in) never reads — a spec
+# flag, or an output the run does not write — exits 2 naming the flag and
+# the run, instead of being accepted and ignored. The same flags run
+# (exit 0) where the mode reads them, and the sweep flags replace a file's
+# explicit grid.
 #
 #   cmake -DMCSIM=<path to mcsim> -DSCENARIO_DIR=<data/scenarios>
 #         -DTRACE_DIR=<data/archive_samples> -DWORK_DIR=<scratch dir>
@@ -38,7 +39,7 @@ set(saturation "${SCENARIO_DIR}/table3_gs_limit16_saturation.json")
 set(replications "${SCENARIO_DIR}/replications_ls_055.json")
 set(log "${TRACE_DIR}/sdsc_sp2_style.swf")
 
-# A point run: no file, a point file, a single replay.
+# A point run: no file, a point file, a trace replay.
 foreach(flag from to step)
   expect_unread(${flag} point run --${flag}=0.4)
 endforeach()
@@ -46,8 +47,8 @@ expect_unread(reps point run --reps=3)
 expect_unread(completions point run --completions=100)
 expect_unread(jobs point run --sim-jobs=100 --jobs=2)
 expect_unread(jobs point run "${smoke}" --jobs=2)
-expect_unread(jobs point replay "${log}" --jobs=2)
-expect_unread(from point replay "${log}" --from=0.4)
+expect_unread(jobs point run --trace-in=${log} --jobs=2)
+expect_unread(from point run --trace-in=${log} --from=0.4)
 expect_unread(gnuplot point run --sim-jobs=100 --gnuplot=${WORK_DIR})
 
 # A sweep reads its grid, not a single utilization or a fixed trace scale.
@@ -75,30 +76,22 @@ expect_unread(events-out replications run "${replications}" --events-out=${WORK_
 # run has no log to scale or re-sort. The workload comes from the base or
 # from --trace-in.
 set(trace_point "${SCENARIO_DIR}/trace_das1_gs_replay.json")
-expect_unread(sim-jobs "trace point" replay "${log}" --sim-jobs=5)
-expect_unread(das64 "trace point" replay "${log}" --das64)
-expect_unread(utilization "trace point" replay "${log}" --utilization=0.5)
-expect_unread(unbalanced "trace point" replay "${log}" --unbalanced)
+expect_unread(sim-jobs "trace point" run --trace-in=${log} --sim-jobs=5)
+expect_unread(das64 "trace point" run --trace-in=${log} --das64)
+expect_unread(utilization "trace point" run --trace-in=${log} --utilization=0.5)
+expect_unread(unbalanced "trace point" run --trace-in=${log} --unbalanced)
 expect_unread(sim-jobs "trace point" run "${trace_point}" --sim-jobs=5)
 expect_unread(sim-jobs "trace point" run "${smoke}" --trace-in=${log} --sim-jobs=5)
 expect_unread(lookahead "synthetic point" run --sim-jobs=100 --lookahead=8)
 expect_unread(lookahead "synthetic sweep" run "${sweep}" --lookahead=8)
 expect_unread(scale "synthetic point" run --sim-jobs=100 --scale=0.5)
 
-# The corpus replay derives each log's scale and replays each log whole.
-expect_unread(sim-jobs corpus replay --corpus=${TRACE_DIR} --sim-jobs=100)
-expect_unread(scale corpus replay --corpus=${TRACE_DIR} --scale=0.5)
-expect_unread(trace-in corpus replay --corpus=${TRACE_DIR} --trace-in=${log})
-expect_unread(das64 corpus replay --corpus=${TRACE_DIR} --das64)
-expect_unread(unbalanced corpus replay --corpus=${TRACE_DIR} --unbalanced)
-expect_unread(metrics-out corpus replay --corpus=${TRACE_DIR} --metrics-out=${WORK_DIR}/unused.json)
-
 # Where the mode reads them, the same flags run.
 expect_runs(run --sim-jobs=200 --utilization=0.3)
 expect_runs(run "${sweep}" --from=0.3 --to=0.35 --step=0.05 --sim-jobs=200 --jobs=2)
 expect_runs(run "${saturation}" --completions=100)
 expect_runs(run "${replications}" --reps=2 --sim-jobs=200 --utilization=0.3 --jobs=1)
-expect_runs(replay "${log}" --scale=2 --lookahead=64)
+expect_runs(run --trace-in=${log} --scale=2 --lookahead=64)
 
 # A file with an explicit grid: --from/--to/--step replace it.
 set(grid "${WORK_DIR}/cli_unread_flags_grid.json")

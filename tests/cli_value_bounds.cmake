@@ -32,7 +32,6 @@ set(no_socket "${WORK_DIR}/no-such-directory/mcsim.sock")
 expect_exit(2 limit run --limit=4294967312 --sim-jobs=200)
 expect_exit(2 reps run "${SCENARIO_DIR}/replications_ls_055.json" --reps=4294967297)
 expect_exit(2 jobs run "${SCENARIO_DIR}/fig3_sc.json" --jobs=4294967296)
-expect_exit(2 jobs replay --corpus=${TRACE_DIR} --jobs=4294967296)
 expect_exit(2 jobs verify --jobs=4294967296)
 expect_exit(2 jobs serve --socket=${no_socket} --jobs=4294967296)
 expect_exit(2 capacity trace-stats "${log}" --capacity=4294967424)

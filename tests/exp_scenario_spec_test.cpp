@@ -6,6 +6,7 @@
 // manifest — produces bit-identical results.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/manifest.hpp"
 #include "exp/replications.hpp"
@@ -454,3 +456,151 @@ TEST(ScenarioSpecLabel, FallsBackToPaperLabelAndAnnotatesExtensions) {
 
 }  // namespace
 }  // namespace mcsim
+
+// -- archive-dialect trace loading ------------------------------------------
+//
+// The diagnostics a trace scenario gives for logs that parse but cannot be
+// replayed, and the streaming knobs' round trip through scenario JSON.
+
+namespace mcsim::exp {
+namespace {
+
+namespace fs = std::filesystem;
+
+class CorpusTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = fs::path(::testing::TempDir()) /
+            ("mcsim_corpus_" +
+             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+             "_" + ::testing::UnitTest::GetInstance()
+                       ->current_test_info()
+                       ->name());
+    corpus_dir_ = (root_ / "corpus").string();
+    fs::create_directories(corpus_dir_);
+  }
+
+  void TearDown() override { fs::remove_all(root_); }
+
+  /// A small valid log: header declares the machine, three usable jobs,
+  /// one cancelled record.
+  std::string write_log(const std::string& name) {
+    const std::string path = (fs::path(corpus_dir_) / name).string();
+    std::ofstream out(path);
+    out << "; MaxProcs: 96\n"
+        << "1 0 0 600 32 -1 -1 32 -1 -1 1 0 -1 -1 -1 -1 -1 -1\n"
+        << "2 60 0 300 64 -1 -1 64 -1 -1 1 1 -1 -1 -1 -1 -1 -1\n"
+        << "3 90 0 0 16 -1 -1 16 -1 -1 0 2 -1 -1 -1 -1 -1 -1\n"  // cancelled
+        << "4 120 0 900 8 -1 -1 8 -1 -1 1 3 -1 -1 -1 -1 -1 -1\n";
+    return path;
+  }
+
+  fs::path root_;
+  std::string corpus_dir_;
+};
+
+// Every checked-in corpus scenario (tools/make_corpus_scenarios) replays its
+// log on the machine the header declares, rounded up to 4 equal clusters:
+// ctc_style.swf declares 430 processors and replays on 4 x 108 = 432.
+TEST_F(CorpusTest, SizesMachineFromHeaderRoundedToClusterMultiple) {
+  const fs::path dir = fs::path(MCSIM_SCENARIO_DIR) / "corpus";
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    ++count;
+    SCOPED_TRACE(entry.path().string());
+    const ScenarioSpec spec = load_scenario(entry.path().string());
+    const std::int64_t declared =
+        scan_swf_file(spec.trace_path).header.declared_processors();
+    ASSERT_GT(declared, 0);
+    const auto per_cluster = static_cast<std::uint32_t>((declared + 3) / 4);
+    EXPECT_EQ(spec.cluster_sizes, std::vector<std::uint32_t>(4, per_cluster));
+    if (entry.path().stem() == "ctc_style") {
+      EXPECT_EQ(declared, 430);
+      EXPECT_EQ(per_cluster * 4, 432u);
+    }
+  }
+  EXPECT_EQ(count, 4u) << "one scenario per archive sample";
+}
+
+TEST_F(CorpusTest, HeaderOnlyLogGetsADistinctDiagnostic) {
+  const std::string path = (fs::path(corpus_dir_) / "header_only.swf").string();
+  std::ofstream(path) << "; MaxProcs: 128\n; MaxJobs: 0\n";
+  ScenarioSpec spec;
+  spec.trace_path = path;
+  try {
+    to_simulation_config(spec);
+    FAIL() << "expected a diagnostic";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("no job records"), std::string::npos) << what;
+    EXPECT_NE(what.find("header"), std::string::npos) << what;
+  }
+}
+
+TEST_F(CorpusTest, AllRecordsUnusableGetsTheOtherDiagnostic) {
+  const std::string path = (fs::path(corpus_dir_) / "cancelled.swf").string();
+  std::ofstream(path)
+      << "1 0 0 0 32 -1 -1 32 -1 -1 0 0 -1 -1 -1 -1 -1 -1\n"
+      << "2 60 0 0 64 -1 -1 64 -1 -1 0 1 -1 -1 -1 -1 -1 -1\n";
+  ScenarioSpec spec;
+  spec.trace_path = path;
+  try {
+    to_simulation_config(spec);
+    FAIL() << "expected a diagnostic";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("no replayable records"), std::string::npos) << what;
+    EXPECT_NE(what.find("2 records"), std::string::npos) << what;
+  }
+}
+
+TEST_F(CorpusTest, MalformedDirectiveSurfacesWithFileAndLine) {
+  const std::string path = (fs::path(corpus_dir_) / "bad_directive.swf").string();
+  std::ofstream(path) << "; MaxNodes: lots\n"
+                      << "1 0 0 600 32 -1 -1 32 -1 -1 1 0 -1 -1 -1 -1 -1 -1\n";
+  ScenarioSpec spec;
+  spec.trace_path = path;
+  try {
+    to_simulation_config(spec);
+    FAIL() << "expected a diagnostic";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path + ":1:"), std::string::npos) << what;
+    EXPECT_NE(what.find("MaxNodes"), std::string::npos) << what;
+  }
+}
+
+// -- spec round trip of the streaming knobs --------------------------------
+
+TEST_F(CorpusTest, StreamingKnobsRoundTripThroughScenarioJson) {
+  const std::string log = write_log("a.swf");
+  ScenarioSpec spec;
+  spec.trace_path = log;
+  spec.trace_lookahead = 512;
+
+  std::ostringstream out;
+  write_scenario_file(out, spec);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("\"lookahead\": 512"), std::string::npos) << text;
+
+  const ScenarioSpec loaded = scenario_from_json(obs::parse_json(text));
+  EXPECT_EQ(loaded, spec);
+
+  // Defaults stay silent: pre-streaming trace scenarios emit byte-identical
+  // workload objects.
+  ScenarioSpec plain;
+  plain.trace_path = log;
+  std::ostringstream plain_out;
+  write_scenario_file(plain_out, plain);
+  EXPECT_EQ(plain_out.str().find("lookahead"), std::string::npos);
+}
+
+TEST_F(CorpusTest, StreamingKnobsRejectedForSyntheticWorkloads) {
+  ScenarioSpec spec;
+  spec.trace_lookahead = 512;
+  EXPECT_THROW(validate(spec), std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace mcsim::exp

@@ -158,7 +158,7 @@ TEST(TraceReplayRoundTrip, SurvivesAFileRoundTrip) {
 
 // --- determinism properties ---------------------------------------------
 
-/// A point-mode trace-replay spec, the `mcsim replay <trace>` shape.
+/// A point-mode trace-replay spec, the `mcsim run --trace-in=<trace>` shape.
 exp::ScenarioSpec trace_spec(const std::string& path, PolicyKind policy) {
   exp::ScenarioSpec spec;
   spec.policy = policy;

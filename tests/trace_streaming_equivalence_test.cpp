@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "exp/corpus.hpp"
 #include "exp/manifest.hpp"
 #include "exp/scenario_spec.hpp"
 #include "obs/json.hpp"
@@ -121,10 +120,8 @@ TEST(StreamingEquivalence, ArchiveSampleNeedsTheLookaheadWindow) {
   // equivalence above exercises the re-sort, not already-sorted input.
   const std::string log =
       std::string(MCSIM_DATA_DIR) + "/archive_samples/sdsc_sp2_style.swf";
-  ScenarioSpec base;
-  CorpusOptions tiny;
-  tiny.lookahead = 1;
-  EXPECT_THROW(corpus_log_observation(base, log, tiny), std::invalid_argument);
+  EXPECT_THROW(run_simulation(to_simulation_config(replay_spec(log, 1))),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -30,8 +30,8 @@
 //                           "-1" columns, as archive logs do.
 //
 // Everything derives from --seed, so regenerating a sample reproduces it
-// byte-for-byte — which is what lets the per-log summary goldens stay
-// sealed (mcsim replay --corpus --check-goldens).
+// byte-for-byte — which is what lets the corpus scenarios written from
+// the samples (tools/make_corpus_scenarios) keep their goldens sealed.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>

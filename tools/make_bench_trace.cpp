@@ -6,8 +6,8 @@
 // over a proportionally longer span so the arrival intensity stays DAS-
 // like). The benchmark itself synthesises the same log in memory via the
 // same library call; this tool exists so the trace can be materialised,
-// inspected with `mcsim trace-stats`, and replayed with `mcsim replay`
-// outside the benchmark harness.
+// inspected with `mcsim trace-stats`, and replayed with `mcsim run
+// --trace-in` outside the benchmark harness.
 //
 // The printed FNV-1a digest covers every replay-relevant field, so two
 // invocations (or two machines) can assert they benchmark the same input.

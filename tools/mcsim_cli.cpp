@@ -3,7 +3,6 @@
 // Subcommands (first positional argument):
 //   run          run a scenario file, a run manifest, or the default scenario
 //   verify       check every scenario against its golden record (docs/GOLDEN.md)
-//   replay       drive the schedulers from a recorded SWF trace
 //   serve        warm-cache experiment daemon on a Unix socket (docs/SERVING.md)
 //   submit       run a scenario on a running serve daemon
 //   trace-gen    generate a synthetic DAS1 log (SWF)
@@ -23,19 +22,20 @@
 //   mcsim run data/scenarios/table3_gs_limit16_saturation.json --limit=24
 //   mcsim verify data/golden                  # the regression gate CI runs
 //   mcsim verify data/golden --update         # re-pin after a reviewed change
-//   mcsim replay run.swf --policy=GS --verify-against=run.json
-//   mcsim replay das1.swf --policy=LS --scale=0.5   # double the offered load
+//   mcsim run --trace-in=run.swf --policy=GS  # replay an exported schedule
+//   mcsim run --trace-in=das1.swf --policy=LS --scale=0.5  # double the load
+//   mcsim run data/scenarios/corpus/ctc_style.json  # a sealed archive replay
 //   mcsim trace-gen --sim-jobs=30000 --out=das1.swf --sessions
 //   mcsim trace-stats das1.swf
 //
-// `run` and `replay` build an exp::ScenarioSpec and execute it through the
-// spec executors below, so the same experiment is bit-identical however it
-// was described. The base spec is run's FILE (a scenario file or a run
-// manifest), or ScenarioSpec{} without one; replay's base is ScenarioSpec{}
-// under LS with the trace as its workload. Each spec flag (kRunFlags) then
-// overrides the one field it names. The run mode comes from the base alone,
-// and a flag that mode or the run's workload (synthetic or a trace) never
-// reads, spec flag or output, is a usage error.
+// `run` builds an exp::ScenarioSpec and executes it through the spec
+// executors below, so the same experiment is bit-identical however it was
+// described. The base spec is FILE (a scenario file or a run manifest), or
+// ScenarioSpec{} without one. Each spec flag (kRunFlags) then overrides the
+// one field it names; --trace-in swaps the workload for a recorded SWF log.
+// The run mode comes from the base alone, and a flag that mode or the run's
+// workload (synthetic or a trace) never reads, spec flag or output, is a
+// usage error.
 //
 // Sweeps and replications fan their independent runs out over --jobs worker
 // threads (run.parallelism in the file); results are bit-identical to a
@@ -52,11 +52,9 @@
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 
-#include "exp/corpus.hpp"
 #include "exp/gnuplot.hpp"
 #include "exp/golden.hpp"
 #include "exp/manifest.hpp"
@@ -101,19 +99,16 @@ auto as_usage(Fn&& fn) -> decltype(fn()) {
   }
 }
 
-// -- the flag → spec translator shared by `run` and `replay` ---------------
+// -- the flag → spec translator of `run` -----------------------------------
 
-/// The runs a flag applies to: one bit per exp::RunMode, and one for
-/// `replay --corpus`, which fans point replays out over a directory of logs.
+/// The runs a flag applies to: one bit per exp::RunMode.
 constexpr unsigned run_bit(exp::RunMode mode) { return 1u << static_cast<unsigned>(mode); }
 constexpr unsigned kPoint = run_bit(exp::RunMode::kPoint);
 constexpr unsigned kSweep = run_bit(exp::RunMode::kSweep);
 constexpr unsigned kSaturation = run_bit(exp::RunMode::kSaturation);
 constexpr unsigned kReplications = run_bit(exp::RunMode::kReplications);
-constexpr unsigned kCorpus = 1u << 4;
-constexpr unsigned kEveryRun = kPoint | kSweep | kSaturation | kReplications | kCorpus;
-/// The workloads a flag applies to. A corpus run is a trace replay whose
-/// `runs` bit already says what it reads.
+constexpr unsigned kEveryRun = kPoint | kSweep | kSaturation | kReplications;
+/// The workloads a flag applies to.
 constexpr unsigned kSynthetic = 1u;
 constexpr unsigned kTrace = 2u;
 
@@ -148,11 +143,9 @@ constexpr RunFlag kRunFlags[] = {
     {"coallocation", "pipeline override: co-allocation rule (co, no-co, limit-<L>)",
      kEveryRun,
      [](auto& p, auto n, auto& s) { s.coallocation = parse_coallocation_rule(p.get(n)); }},
-    {"unbalanced", "one local queue gets 40% of local submissions",
-     kPoint | kSweep | kSaturation | kReplications,
+    {"unbalanced", "one local queue gets 40% of local submissions", kEveryRun,
      [](auto&, auto, auto& s) { s.balanced_queues = false; }, true, kSynthetic},
-    {"das64", "cap total job sizes at 64 (DAS-s-64)",
-     kPoint | kSweep | kSaturation | kReplications,
+    {"das64", "cap total job sizes at 64 (DAS-s-64)", kEveryRun,
      [](auto&, auto, auto& s) { s.size_model = "das-s-64"; }, true, kSynthetic},
     {"seed", "master random seed", kEveryRun,
      [](auto& p, auto n, auto& s) { s.seed = p.get_uint(n); }},
@@ -169,8 +162,7 @@ constexpr RunFlag kRunFlags[] = {
      "heavily scrambled logs)",
      kEveryRun, [](auto& p, auto n, auto& s) { s.trace_lookahead = p.get_u32(n); }, false,
      kTrace},
-    {"utilization", "target gross utilization (replay --corpus: per log, default 0.7)",
-     kPoint | kReplications | kCorpus,
+    {"utilization", "target gross utilization", kPoint | kReplications,
      [](auto& p, auto n, auto& s) { s.utilization = p.get_double(n); }, false, kSynthetic},
     {"sim-jobs", "simulated jobs per run", kPoint | kSweep | kReplications,
      [](auto& p, auto n, auto& s) { s.sim_jobs = p.get_uint(n); }, false, kSynthetic},
@@ -195,8 +187,8 @@ constexpr RunFlag kRunFlags[] = {
      [](auto& p, auto n, auto& s) { s.saturation_completions = p.get_uint(n); }},
     {"reps", "replications: number of replications", kReplications,
      [](auto& p, auto n, auto& s) { s.replications = p.get_u32(n); }},
-    {"jobs", "worker threads for sweep points, replications or corpus logs (0 = all cores)",
-     kSweep | kReplications | kCorpus,
+    {"jobs", "worker threads for sweep points or replications (0 = all cores)",
+     kSweep | kReplications,
      [](auto& p, auto n, auto& s) { s.parallelism = p.get_u32(n); }},
     {"trace-out", "point: write the realised schedule as an SWF trace", kPoint, nullptr},
     {"metrics-out", "point: write the JSON run manifest (config, metrics)", kPoint, nullptr},
@@ -216,22 +208,21 @@ void add_run_flags(CliParser& parser) {
   }
 }
 
-/// Override `spec` with every spec flag given. The base's run mode (or the
-/// corpus replay, when `corpus`) and its workload, synthetic or a trace
-/// (the base's or --trace-in's), decide which flags apply: a spec flag or
-/// output it never reads is a usage error naming the flag and the run, not
-/// a no-op.
-void apply_run_flags(const CliParser& parser, exp::ScenarioSpec& spec, bool corpus = false) {
-  const unsigned run = corpus ? kCorpus : run_bit(spec.mode);
+/// Override `spec` with every spec flag given. The base's run mode and its
+/// workload, synthetic or a trace (the base's or --trace-in's), decide
+/// which flags apply: a spec flag or output it never reads is a usage error
+/// naming the flag and the run, not a no-op.
+void apply_run_flags(const CliParser& parser, exp::ScenarioSpec& spec) {
+  const unsigned run = run_bit(spec.mode);
   const bool trace = spec.is_trace() || !parser.get("trace-in").empty();
-  const std::string mode = corpus ? "corpus" : exp::run_mode_name(spec.mode);
+  const std::string mode = exp::run_mode_name(spec.mode);
   for (const RunFlag& flag : kRunFlags) {
     if (flag.presence ? !parser.get_flag(flag.name) : parser.get(flag.name).empty()) continue;
     if ((flag.runs & run) == 0) {
       throw CliUsageError(std::string("mcsim: option --") + flag.name +
                           " is not read by a " + mode + " run");
     }
-    if (!corpus && (flag.workloads & (trace ? kTrace : kSynthetic)) == 0) {
+    if ((flag.workloads & (trace ? kTrace : kSynthetic)) == 0) {
       throw CliUsageError(std::string("mcsim: option --") + flag.name +
                           " is not read by a " + (trace ? "trace " : "synthetic ") + mode +
                           " run");
@@ -253,11 +244,9 @@ std::string join_command_line(int argc, const char* const* argv) {
 /// Run one load point from a spec: simulate, export (trace / manifest /
 /// events as requested) and print the summary table. The spec is embedded
 /// in the manifest, so any manifest written here can be re-run with
-/// `mcsim run`. `result_out`, when given, receives the run's result
-/// (used by `replay --verify-against`).
+/// `mcsim run`.
 int execute_point(const exp::ScenarioSpec& spec, const CliParser& parser,
-                  const std::string& command_line,
-                  SimulationResult* result_out = nullptr) {
+                  const std::string& command_line) {
   const SimulationConfig config = exp::to_simulation_config(spec);
 
   const std::string trace_out = parser.get("trace-out");
@@ -345,7 +334,6 @@ int execute_point(const exp::ScenarioSpec& spec, const CliParser& parser,
         {"global-queue response (s)", format_double(result.response_global.mean(), 1)});
   }
   std::cout << table.render();
-  if (result_out != nullptr) *result_out = result;
   return 0;
 }
 
@@ -393,159 +381,6 @@ int execute_replications(const exp::ScenarioSpec& spec) {
   table.add_row({"ci95 halfwidth (s)", format_double(result.response_ci.halfwidth, 1)});
   table.add_row({"mean busy fraction", format_util(result.mean_busy_fraction)});
   std::cout << table.render();
-  return 0;
-}
-
-// The statistic groups a replay must reproduce bit-exactly from the run
-// that exported its trace: everything derived from per-job waits and
-// responses. Slowdown and the net-utilization figures are excluded by
-// design — the log stores only gross runtimes, so the replay reconstructs
-// net service as run/extension, which is not guaranteed to be the
-// bit-exact inverse of the original service*extension (docs/TRACING.md).
-constexpr const char* kReplayInvariantKeys[] = {
-    "completed_jobs", "measured_jobs", "mean_response", "response", "wait",
-};
-
-/// `replay --verify-against=<manifest>`: compare the replay's result
-/// against the result recorded in the manifest of the original run,
-/// bit-exactly, over the replay-invariant statistics. Returns non-zero and
-/// names the first diverging leaf on mismatch — the CLI face of the closed
-/// round-trip property (tests/trace_replay_roundtrip_test.cpp).
-int verify_replay_against(const SimulationResult& result,
-                          const std::string& manifest_path) {
-  const obs::JsonValue document = obs::parse_json_file(manifest_path);
-  const obs::JsonValue* schema =
-      document.is_object() ? document.find("schema") : nullptr;
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "mcsim-run-manifest") {
-    std::cerr << "mcsim replay: " << manifest_path << " is not a run manifest\n";
-    return 1;
-  }
-  const obs::JsonValue* expected = document.find("result");
-  if (expected == nullptr || !expected->is_object()) {
-    std::cerr << "mcsim replay: " << manifest_path << " has no result object\n";
-    return 1;
-  }
-
-  std::ostringstream serialized;
-  {
-    obs::JsonWriter json(serialized);
-    write_result_json(json, result);
-  }
-  const obs::JsonValue got = obs::parse_json(serialized.str());
-
-  const exp::GoldenOptions bit_exact;  // default mode is kBitExact
-  for (const char* key : kReplayInvariantKeys) {
-    const obs::JsonValue* want = expected->find(key);
-    if (want == nullptr) {
-      std::cerr << "mcsim replay: manifest result has no \"" << key << "\"\n";
-      return 1;
-    }
-    const obs::JsonValue* have = got.find(key);
-    if (have == nullptr) {
-      std::cerr << "mcsim replay: internal error: replay result has no \"" << key
-                << "\"\n";
-      return 1;
-    }
-    const exp::CompareOutcome outcome =
-        exp::compare_observations(*want, *have, bit_exact);
-    if (!outcome.match) {
-      std::cerr << "mcsim replay: diverges from " << manifest_path << " at result."
-                << key << (outcome.first.path.empty() ? "" : ".")
-                << outcome.first.describe() << '\n';
-      return 1;
-    }
-  }
-  std::cout << "replay matches " << manifest_path << ": "
-            << std::size(kReplayInvariantKeys)
-            << " wait/response statistic groups bit-exact\n";
-  return 0;
-}
-
-/// `replay --corpus=<dir>`: stream every log in the directory, each on a
-/// machine sized from its own header and scaled to the same target
-/// utilization; optionally check or regenerate the sealed per-log summary
-/// goldens (docs/WORKLOADS.md).
-int execute_corpus(const exp::ScenarioSpec& base, const CliParser& parser) {
-  exp::CorpusOptions options;
-  if (!parser.get("utilization").empty()) options.utilization = base.utilization;
-  options.lookahead = base.trace_lookahead;
-  options.golden_dir = parser.get("goldens");
-  if (parser.get_flag("update-goldens")) {
-    options.golden_mode = exp::CorpusGoldenMode::kUpdate;
-  } else if (parser.get_flag("check-goldens")) {
-    options.golden_mode = exp::CorpusGoldenMode::kCheck;
-  }
-
-  const exp::CorpusReport report =
-      exp::run_corpus(base, parser.get("corpus"), options);
-
-  TextTable table({"log", "jobs", "machine", "scale", "status", "detail"});
-  std::size_t passed = 0;
-  for (const exp::CorpusLogVerdict& verdict : report.verdicts) {
-    table.add_row({verdict.log_file, std::to_string(verdict.usable_records),
-                   std::to_string(verdict.machine_processors),
-                   format_double(verdict.arrival_scale, 4),
-                   exp::verify_status_name(verdict.status), verdict.detail});
-    if (verdict.status == exp::VerifyStatus::kPass ||
-        verdict.status == exp::VerifyStatus::kUpdated) {
-      ++passed;
-    }
-  }
-  std::cout << table.render();
-  std::cout << "corpus: " << passed << '/' << report.verdicts.size()
-            << " logs at target utilization "
-            << format_util(options.utilization) << '\n';
-  if (!report.ok()) {
-    std::cerr << "mcsim replay: FAILED — " << (report.verdicts.size() - passed)
-              << " log(s) diverge, errored, or lack summaries\n";
-    return 1;
-  }
-  return 0;
-}
-
-int cmd_replay(int argc, const char* const* argv) {
-  CliParser parser("mcsim replay: drive the schedulers from a recorded SWF trace");
-  add_run_flags(parser);
-  parser.add_option("verify-against", "",
-                    "manifest of the run that exported this trace: compare "
-                    "wait/response statistics bit-exactly, non-zero exit on drift");
-  parser.add_option("corpus", "",
-                    "replay every .swf under this directory instead of one "
-                    "log (per-log machine from the SWF header)");
-  parser.add_option("goldens", "data/golden/corpus",
-                    "corpus mode: directory of sealed per-log summaries");
-  parser.add_flag("check-goldens",
-                  "corpus mode: compare each log against its sealed summary, "
-                  "non-zero exit on drift");
-  parser.add_flag("update-goldens",
-                  "corpus mode: regenerate the sealed per-log summaries");
-  if (!parser.parse(argc, argv)) return 0;
-
-  // The base: the default spec under replay's documented policy, LS.
-  exp::ScenarioSpec spec;
-  spec.policy = PolicyKind::kLS;
-  if (!parser.get("corpus").empty()) {
-    if (!parser.positional().empty()) {
-      std::cerr << "mcsim replay: --corpus replays a directory; drop the "
-                   "positional trace argument\n";
-      return kExitUsage;
-    }
-    apply_run_flags(parser, spec, /*corpus=*/true);
-    return execute_corpus(spec, parser);
-  }
-  if (parser.positional().empty()) {
-    std::cerr << "usage: mcsim replay <trace.swf> [options]\n"
-                 "       mcsim replay --corpus=<dir> [options]\n";
-    return kExitUsage;
-  }
-  spec.trace_path = parser.positional().front();
-  apply_run_flags(parser, spec);
-  SimulationResult result;
-  const int code = execute_point(spec, parser, join_command_line(argc, argv), &result);
-  if (code != 0) return code;
-  const std::string against = parser.get("verify-against");
-  if (!against.empty()) return verify_replay_against(result, against);
   return 0;
 }
 
@@ -784,9 +619,9 @@ void print_usage() {
          "  run [FILE]    run a scenario file or a run manifest (docs/SCENARIOS.md);\n"
          "                without FILE the default scenario, a point run. Flags\n"
          "                override the fields they name; the run mode (point,\n"
-         "                sweep, saturation, replications) comes from FILE\n"
+         "                sweep, saturation, replications) comes from FILE;\n"
+         "                --trace-in=LOG replays a recorded SWF trace\n"
          "  verify        check every scenario against its golden record\n"
-         "  replay        drive the schedulers from a recorded SWF trace\n"
          "  serve         warm-cache experiment daemon (docs/SERVING.md)\n"
          "  submit        run a scenario on a running serve daemon\n"
          "  trace-gen     generate a synthetic DAS1 log (SWF)\n"
@@ -808,7 +643,6 @@ int main(int argc, char** argv) {
   try {
     if (command == "run") return cmd_run(sub_argc, sub_argv);
     if (command == "verify") return cmd_verify(sub_argc, sub_argv);
-    if (command == "replay") return cmd_replay(sub_argc, sub_argv);
     if (command == "serve") return cmd_serve(sub_argc, sub_argv);
     if (command == "submit") return cmd_submit(sub_argc, sub_argv);
     if (command == "trace-gen") return cmd_trace_gen(sub_argc, sub_argv);
