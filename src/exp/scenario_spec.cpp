@@ -104,8 +104,14 @@ std::string ScenarioSpec::label() const {
   if (!name.empty()) return name;
   std::string label = policy_name(policy);
   if (policy != PolicyKind::kSC) label += " limit=" + std::to_string(component_limit);
-  if (!balanced_queues) label += " unbalanced";
-  label += size_model == "das-s-64" ? " DAS-s-64" : " DAS-s-128";
+  if (is_trace()) {
+    // A replay's jobs come from the log, not from a size model or queue
+    // weights: name the log.
+    label += " " + trace_path.substr(trace_path.find_last_of('/') + 1);
+  } else {
+    if (!balanced_queues) label += " unbalanced";
+    label += size_model == "das-s-64" ? " DAS-s-64" : " DAS-s-128";
+  }
   if (queue_structure) {
     label += std::string(" ") + queue_structure_short_name(*queue_structure);
   }

@@ -51,7 +51,8 @@ struct ScenarioSpec {
   static constexpr std::int64_t kSchemaVersion = 1;
 
   /// Optional human-readable name; label() falls back to the derived
-  /// paper-style label ("LS limit=16 unbalanced DAS-s-128") when empty.
+  /// paper-style label ("LS limit=16 unbalanced DAS-s-128", or for a trace
+  /// replay "LS limit=16 ctc_style.swf") when empty.
   std::string name;
 
   // -- system -----------------------------------------------------------

@@ -454,6 +454,21 @@ TEST(ScenarioSpecLabel, FallsBackToPaperLabelAndAnnotatesExtensions) {
   EXPECT_EQ(spec.label(), "custom");
 }
 
+// A trace replay takes its jobs from the log: the label names the log's
+// basename instead of a synthetic size model or queue balance.
+TEST(ScenarioSpecLabel, TraceSpecNamesTheLog) {
+  exp::ScenarioSpec spec;
+  spec.policy = PolicyKind::kLS;
+  spec.trace_path = "data/archive_samples/sdsc_sp2_style.swf";
+  EXPECT_EQ(spec.label(), "LS limit=16 sdsc_sp2_style.swf");
+
+  spec.size_model = "das-s-64";
+  spec.balanced_queues = false;
+  spec.backfill = BackfillMode::kEasy;
+  spec.policy = PolicyKind::kGS;
+  EXPECT_EQ(spec.label(), "GS limit=16 sdsc_sp2_style.swf easy-bf");
+}
+
 }  // namespace
 }  // namespace mcsim
 
