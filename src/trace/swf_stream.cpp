@@ -1,5 +1,6 @@
 #include "trace/swf_stream.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <condition_variable>
@@ -120,6 +121,207 @@ Int field_integer(double value, std::size_t index, const char* name,
   return static_cast<Int>(value);
 }
 
+// -- the record-line parser ----------------------------------------------------
+//
+// Field boundaries are found a word at a time: eight bytes are loaded as one
+// 64-bit integer, a carry-free mask marks the bytes that are separators, and
+// the marks of a 64-byte stretch become one bitmap whose changes are the
+// field edges. An edge then costs a count of trailing zeros instead of a
+// byte loop that mispredicts at every one of them. Only the fields a
+// TraceRecord reads are converted to doubles; the rest are only validated,
+// and a short plain integer (the common '-1') by one word test.
+
+constexpr std::uint64_t kOnes = 0x0101010101010101;
+constexpr std::uint64_t kHigh = kOnes * 0x80;
+constexpr std::uint64_t kLow7 = kOnes * 0x7f;
+
+/// p[0..8) as one word with byte i in bits 8i..8i+7 on every host (the
+/// compiler turns the expression into a single load).
+std::uint64_t load_word(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return std::uint64_t{b[0]} | std::uint64_t{b[1]} << 8 | std::uint64_t{b[2]} << 16 |
+         std::uint64_t{b[3]} << 24 | std::uint64_t{b[4]} << 32 | std::uint64_t{b[5]} << 40 |
+         std::uint64_t{b[6]} << 48 | std::uint64_t{b[7]} << 56;
+}
+
+/// The eight bytes from `p`, bytes at or past `end` reading as ' '. Needs
+/// p < end and at least eight bytes of the line before `end`.
+std::uint64_t word_at(const char* p, const char* end) {
+  const std::ptrdiff_t left = end - p;
+  if (left >= 8) return load_word(p);
+  const std::uint64_t tail = load_word(end - 8) >> (8 * (8 - left));
+  return tail | (kOnes * ' ') << (8 * left);
+}
+
+/// 0x80 in each zero byte of `word`, 0 in every other byte. No carry
+/// crosses a byte, so the mask is exact.
+std::uint64_t zero_bytes(std::uint64_t word) {
+  return ~(((word & kLow7) + kLow7) | word | kLow7);
+}
+
+/// 0x80 in each byte of `word` that separates fields (' ' or '\t').
+std::uint64_t separator_bytes(std::uint64_t word) {
+  return zero_bytes(word ^ (kOnes * ' ')) | zero_bytes(word ^ (kOnes * '\t'));
+}
+
+/// 0x80 in each byte of `word` that is not an ASCII digit.
+std::uint64_t non_digit_bytes(std::uint64_t word) {
+  const std::uint64_t offset = word ^ (kOnes * '0');
+  return (((offset & kLow7) + kOnes * 0x76) | offset) & kHigh;
+}
+
+/// The value of the `digits` (1..8) ASCII digits in the low bytes of
+/// `word`, most significant first, converted as one word.
+std::uint64_t digits_value(std::uint64_t word, std::size_t digits) {
+  std::uint64_t value = (word << (8 * (8 - digits))) & (kOnes * 0x0f);
+  value = (value * 2561) >> 8;
+  value = ((value & 0x00ff00ff00ff00ff) * 6553601) >> 16;
+  return ((value & 0x0000ffff0000ffff) * 42949672960001) >> 32;
+}
+
+/// Check `token` (its first eight bytes in `word`) exactly as parse_number
+/// would, and store its value when `wanted`. A plain integer of at most
+/// eight bytes takes the one-word path; every other token goes to
+/// parse_number, so the set of accepted tokens is unchanged.
+bool read_token(std::string_view token, std::uint64_t word, bool wanted, double& value) {
+  if (token.size() <= 8) {
+    const bool negative = (word & 0xff) == '-';
+    const std::size_t digits = token.size() - (negative ? 1 : 0);
+    const std::uint64_t body = negative ? word >> 8 : word;
+    const std::uint64_t in_token =
+        digits == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * digits)) - 1;
+    if (digits > 0 && (non_digit_bytes(body) & in_token) == 0) {
+      if (wanted) {
+        // -exact, not double(-n): "-0" is -0.0 under strtod.
+        const auto exact = static_cast<double>(digits_value(body, digits));
+        value = negative ? -exact : exact;
+      }
+      return true;
+    }
+  }
+  double parsed = 0.0;
+  if (!parse_number(token, parsed)) return false;
+  if (wanted) value = parsed;
+  return true;
+}
+
+/// Bit i set when byte `offset + i` of `line` separates fields; bytes past
+/// the line count as separators. The eight word loads are independent, so
+/// they overlap instead of waiting on each other like a byte loop's edges.
+std::uint64_t separator_bits(std::string_view line, std::size_t offset) {
+  const char* const end = line.data() + line.size();
+  std::uint64_t bits = 0;
+  for (std::size_t k = 0; k < 8; ++k) {
+    const std::size_t at = offset + 8 * k;
+    const std::uint64_t marks =
+        at < line.size() ? separator_bytes(word_at(line.data() + at, end)) : kHigh;
+    // Gather the eight 0x80 marks into eight adjacent bits.
+    bits |= (((marks >> 7) * 0x0102040810204080) >> 56) << (8 * k);
+  }
+  return bits;
+}
+
+/// Fields an SWF record line has at most.
+constexpr std::size_t kSwfFields = 18;
+
+/// SWF fields (0-based) a TraceRecord reads: job id, submit, wait, run,
+/// allocated processors, status and user. Field 8 (requested processors)
+/// is read only when field 5 says the allocation is missing.
+constexpr std::uint32_t kValueFields = 1u << 0 | 1u << 1 | 1u << 2 | 1u << 3 | 1u << 4 |
+                                       1u << 10 | 1u << 11;
+
+/// The field the processor count comes from: allocated (field 5), else
+/// requested (field 8). A negative count means missing; a non-finite one is
+/// malformed, not missing.
+std::size_t processor_field(double allocated) {
+  return allocated >= 0 || !std::isfinite(allocated) ? 4 : 7;
+}
+
+/// Parse one record line (trimmed, not blank, not a comment) into `out`,
+/// checked against the machine `header` declares: the one tokenizer behind
+/// every reader. Throws std::invalid_argument with a `source:line:` prefix
+/// on malformed input; `out` is then untouched.
+void parse_record_line(std::string_view line, const SwfHeaderInfo& header,
+                       const std::string& source, std::uint64_t line_no, TraceRecord& out) {
+  // Word loads read up to eight bytes back from the line's end, so a shorter
+  // line is padded with separators, which add no field.
+  char padded[8];
+  if (line.size() < sizeof padded) {
+    std::memset(padded, ' ', sizeof padded);
+    std::memcpy(padded, line.data(), line.size());
+    line = std::string_view(padded, sizeof padded);
+  }
+
+  // SWF prescribes 18 whitespace-separated fields, but real Parallel
+  // Workloads Archive logs sometimes truncate unused trailing columns;
+  // absent fields read as -1 ("unknown"), exactly as SWF spells missing
+  // values. Extra columns are an error: the line is not SWF.
+  //
+  // Field edges, starts at even and ends at odd indices: every place where
+  // a separator and a field byte meet, up to the start of a 19th field.
+  constexpr std::size_t kMaxEdges = 2 * (kSwfFields + 1);
+  std::size_t edge[kMaxEdges];
+  std::size_t edges = 0;
+  std::uint64_t before = 1;  // the line starts after a separator
+  for (std::size_t offset = 0; offset < line.size() && edges < kMaxEdges; offset += 64) {
+    const std::uint64_t separators = separator_bits(line, offset);
+    std::uint64_t changes = separators ^ ((separators << 1) | before);
+    before = separators >> 63;
+    while (changes != 0 && edges < kMaxEdges) {
+      edge[edges++] = offset + static_cast<std::size_t>(std::countr_zero(changes));
+      changes &= changes - 1;
+    }
+  }
+  if (edges % 2 != 0) edge[edges++] = line.size();  // the last field ends the line
+
+  double field[kSwfFields];
+  for (double& f : field) f = -1.0;
+  for (std::size_t index = 0; index < edges / 2; ++index) {
+    if (index >= kSwfFields) {
+      parse_error(source, line_no, "expected at most 18 fields, found more");
+    }
+    const std::size_t start = edge[2 * index];
+    const std::string_view token = line.substr(start, edge[2 * index + 1] - start);
+    const bool wanted = ((kValueFields >> index) & 1u) != 0 ||
+                        (index == 7 && processor_field(field[4]) == 7);
+    if (!read_token(token, word_at(token.data(), line.data() + line.size()), wanted,
+                    field[index])) {
+      parse_error(source, line_no,
+                  "field " + std::to_string(index + 1) + " is not a number: '" +
+                      std::string(token) + "'");
+    }
+  }
+
+  TraceRecord rec;
+  rec.job_id = field_integer<std::uint64_t>(field[0], 0, "job id", source, line_no);
+  rec.submit_time = field[1];
+  rec.wait_time = field[2] >= 0 ? field[2] : 0.0;
+  rec.run_time = field[3] >= 0 ? field[3] : 0.0;
+  const std::size_t alloc = processor_field(field[4]);
+  if (field[alloc] < 0 && std::isfinite(field[alloc])) {
+    parse_error(source, line_no, "no processor count (allocated and requested both missing)");
+  }
+  rec.processors =
+      field_integer<std::uint32_t>(field[alloc], alloc, "processors", source, line_no);
+  // Validate against the machine the header declares: a job wider than
+  // the whole system means the log is internally inconsistent, and
+  // replaying it would silently misreport utilization.
+  const std::int64_t declared = header.declared_processors();
+  if (declared > 0 && static_cast<std::int64_t>(rec.processors) > declared) {
+    parse_error(source, line_no,
+                "job requests " + std::to_string(rec.processors) +
+                    " processors but the header declares " +
+                    (header.max_procs >= 0 ? "MaxProcs: " : "MaxNodes: ") +
+                    std::to_string(declared));
+  }
+  rec.killed_by_limit = field_integer<int>(field[10], 10, "status", source, line_no) == 5;
+  // A negative user id (SWF's -1) means unknown and reads as user 0.
+  rec.user_id = field[11] < 0 && std::isfinite(field[11])
+                    ? 0
+                    : field_integer<std::uint32_t>(field[11], 11, "user id", source, line_no);
+  out = rec;
+}
+
 /// `path` opened for reading, or a `cannot open` error.
 std::ifstream open_log(const std::string& path) {
   std::ifstream file(path);
@@ -179,67 +381,8 @@ bool SwfStreamReader::next(TraceRecord& out) {
       absorb_comment(header_, trim(trimmed.substr(1)), source_, line_no_);
       continue;
     }
-
-    // SWF prescribes 18 whitespace-separated fields, but real Parallel
-    // Workloads Archive logs sometimes truncate unused trailing columns;
-    // absent fields read as -1 ("unknown"), exactly as SWF spells missing
-    // values. Extra columns are an error: the line is not SWF.
-    double field[18];
-    for (double& f : field) f = -1.0;
-    std::size_t count = 0;
-    std::size_t pos = 0;
-    while (pos < trimmed.size()) {
-      while (pos < trimmed.size() && (trimmed[pos] == ' ' || trimmed[pos] == '\t')) ++pos;
-      if (pos >= trimmed.size()) break;
-      std::size_t end = pos;
-      while (end < trimmed.size() && trimmed[end] != ' ' && trimmed[end] != '\t') ++end;
-      const std::string_view token = trimmed.substr(pos, end - pos);
-      if (count >= 18) {
-        parse_error(source_, line_no_, "expected at most 18 fields, found more");
-      }
-      if (!parse_number(token, field[count])) {
-        parse_error(source_, line_no_,
-                    "field " + std::to_string(count + 1) + " is not a number: '" +
-                        std::string(token) + "'");
-      }
-      ++count;
-      pos = end;
-    }
-
-    TraceRecord rec;
-    rec.job_id = field_integer<std::uint64_t>(field[0], 0, "job id", source_, line_no_);
-    rec.submit_time = field[1];
-    rec.wait_time = field[2] >= 0 ? field[2] : 0.0;
-    rec.run_time = field[3] >= 0 ? field[3] : 0.0;
-    // Allocated processors (field 5), else requested (field 8). A negative
-    // count means missing; a non-finite one is malformed, not missing.
-    const std::size_t alloc = field[4] >= 0 || !std::isfinite(field[4]) ? 4 : 7;
-    if (field[alloc] < 0 && std::isfinite(field[alloc])) {
-      parse_error(source_, line_no_,
-                  "no processor count (allocated and requested both missing)");
-    }
-    rec.processors =
-        field_integer<std::uint32_t>(field[alloc], alloc, "processors", source_, line_no_);
-    // Validate against the machine the header declares: a job wider than
-    // the whole system means the log is internally inconsistent, and
-    // replaying it would silently misreport utilization.
-    const std::int64_t declared = header_.declared_processors();
-    if (declared > 0 && static_cast<std::int64_t>(rec.processors) > declared) {
-      parse_error(source_, line_no_,
-                  "job requests " + std::to_string(rec.processors) +
-                      " processors but the header declares " +
-                      (header_.max_procs >= 0 ? "MaxProcs: " : "MaxNodes: ") +
-                      std::to_string(declared));
-    }
-    rec.killed_by_limit =
-        field_integer<int>(field[10], 10, "status", source_, line_no_) == 5;
-    // A negative user id (SWF's -1) means unknown and reads as user 0.
-    rec.user_id = field[11] < 0 && std::isfinite(field[11])
-                      ? 0
-                      : field_integer<std::uint32_t>(field[11], 11, "user id", source_,
-                                                     line_no_);
+    parse_record_line(trimmed, header_, source_, line_no_, out);
     ++records_read_;
-    out = rec;
     return true;
   }
   return false;
