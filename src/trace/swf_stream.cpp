@@ -1,5 +1,6 @@
 #include "trace/swf_stream.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <system_error>
 #include <thread>
@@ -32,17 +34,26 @@ namespace {
 /// The numeric header directives the archive defines. Anything else after
 /// a ';' stays a plain comment (logs carry free-text Computer/Note/
 /// Conversion lines, and mcsim's own exports carry Command/Version lines).
-std::int64_t* directive_slot(SwfHeaderInfo& header, std::string_view key) {
+using DirectiveField = std::int64_t SwfHeaderInfo::*;
+DirectiveField directive_field(std::string_view key) {
   const std::string lowered = to_lower(key);
-  if (lowered == "maxjobs") return &header.max_jobs;
-  if (lowered == "maxrecords") return &header.max_records;
-  if (lowered == "maxnodes") return &header.max_nodes;
-  if (lowered == "maxprocs") return &header.max_procs;
-  if (lowered == "maxruntime") return &header.max_runtime;
-  if (lowered == "maxqueues") return &header.max_queues;
-  if (lowered == "maxpartitions") return &header.max_partitions;
-  if (lowered == "unixstarttime") return &header.unix_start_time;
+  if (lowered == "maxjobs") return &SwfHeaderInfo::max_jobs;
+  if (lowered == "maxrecords") return &SwfHeaderInfo::max_records;
+  if (lowered == "maxnodes") return &SwfHeaderInfo::max_nodes;
+  if (lowered == "maxprocs") return &SwfHeaderInfo::max_procs;
+  if (lowered == "maxruntime") return &SwfHeaderInfo::max_runtime;
+  if (lowered == "maxqueues") return &SwfHeaderInfo::max_queues;
+  if (lowered == "maxpartitions") return &SwfHeaderInfo::max_partitions;
+  if (lowered == "unixstarttime") return &SwfHeaderInfo::unix_start_time;
   return nullptr;
+}
+
+/// The directive a comment line (stripped of the leading ';') sets, or
+/// null for a plain comment.
+DirectiveField comment_directive(std::string_view comment) {
+  const std::size_t colon = comment.find(':');
+  if (colon == std::string_view::npos) return nullptr;
+  return directive_field(trim(comment.substr(0, colon)));
 }
 
 /// Fold one comment line (already stripped of the leading ';') into the
@@ -51,10 +62,9 @@ std::int64_t* directive_slot(SwfHeaderInfo& header, std::string_view key) {
 void absorb_comment(SwfHeaderInfo& header, std::string_view comment,
                     const std::string& source, std::uint64_t line_no) {
   header.comments.emplace_back(comment);
+  const DirectiveField field = comment_directive(comment);
+  if (field == nullptr) return;
   const std::size_t colon = comment.find(':');
-  if (colon == std::string_view::npos) return;
-  std::int64_t* slot = directive_slot(header, trim(comment.substr(0, colon)));
-  if (slot == nullptr) return;
   const std::string value{trim(comment.substr(colon + 1))};
   char* parsed_end = nullptr;
   const long long parsed = std::strtoll(value.c_str(), &parsed_end, 10);
@@ -63,7 +73,7 @@ void absorb_comment(SwfHeaderInfo& header, std::string_view comment,
                 "header directive '" + std::string(trim(comment.substr(0, colon))) +
                     "' needs a non-negative integer, got '" + value + "'");
   }
-  *slot = static_cast<std::int64_t>(parsed);
+  header.*field = static_cast<std::int64_t>(parsed);
 }
 
 /// Parse a whole token exactly as a full-token std::strtod would: the same
@@ -494,7 +504,11 @@ SwfFileStream::~SwfFileStream() = default;
 
 bool SwfFileStream::next(TraceRecord& out) { return prefetcher_->next(out); }
 
-SwfScan scan_swf_file(const std::string& path) {
+namespace {
+
+/// scan_swf_file's pass over `path` with one SwfStreamReader: the reference
+/// the chunked scan must equal, and its fallback.
+SwfScan serial_scan(const std::string& path) {
   std::ifstream file = open_log(path);
   SwfStreamReader reader(file, path);
   SwfScan scan;
@@ -502,6 +516,275 @@ SwfScan scan_swf_file(const std::string& path) {
   while (reader.next(record)) scan.summary.add(record);
   scan.header = reader.header();
   return scan;
+}
+
+/// The chunked pass behind scan_swf_file (see its comment in the header).
+/// The calling thread reads the log in newline-ended chunks into a window
+/// of kWindow slots; it and one helper parse them, and the caller folds
+/// them in file order.
+class ChunkedScan {
+ public:
+  /// Chunks read but not yet folded, at most: the scan's memory bound.
+  static constexpr std::size_t kWindow = 4;
+
+  explicit ChunkedScan(const std::string& path) : path_(path), file_(open_log(path)) {}
+
+  ~ChunkedScan() { stop(); }
+
+  ChunkedScan(const ChunkedScan&) = delete;
+  ChunkedScan& operator=(const ChunkedScan&) = delete;
+
+  /// The scan, or nothing when a chunk holds a line only the serial reader
+  /// can judge: a malformed record (whose message needs its line number)
+  /// or a directive after the leading comment block (which changes how the
+  /// records after it are checked).
+  std::optional<SwfScan> run();
+
+ private:
+  enum class State { kFree, kRead, kParsing, kParsed };
+
+  struct Chunk {
+    State state = State::kFree;  ///< guarded by mutex_
+    std::vector<char> text;      ///< whole lines; the last may lack its '\n'
+    std::size_t body = 0;        ///< where the lines to parse start in text
+    /// What parsing yields: counts, submit range and widest job (its
+    /// gross_work is unused), ...
+    TraceStreamSummary summary;
+    /// ... processors * run_time of each usable record, in file order, so
+    /// the caller can continue the one left-to-right gross_work sum ...
+    std::vector<double> work;
+    /// ... and the comment lines, in file order.
+    std::vector<std::string> comments;
+    bool serial_only = false;
+  };
+
+  Chunk& slot(std::size_t index) { return slots_[index % kWindow]; }
+
+  /// Fill `text` with the next whole lines of the log; false at its end.
+  bool read_chunk(std::vector<char>& text);
+  /// Fold the comment lines and blanks at the top of `text` into header_;
+  /// returns where the first record line starts.
+  std::size_t read_leading_comments(const std::vector<char>& text);
+  void parse(Chunk& chunk) const;
+  /// The oldest chunk read and not yet taken for parsing. Caller holds mutex_.
+  Chunk* unparsed_chunk();
+  /// The helper thread's body: parse chunks until none are left.
+  void help();
+  void stop();
+
+  const std::string& path_;
+  std::ifstream file_;
+  std::string carry_;       ///< a partial last line, read and not yet handed out
+  bool exhausted_ = false;  ///< file_ has no more bytes to give
+  /// The leading comment block's header: complete before any record is
+  /// parsed, and read-only while the helper runs.
+  SwfHeaderInfo header_;
+
+  std::mutex mutex_;
+  std::condition_variable chunk_read_;    ///< wakes the helper
+  std::condition_variable chunk_parsed_;  ///< wakes the caller
+  Chunk slots_[kWindow];
+  std::size_t read_ = 0;    ///< chunks read so far
+  std::size_t folded_ = 0;  ///< chunks folded so far
+  bool more_ = true;        ///< the log has lines not yet read
+  bool stopping_ = false;
+
+  std::thread helper_;  ///< started last, after every member above exists
+};
+
+bool ChunkedScan::read_chunk(std::vector<char>& text) {
+  text.assign(carry_.begin(), carry_.end());
+  carry_.clear();
+  while (!exhausted_) {
+    // Fill the chunk to kSwfScanChunkBytes, so a slot's buffer keeps one
+    // size; only a line longer than that grows it.
+    const std::size_t kept = text.size();
+    const std::size_t wanted =
+        kept < kSwfScanChunkBytes ? kSwfScanChunkBytes - kept : kSwfScanChunkBytes;
+    text.resize(kept + wanted);
+    file_.read(text.data() + kept, static_cast<std::streamsize>(wanted));
+    text.resize(kept + static_cast<std::size_t>(file_.gcount()));
+    // A short read (end of file or an I/O error) leaves nothing more to
+    // read; what did arrive is still parsed, as SwfStreamReader does.
+    if (!file_) {
+      exhausted_ = true;
+      break;
+    }
+    // Cut after the last newline; a line longer than a chunk reads on.
+    const std::string_view fresh(text.data() + kept, text.size() - kept);
+    const std::size_t newline = fresh.rfind('\n');
+    if (newline != std::string_view::npos) {
+      carry_.assign(fresh.substr(newline + 1));
+      text.resize(kept + newline + 1);
+      break;
+    }
+  }
+  return !text.empty();
+}
+
+std::size_t ChunkedScan::read_leading_comments(const std::vector<char>& text) {
+  const std::string_view all(text.data(), text.size());
+  std::size_t at = 0;
+  std::uint64_t line_no = 0;
+  while (at < all.size()) {
+    const std::size_t newline = all.find('\n', at);
+    const std::size_t next = newline == std::string_view::npos ? all.size() : newline + 1;
+    const std::string_view trimmed = trim(all.substr(at, next - at));
+    if (!trimmed.empty() && trimmed.front() != ';') break;
+    ++line_no;
+    if (!trimmed.empty()) absorb_comment(header_, trim(trimmed.substr(1)), path_, line_no);
+    at = next;
+  }
+  return at;
+}
+
+void ChunkedScan::parse(Chunk& chunk) const {
+  chunk.summary = TraceStreamSummary{};
+  chunk.work.clear();
+  chunk.comments.clear();
+  chunk.serial_only = false;
+  try {
+    std::string_view rest(chunk.text.data() + chunk.body, chunk.text.size() - chunk.body);
+    while (!rest.empty()) {
+      const std::size_t newline = rest.find('\n');
+      const std::string_view trimmed = trim(rest.substr(0, newline));
+      rest.remove_prefix(newline == std::string_view::npos ? rest.size() : newline + 1);
+      if (trimmed.empty()) continue;
+      if (trimmed.front() == ';') {
+        const std::string_view comment = trim(trimmed.substr(1));
+        if (comment_directive(comment) != nullptr) {
+          chunk.serial_only = true;
+          return;
+        }
+        chunk.comments.emplace_back(comment);
+        continue;
+      }
+      TraceRecord record;
+      parse_record_line(trimmed, header_, path_, 0, record);
+      chunk.summary.add(record);
+      if (trace_record_usable(record)) {
+        chunk.work.push_back(static_cast<double>(record.processors) * record.run_time);
+      }
+    }
+  } catch (...) {
+    // The serial pass throws the same error with the right line number.
+    chunk.serial_only = true;
+  }
+}
+
+ChunkedScan::Chunk* ChunkedScan::unparsed_chunk() {
+  for (std::size_t index = folded_; index < read_; ++index) {
+    if (slot(index).state == State::kRead) return &slot(index);
+  }
+  return nullptr;
+}
+
+void ChunkedScan::help() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    Chunk* chunk = nullptr;
+    chunk_read_.wait(lock, [&] {
+      chunk = unparsed_chunk();
+      return chunk != nullptr || stopping_ || !more_;
+    });
+    if (chunk == nullptr || stopping_) return;
+    chunk->state = State::kParsing;
+    lock.unlock();
+    parse(*chunk);
+    lock.lock();
+    chunk->state = State::kParsed;
+    chunk_parsed_.notify_one();
+  }
+}
+
+void ChunkedScan::stop() {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  chunk_read_.notify_one();
+  if (helper_.joinable()) helper_.join();
+}
+
+std::optional<SwfScan> ChunkedScan::run() {
+  Chunk& first = slots_[0];
+  if (!read_chunk(first.text)) return SwfScan{};  // an empty log
+  first.body = read_leading_comments(first.text);
+  first.state = State::kRead;
+  read_ = 1;
+  more_ = !exhausted_ || !carry_.empty();
+  // A log that fits one chunk is parsed on the calling thread alone.
+  if (more_) helper_ = std::thread(&ChunkedScan::help, this);
+
+  TraceStreamSummary summary;
+  std::vector<std::string> comments;
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    Chunk& next = slot(folded_);
+    if (folded_ < read_ && next.state == State::kParsed) {
+      lock.unlock();
+      if (next.serial_only) return std::nullopt;
+      // The fold continues the serial one: counts add up, min and max take
+      // their arguments in TraceStreamSummary::add's order (so ties between
+      // -0.0 and +0.0 resolve alike), and gross_work adds the same products
+      // in the same order, so every bit matches.
+      const TraceStreamSummary& part = next.summary;
+      summary.total_records += part.total_records;
+      if (part.usable_records > 0) {
+        if (summary.usable_records == 0) {
+          summary.first_submit = part.first_submit;
+          summary.last_submit = part.last_submit;
+        } else {
+          summary.first_submit = std::min(summary.first_submit, part.first_submit);
+          summary.last_submit = std::max(summary.last_submit, part.last_submit);
+        }
+        summary.usable_records += part.usable_records;
+        for (const double work : next.work) summary.gross_work += work;
+        summary.max_processors = std::max(summary.max_processors, part.max_processors);
+      }
+      for (std::string& comment : next.comments) comments.push_back(std::move(comment));
+      lock.lock();
+      next.state = State::kFree;
+      ++folded_;
+    } else if (folded_ == read_ && !more_) {
+      break;
+    } else if (more_ && read_ - folded_ < kWindow) {
+      Chunk& fresh = slot(read_);
+      lock.unlock();
+      const bool got = read_chunk(fresh.text);
+      fresh.body = 0;
+      lock.lock();
+      if (got) {
+        fresh.state = State::kRead;
+        ++read_;
+      }
+      more_ = !exhausted_ || !carry_.empty();
+      chunk_read_.notify_one();
+    } else if (Chunk* chunk = unparsed_chunk()) {
+      chunk->state = State::kParsing;
+      lock.unlock();
+      parse(*chunk);
+      lock.lock();
+      chunk->state = State::kParsed;
+    } else {
+      // The next chunk to fold is the helper's, still being parsed.
+      chunk_parsed_.wait(lock, [&] { return next.state == State::kParsed; });
+    }
+  }
+  lock.unlock();
+  stop();
+  SwfScan scan;
+  scan.header = std::move(header_);
+  for (std::string& comment : comments) scan.header.comments.push_back(std::move(comment));
+  scan.summary = summary;
+  return scan;
+}
+
+}  // namespace
+
+SwfScan scan_swf_file(const std::string& path) {
+  std::optional<SwfScan> scan = ChunkedScan(path).run();
+  return scan ? std::move(*scan) : serial_scan(path);
 }
 
 }  // namespace mcsim

@@ -150,9 +150,23 @@ struct SwfScan {
   TraceStreamSummary summary;
 };
 
-/// One serial SwfStreamReader pass over the log at `path`. The scan stays
-/// on the calling thread: it does so little per record that a parse-ahead
-/// thread would only add handoff waits.
+/// Bytes scan_swf_file reads per chunk, before cutting the chunk back to
+/// its last newline (a longer line makes a longer chunk).
+inline constexpr std::size_t kSwfScanChunkBytes = std::size_t{1} << 20;
+
+/// One validating pass over the log at `path`, bit-identical to folding
+/// every record of one SwfStreamReader pass into TraceStreamSummary::add.
+///
+/// The calling thread reads the leading comment block first: it is the
+/// header, and the declared-processors check needs all of it. The rest of
+/// the log is read in chunks of whole lines (kSwfScanChunkBytes each, at
+/// most four in flight), which the calling thread and one helper parse;
+/// a log that fits one chunk starts no thread. The caller folds the chunks
+/// in file order, and each chunk hands over the processors * run_time of
+/// its usable records, so gross_work is the same left-to-right sum. A
+/// chunk holding a malformed line or a directive sends the scan back to
+/// the serial pass, which throws the same `file:line:` error or applies
+/// the directive where it stands.
 [[nodiscard]] SwfScan scan_swf_file(const std::string& path);
 
 }  // namespace mcsim

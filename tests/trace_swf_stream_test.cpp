@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -544,6 +545,227 @@ TEST(SwfFileStream, StoppingEarlyNeverSeesALaterErrorAndJoinsTheParser) {
   TraceRecord rec;
   for (std::size_t i = 0; i < 5 * kBatch + 3; ++i) ASSERT_TRUE(stream.next(rec));
   EXPECT_EQ(rec.job_id, 5 * kBatch + 3);
+}
+
+// -- the chunked pre-scan ------------------------------------------------------
+
+constexpr std::size_t kChunk = kSwfScanChunkBytes;
+
+/// What scan_swf_file must reproduce: every record of one serial
+/// SwfStreamReader pass folded into TraceStreamSummary::add.
+SwfScan serial_fold(const std::string& path) {
+  std::ifstream in(path);
+  SwfStreamReader reader(in, path);
+  SwfScan scan;
+  TraceRecord rec;
+  while (reader.next(rec)) scan.summary.add(rec);
+  scan.header = reader.header();
+  return scan;
+}
+
+/// A scan's result, or the message it threw.
+struct ScanOutcome {
+  SwfScan scan;
+  std::string error;
+};
+
+ScanOutcome scan_outcome(SwfScan (*scan)(const std::string&), const std::string& path) {
+  ScanOutcome outcome;
+  try {
+    outcome.scan = scan(path);
+  } catch (const std::invalid_argument& error) {
+    outcome.error = error.what();
+  }
+  return outcome;
+}
+
+/// scan_swf_file equals the serial fold field by field (doubles by bit
+/// pattern, comments in order), or throws the same message. Returns the
+/// chunked outcome for further checks.
+ScanOutcome expect_scan_matches_serial(const std::string& path) {
+  const ScanOutcome serial = scan_outcome(serial_fold, path);
+  ScanOutcome chunked = scan_outcome(scan_swf_file, path);
+  EXPECT_EQ(chunked.error, serial.error) << path;
+  const SwfHeaderInfo& a = serial.scan.header;
+  const SwfHeaderInfo& b = chunked.scan.header;
+  EXPECT_EQ(b.max_jobs, a.max_jobs) << path;
+  EXPECT_EQ(b.max_records, a.max_records) << path;
+  EXPECT_EQ(b.max_nodes, a.max_nodes) << path;
+  EXPECT_EQ(b.max_procs, a.max_procs) << path;
+  EXPECT_EQ(b.max_runtime, a.max_runtime) << path;
+  EXPECT_EQ(b.max_queues, a.max_queues) << path;
+  EXPECT_EQ(b.max_partitions, a.max_partitions) << path;
+  EXPECT_EQ(b.unix_start_time, a.unix_start_time) << path;
+  EXPECT_EQ(b.comments, a.comments) << path;
+  const TraceStreamSummary& x = serial.scan.summary;
+  const TraceStreamSummary& y = chunked.scan.summary;
+  EXPECT_EQ(y.total_records, x.total_records) << path;
+  EXPECT_EQ(y.usable_records, x.usable_records) << path;
+  EXPECT_TRUE(same_bits(y.first_submit, x.first_submit)) << path;
+  EXPECT_TRUE(same_bits(y.last_submit, x.last_submit)) << path;
+  EXPECT_TRUE(same_bits(y.gross_work, x.gross_work))
+      << path << ": " << format_double_roundtrip(y.gross_work) << " vs "
+      << format_double_roundtrip(x.gross_work);
+  EXPECT_EQ(y.max_processors, x.max_processors) << path;
+  return chunked;
+}
+
+/// A header, then records until the log holds at least `bytes` bytes: the
+/// times are fractional (so gross_work depends on the order of its sum),
+/// every 97th record has a zero run time (counted, not usable) and every
+/// 5000th line is a plain comment.
+std::string chunked_log(std::size_t bytes) {
+  std::string text = "; MaxProcs: 128\n; Note: chunked scan test\n\n";
+  for (std::uint64_t i = 1; text.size() < bytes; ++i) {
+    const double run = i % 97 == 0 ? 0.0 : 0.37 + static_cast<double>(i % 1013) / 7.0;
+    text += record_line(i, 0.3 * static_cast<double>(i), run,
+                        static_cast<std::uint32_t>(1 + (i * 7) % 128));
+    if (i % 5000 == 0) text += "; checkpoint " + std::to_string(i) + "\n";
+  }
+  return text;
+}
+
+/// The number of the line that starts at byte `offset` of `text`.
+std::size_t line_at(const std::string& text, std::size_t offset) {
+  return 1 + static_cast<std::size_t>(std::count(text.begin(), text.begin() +
+                                                     static_cast<std::ptrdiff_t>(offset), '\n'));
+}
+
+TEST(SwfScan, MatchesTheSerialFoldOnEveryArchiveSample) {
+  std::vector<std::string> logs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(MCSIM_DATA_DIR) + "/archive_samples")) {
+    if (entry.path().extension() == ".swf") logs.push_back(entry.path().string());
+  }
+  std::sort(logs.begin(), logs.end());
+  ASSERT_GE(logs.size(), 4u);
+  for (const std::string& log : logs) {
+    const ScanOutcome chunked = expect_scan_matches_serial(log);
+    EXPECT_TRUE(chunked.error.empty()) << chunked.error;
+    EXPECT_GT(chunked.scan.summary.usable_records, 0u) << log;
+  }
+}
+
+TEST(SwfScan, MatchesTheSerialFoldOverManyChunks) {
+  const std::string text = chunked_log(3 * kChunk + kChunk / 2);
+  const std::string path = write_log("mcsim_scan_chunks.swf", text);
+  const ScanOutcome chunked = expect_scan_matches_serial(path);
+  EXPECT_TRUE(chunked.error.empty()) << chunked.error;
+  EXPECT_EQ(chunked.scan.header.max_procs, 128);
+  // The header, the blank line's neighbours and every checkpoint comment.
+  EXPECT_GT(chunked.scan.header.comments.size(), 10u);
+  EXPECT_LT(chunked.scan.summary.usable_records, chunked.scan.summary.total_records);
+}
+
+TEST(SwfScan, BreaksSignedZeroTiesLikeTheSerialFold) {
+  // The first submit time is -0 and every later one +0, so first and last
+  // submit are ties that min and max resolve by argument order: the serial
+  // fold keeps the first one seen, -0.0. A fold that took the later
+  // chunk's +0.0 would differ in its bits only.
+  std::string text = "; MaxProcs: 64\n";
+  for (std::uint64_t i = 1; text.size() < kChunk + kChunk / 2; ++i) {
+    text += std::to_string(i) + (i == 1 ? " -0" : " 0") + " 0 17.25 4 -1 -1 4 -1 -1 1 0\n";
+  }
+  const std::string path = write_log("mcsim_scan_signed_zero.swf", text);
+  const ScanOutcome chunked = expect_scan_matches_serial(path);
+  EXPECT_TRUE(std::signbit(chunked.scan.summary.first_submit));
+  EXPECT_TRUE(std::signbit(chunked.scan.summary.last_submit));
+}
+
+TEST(SwfScan, MalformedLineInALaterChunkGivesTheSerialMessage) {
+  std::string text = chunked_log(kChunk + kChunk / 2);
+  const std::size_t bad_line = line_at(text, text.size());
+  text += "9999 123.0\n" + chunked_log(kChunk / 4);
+  const std::string path = write_log("mcsim_scan_bad_line.swf", text);
+  const ScanOutcome chunked = expect_scan_matches_serial(path);
+  EXPECT_NE(chunked.error.find(path + ":" + std::to_string(bad_line) + ": no processor count"),
+            std::string::npos)
+      << chunked.error;
+}
+
+TEST(SwfScan, JobWiderThanMaxProcsInALaterChunkGivesTheSerialMessage) {
+  std::string text = chunked_log(kChunk + 123);
+  const std::size_t wide_line = line_at(text, text.size());
+  text += record_line(424242, 1.0, 60.0, 129) + chunked_log(kChunk / 4);
+  const std::string path = write_log("mcsim_scan_wide_job.swf", text);
+  const ScanOutcome chunked = expect_scan_matches_serial(path);
+  EXPECT_NE(chunked.error.find(path + ":" + std::to_string(wide_line) +
+                               ": job requests 129 processors but the header declares "
+                               "MaxProcs: 128"),
+            std::string::npos)
+      << chunked.error;
+}
+
+TEST(SwfScan, MidFileDirectiveGivesTheSerialResult) {
+  // A directive after the first record takes effect where it stands: here
+  // it only sets MaxJobs ...
+  std::string text = chunked_log(kChunk + kChunk / 3) + "; MaxJobs: 5\n" + chunked_log(kChunk / 4);
+  std::string path = write_log("mcsim_scan_directive.swf", text);
+  ScanOutcome chunked = expect_scan_matches_serial(path);
+  EXPECT_TRUE(chunked.error.empty()) << chunked.error;
+  EXPECT_EQ(chunked.scan.header.max_jobs, 5);
+  // ... here it narrows the machine, so a later 16-processor job is too wide.
+  text = chunked_log(kChunk + kChunk / 3) + "; MaxProcs: 8\n" + record_line(1, 2.0, 60.0, 16);
+  path = write_log("mcsim_scan_narrowing_directive.swf", text);
+  chunked = expect_scan_matches_serial(path);
+  EXPECT_NE(chunked.error.find("the header declares MaxProcs: 8"), std::string::npos)
+      << chunked.error;
+}
+
+TEST(SwfScan, MalformedLeadingDirectiveGivesTheSerialMessage) {
+  const std::string path = write_log("mcsim_scan_bad_header.swf",
+                                     "; Note: x\n; MaxProcs: lots\n" + chunked_log(kChunk + 1));
+  const ScanOutcome chunked = expect_scan_matches_serial(path);
+  EXPECT_NE(chunked.error.find(path + ":2: header directive 'MaxProcs'"), std::string::npos)
+      << chunked.error;
+}
+
+TEST(SwfScan, CrlfLogMatchesTheSerialFold) {
+  std::string text;
+  for (const char c : chunked_log(kChunk + 77)) {
+    if (c == '\n') text += '\r';
+    text += c;
+  }
+  const std::string path = write_log("mcsim_scan_crlf.swf", text);
+  const ScanOutcome chunked = expect_scan_matches_serial(path);
+  EXPECT_TRUE(chunked.error.empty()) << chunked.error;
+  EXPECT_EQ(chunked.scan.header.comments.front(), "MaxProcs: 128");
+}
+
+TEST(SwfScan, LastLineWithoutNewlineMatchesTheSerialFold) {
+  for (const std::size_t bytes : {std::size_t{100}, kChunk + 5}) {
+    std::string text = chunked_log(bytes);
+    text.pop_back();  // drop the final '\n'
+    const std::string path =
+        write_log("mcsim_scan_no_newline_" + std::to_string(bytes) + ".swf", text);
+    const ScanOutcome chunked = expect_scan_matches_serial(path);
+    EXPECT_TRUE(chunked.error.empty()) << chunked.error;
+  }
+}
+
+TEST(SwfScan, LinesLongerThanABlockAcrossAChunkEdge) {
+  // A comment and a record, each longer than the reader's 64 KiB block,
+  // both straddling the first chunk edge: a chunk holds whole lines.
+  std::string text = chunked_log(kChunk - 1000);
+  text += "; " + std::string(kBlock + 4321, 'n') + "\n";
+  text += std::string(kBlock + 99, '0') + "7 5.5 0 60 4 -1 -1 4 -1 -1 1 0 -1 -1 -1 -1 -1 -1\n";
+  text += chunked_log(kChunk / 4);
+  const std::string path = write_log("mcsim_scan_long_lines.swf", text);
+  const ScanOutcome chunked = expect_scan_matches_serial(path);
+  EXPECT_TRUE(chunked.error.empty()) << chunked.error;
+}
+
+TEST(SwfScan, EmptyAndHeaderOnlyLogs) {
+  const std::string empty = write_log("mcsim_scan_empty.swf", "");
+  ScanOutcome chunked = expect_scan_matches_serial(empty);
+  EXPECT_EQ(chunked.scan.summary.total_records, 0u);
+  EXPECT_TRUE(chunked.scan.header.comments.empty());
+  const std::string header_only =
+      write_log("mcsim_scan_header_only.swf", "; MaxProcs: 430\n\n; MaxJobs: 0\n");
+  chunked = expect_scan_matches_serial(header_only);
+  EXPECT_EQ(chunked.scan.summary.total_records, 0u);
+  EXPECT_EQ(chunked.scan.header.max_procs, 430);
+  EXPECT_EQ(chunked.scan.header.comments.size(), 2u);
 }
 
 }  // namespace
