@@ -9,11 +9,13 @@ namespace mcsim {
 
 ReplicationResult run_replications(const exp::ScenarioSpec& spec) {
   MCSIM_REQUIRE(spec.replications > 0, "need at least one replication");
+  // One trace scan serves every replication: only the seed differs.
+  const exp::TraceResolver trace = exp::resolve_trace_once(spec);
   exp::Runner runner(spec.parallelism);
   const auto runs = runner.map(spec.replications, [&](std::size_t r) {
     exp::ScenarioSpec replication = spec;
     replication.seed = spec.seed + static_cast<std::uint64_t>(r);
-    return run_simulation(exp::to_simulation_config(replication, spec.utilization));
+    return run_simulation(exp::to_simulation_config(replication, spec.utilization, trace));
   });
 
   // Fold in replication order so the accumulated statistics (and their

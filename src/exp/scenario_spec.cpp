@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <string>
 
@@ -288,6 +289,14 @@ ResolvedTrace resolve_trace_from_file(const std::string& path) {
     return std::make_unique<SwfFileStream>(path);
   };
   return resolved;
+}
+
+TraceResolver resolve_trace_once(const ScenarioSpec& spec) {
+  if (!spec.is_trace()) return nullptr;
+  // A bad spec fails here as to_simulation_config would, before the scan.
+  validate(spec);
+  auto resolved = std::make_shared<const ResolvedTrace>(resolve_trace_from_file(spec.trace_path));
+  return [resolved](const std::string&) { return *resolved; };
 }
 
 SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilization) {

@@ -186,6 +186,12 @@ using TraceResolver = std::function<ResolvedTrace(const std::string& path)>;
 /// O(1)-memory validating scan, then a fresh SwfFileStream per engine.
 ResolvedTrace resolve_trace_from_file(const std::string& path);
 
+/// For a caller that builds many configs from one spec (sweep points,
+/// replications): validates the spec, scans its trace once, now, and
+/// returns a resolver that hands every config that one scan (each engine
+/// still opens its own stream). Null for a spec without a trace.
+TraceResolver resolve_trace_once(const ScenarioSpec& spec);
+
 /// THE construction path from a spec to an engine config — every layer
 /// (CLI, scenario files, manifests, bench harnesses, examples)
 /// funnels through here, which is what makes their runs bit-identical.

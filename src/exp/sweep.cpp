@@ -66,10 +66,12 @@ SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
   // past it stops at its next completion. It never drops below the first
   // unstable index, so every kept point runs to its end, as serially.
   std::atomic<std::size_t> cutoff{grid.size()};
+  // One trace scan serves every point: the scan is a pass over the whole log.
+  const exp::TraceResolver trace = exp::resolve_trace_once(spec);
   exp::Runner runner(spec.parallelism);
   auto results = runner.map(grid.size(), [&](std::size_t i) {
     if (i > cutoff.load(std::memory_order_relaxed)) return SimulationResult{};
-    SimulationConfig config = exp::to_simulation_config(spec, grid[i]);
+    SimulationConfig config = exp::to_simulation_config(spec, grid[i], trace);
     MulticlusterSimulation simulation(std::move(config));
     simulation.set_job_observer([&simulation, &cutoff, i](const Job&, double) {
       if (i > cutoff.load(std::memory_order_relaxed)) simulation.stop();
