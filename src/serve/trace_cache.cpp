@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -33,7 +34,11 @@ FileIdentity stat_identity(const std::string& path) {
   return identity;
 }
 
-std::shared_ptr<const CachedTrace> load_trace(const std::string& path) {
+/// The shortest valid record line: five one-digit fields (the fifth is the
+/// processor count), their four separators and the newline.
+constexpr std::uint64_t kShortestRecordBytes = 10;
+
+std::shared_ptr<const CachedTrace> load_trace(const std::string& path, std::uint64_t file_bytes) {
   // One serial pass builds the scan (as scan_swf_file does) and keeps the
   // usable records in file order; the replay's lookahead window sorts them.
   std::ifstream file(path);
@@ -41,14 +46,24 @@ std::shared_ptr<const CachedTrace> load_trace(const std::string& path) {
   SwfStreamReader reader(file, path);
   auto trace = std::make_shared<CachedTrace>();
   TraceRecord record;
-  while (reader.next(record)) {
+  bool more = reader.next(record);
+  // The header is complete once the first record is read. A declared
+  // record count sizes the vector in one allocation, capped by what the
+  // file can hold so that a hostile header cannot force a large one.
+  const std::int64_t declared = reader.header().max_records;
+  if (declared >= 0) {
+    trace->records.reserve(static_cast<std::size_t>(std::min(
+        static_cast<std::uint64_t>(declared), file_bytes / kShortestRecordBytes)));
+  }
+  for (; more; more = reader.next(record)) {
     trace->scan.summary.add(record);
     if (trace_record_usable(record)) trace->records.push_back(record);
   }
   trace->scan.header = reader.header();
-  // Drop the growth slack: the entry stays resident, so it should cost
-  // what it holds.
-  trace->records.shrink_to_fit();
+  // Without a declared count, drop the growth slack: the entry stays
+  // resident, so it should cost what it holds. (A reserved vector keeps its
+  // capacity, which bytes counts, rather than pay for a copy.)
+  if (declared < 0) trace->records.shrink_to_fit();
   trace->bytes = trace->records.capacity() * sizeof(TraceRecord) +
                  sizeof(CachedTrace);
   return trace;
@@ -83,7 +98,7 @@ std::shared_ptr<const CachedTrace> TraceCache::get(const std::string& path) {
   // Parse outside the lock: concurrent submits for *different* logs load in
   // parallel; a duplicate concurrent load of the same log costs a redundant
   // parse, never a wrong answer (last one in wins the cache slot).
-  std::shared_ptr<const CachedTrace> trace = load_trace(path);
+  std::shared_ptr<const CachedTrace> trace = load_trace(path, identity.size);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (trace->bytes <= budget_bytes_) {

@@ -216,6 +216,40 @@ TEST(ServeTraceCache, EvictionNeverInvalidatesAnInFlightTrace) {
   EXPECT_EQ(count, 3u);
 }
 
+TEST(ServeTraceCache, DeclaredRecordCountSizesTheEntry) {
+  const fs::path dir = scratch_dir("declared");
+  // MaxRecords counts the cancelled record too, so the vector keeps one
+  // slot of slack instead of paying for a copy; bytes charges it.
+  const fs::path declared = dir / "declared.swf";
+  {
+    std::ofstream out(declared);
+    out << "; MaxRecords: 4\n";
+    for (std::uint32_t i = 1; i <= 3; ++i) out << record_line(i, 10.0 * i, 50.0, 4);
+    out << record_line(4, 40.0, 0.0, 4);  // zero run time: not usable
+  }
+  TraceCache cache(1ull << 30);
+  const auto trace = cache.get(declared.string());
+  EXPECT_EQ(trace->records.size(), 3u);
+  EXPECT_EQ(trace->records.capacity(), 4u);
+  EXPECT_EQ(trace->bytes, 4 * sizeof(TraceRecord) + sizeof(CachedTrace));
+
+  // A hostile header cannot reserve more than the file could hold: one
+  // record per ten bytes, the shortest valid record line.
+  const fs::path hostile = dir / "hostile.swf";
+  {
+    std::ofstream out(hostile);
+    out << "; MaxRecords: 1000000000000\n";
+    for (std::uint32_t i = 1; i <= 3; ++i) out << record_line(i, 10.0 * i, 50.0, 4);
+  }
+  const auto capped = cache.get(hostile.string());
+  EXPECT_EQ(capped->records.size(), 3u);
+  EXPECT_EQ(capped->records.capacity(), fs::file_size(hostile) / 10);
+
+  // Without the directive the vector is trimmed to what it holds.
+  const auto undeclared = cache.get(write_log(dir, "undeclared.swf", 5));
+  EXPECT_EQ(undeclared->records.capacity(), 5u);
+}
+
 TEST(ServeTraceCache, MissingFileThrows) {
   TraceCache cache(1ull << 20);
   EXPECT_THROW(cache.get("/nonexistent/missing.swf"), std::invalid_argument);
