@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,6 +26,7 @@
 #include "stats/percentile.hpp"
 #include "stats/welford.hpp"
 #include "trace/swf.hpp"
+#include "trace/swf_stream.hpp"
 #include "util/rng.hpp"
 #include "workload/das_workload.hpp"
 #include "workload/job_splitter.hpp"
@@ -230,17 +233,18 @@ void BM_SampleDasT900(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleDasT900);
 
-// Trace ingest alone: a synthetic 100k-record log, written once with
-// write_swf (round-trip-precision submit and run times, as
-// make_archive_sample writes them), parsed from memory per iteration.
-void BM_SwfParse(benchmark::State& state) {
-  constexpr std::uint64_t kRecords = 100000;
+constexpr std::uint64_t kSwfLogRecords = 100000;
+
+/// A synthetic kSwfLogRecords-record log as SWF text, written with
+/// write_swf (round-trip-precision submit and run times, as
+/// make_archive_sample writes them).
+std::string synthetic_swf_log(const std::string& note) {
   Rng rng(11);
   SwfTrace trace;
-  trace.header_comments = {"MaxProcs: 128", "Note: synthetic BM_SwfParse log"};
-  trace.records.reserve(kRecords);
+  trace.header_comments = {"MaxProcs: 128", "Note: synthetic " + note + " log"};
+  trace.records.reserve(kSwfLogRecords);
   double submit = 0.0;
-  for (std::uint64_t id = 1; id <= kRecords; ++id) {
+  for (std::uint64_t id = 1; id <= kSwfLogRecords; ++id) {
     TraceRecord rec;
     rec.job_id = id;
     submit += rng.uniform(0.0, 600.0);
@@ -252,7 +256,13 @@ void BM_SwfParse(benchmark::State& state) {
   }
   std::ostringstream out;
   write_swf(out, trace);
-  const std::string text = out.str();
+  return out.str();
+}
+
+// Trace ingest alone: the synthetic 100k-record log parsed from memory per
+// iteration.
+void BM_SwfParse(benchmark::State& state) {
+  const std::string text = synthetic_swf_log("BM_SwfParse");
   for (auto _ : state) {
     std::istringstream in(text);
     const SwfTrace parsed = read_swf(in);
@@ -261,9 +271,31 @@ void BM_SwfParse(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(text.size()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kRecords));
+                          static_cast<std::int64_t>(kSwfLogRecords));
 }
 BENCHMARK(BM_SwfParse)->Unit(benchmark::kMillisecond);
+
+// The pre-scan alone: scan_swf_file over the same log written to a temp
+// file (several kSwfScanChunkBytes chunks, so the helper thread runs).
+void BM_SwfScan(benchmark::State& state) {
+  const std::string text = synthetic_swf_log("BM_SwfScan");
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "mcsim_bm_swf_scan.swf";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  for (auto _ : state) {
+    const SwfScan scan = scan_swf_file(path.string());
+    benchmark::DoNotOptimize(scan.summary.gross_work);
+  }
+  std::filesystem::remove(path);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSwfLogRecords));
+}
+BENCHMARK(BM_SwfScan)->Unit(benchmark::kMillisecond);
 
 // The trace lookahead window alone: 100k in-memory records pulled through
 // TraceWorkload (default 4096-record window) from a VectorRecordSource,
