@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <limits>
-#include <memory>
 #include <ostream>
 #include <string>
 
@@ -295,8 +294,8 @@ TraceResolver resolve_trace_once(const ScenarioSpec& spec) {
   if (!spec.is_trace()) return nullptr;
   // A bad spec fails here as to_simulation_config would, before the scan.
   validate(spec);
-  auto resolved = std::make_shared<const ResolvedTrace>(resolve_trace_from_file(spec.trace_path));
-  return [resolved](const std::string&) { return *resolved; };
+  const ResolvedTrace resolved = resolve_trace_from_file(spec.trace_path);
+  return [resolved](const std::string&) { return resolved; };
 }
 
 SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilization) {

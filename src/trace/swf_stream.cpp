@@ -783,8 +783,8 @@ std::optional<SwfScan> ChunkedScan::run() {
 }  // namespace
 
 SwfScan scan_swf_file(const std::string& path) {
-  std::optional<SwfScan> scan = ChunkedScan(path).run();
-  return scan ? std::move(*scan) : serial_scan(path);
+  if (std::optional<SwfScan> scan = ChunkedScan(path).run()) return std::move(*scan);
+  return serial_scan(path);
 }
 
 }  // namespace mcsim

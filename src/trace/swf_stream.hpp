@@ -6,7 +6,9 @@
 // It reads ahead in 64 KiB blocks (grown only for a line longer than a
 // block), splits lines and fields in place, and parses numbers without a
 // heap allocation; a reader therefore owns the rest of the istream it is
-// handed, and nothing else may read from that stream afterwards. It
+// handed, and nothing else may read from that stream afterwards. Its
+// record-line parser is the only one: the chunked pre-scan
+// (scan_swf_file) calls it too. It
 // carries all of read_swf's hardening (CRLF, blank lines, ';' comments
 // anywhere, truncated trailing fields read as -1, full-token number
 // parsing bit-identical to std::strtod, integer fields range-checked,
