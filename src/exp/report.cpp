@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -56,31 +55,6 @@ void print_panel(std::ostream& out, const std::string& title,
     out << "-- " << s.label
         << "  (max stable utilization ~ " << format_util(s.max_stable_utilization()) << ")\n"
         << table.render() << '\n';
-  }
-}
-
-void write_panel_csv(std::ostream& out, const std::string& panel,
-                     const std::vector<SweepSeries>& series, bool with_header) {
-  CsvWriter csv(out);
-  if (with_header) {
-    csv.header({"panel", "scenario", "target_gross_utilization", "mean_response", "ci95",
-                "p95", "offered_net_utilization", "busy_fraction", "measured_jobs",
-                "unstable"});
-  }
-  for (const auto& s : series) {
-    for (const auto& point : s.points) {
-      csv.add(panel)
-          .add(s.label)
-          .add(point.target_gross_utilization, 4)
-          .add(point.result.mean_response(), 2)
-          .add(point.result.response_ci.halfwidth, 2)
-          .add(point.result.response_p95, 2)
-          .add(point.result.offered_net_utilization, 4)
-          .add(point.result.busy_fraction, 4)
-          .add(static_cast<std::uint64_t>(point.result.measured_jobs))
-          .add(std::string(point.result.unstable ? "1" : "0"));
-      csv.end_row();
-    }
   }
 }
 

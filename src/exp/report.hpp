@@ -1,7 +1,6 @@
 // Rendering experiment output in the paper's vocabulary: one block per
 // figure panel with a curve per scenario (utilization -> mean response
-// time), legends ordered best-first like the paper's figure legends, and a
-// machine-readable CSV of every point.
+// time), legends ordered best-first like the paper's figure legends.
 #pragma once
 
 #include <ostream>
@@ -18,17 +17,13 @@ namespace mcsim {
 void print_panel(std::ostream& out, const std::string& title,
                  const std::vector<SweepSeries>& series);
 
-/// Append all points of all series to a CSV stream (one row per point).
-void write_panel_csv(std::ostream& out, const std::string& panel,
-                     const std::vector<SweepSeries>& series, bool with_header);
-
 /// Legend order used by print_panel: scenarios sorted by descending maximal
 /// stable utilization, ties by lower response at the highest common stable
 /// point.
 std::vector<std::size_t> performance_order(const std::vector<SweepSeries>& series);
 
 /// An ASCII plot of the response-time curves (response on y, utilization on
-/// x), so the bench output visually mirrors the paper's figures.
+/// x), so a sweep's output visually mirrors the paper's figures.
 void print_ascii_plot(std::ostream& out, const std::vector<SweepSeries>& series,
                       double y_max = 10000.0, int width = 72, int height = 20);
 

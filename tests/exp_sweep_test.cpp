@@ -127,11 +127,6 @@ TEST(Report, PanelPrintsLegendAndRows) {
   EXPECT_NE(out.str().find("GS limit=16"), std::string::npos);
   EXPECT_NE(out.str().find("0.200"), std::string::npos);
 
-  std::ostringstream csv;
-  write_panel_csv(csv, "panel", series, /*with_header=*/true);
-  EXPECT_NE(csv.str().find("panel,"), std::string::npos);
-  EXPECT_NE(csv.str().find("target_gross_utilization"), std::string::npos);
-
   std::ostringstream plot;
   print_ascii_plot(plot, series);
   EXPECT_NE(plot.str().find("GS limit=16"), std::string::npos);
