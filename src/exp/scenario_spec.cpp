@@ -107,7 +107,8 @@ std::string ScenarioSpec::label() const {
   if (is_trace()) {
     // A replay's jobs come from the log, not from a size model or queue
     // weights: name the log.
-    label += " " + trace_path.substr(trace_path.find_last_of('/') + 1);
+    label += ' ';
+    label += trace_path.substr(trace_path.find_last_of('/') + 1);
   } else {
     if (!balanced_queues) label += " unbalanced";
     label += size_model == "das-s-64" ? " DAS-s-64" : " DAS-s-128";
@@ -115,7 +116,10 @@ std::string ScenarioSpec::label() const {
   if (queue_structure) {
     label += std::string(" ") + queue_structure_short_name(*queue_structure);
   }
-  if (coallocation) label += " " + coallocation_rule_name(*coallocation);
+  if (coallocation) {
+    label += ' ';
+    label += coallocation_rule_name(*coallocation);
+  }
   if (backfill != BackfillMode::kNone) {
     label += std::string(" ") + backfill_mode_name(backfill);
   }
