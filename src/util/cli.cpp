@@ -64,7 +64,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
     MCSIM_USAGE_REQUIRE(it != options_.end(), "unknown option --" + name);
     if (it->second.is_flag) {
       MCSIM_USAGE_REQUIRE(!has_value, "flag --" + name + " takes no value");
-      values_[name] = "1";
+      values_[name] = '1';
       continue;
     }
     if (!has_value) {

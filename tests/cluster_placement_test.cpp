@@ -136,7 +136,9 @@ TEST(PlacementProperty, WorstFitIsCompleteFitTest) {
     const bool wf = place_components(components, idle, PlacementRule::kWorstFit).has_value();
     const bool ff = place_components(components, idle, PlacementRule::kFirstFit).has_value();
     const bool bf = place_components(components, idle, PlacementRule::kBestFit).has_value();
-    if (ff || bf) EXPECT_TRUE(wf) << "WF must dominate FF/BF on feasibility";
+    if (ff || bf) {
+      EXPECT_TRUE(wf) << "WF must dominate FF/BF on feasibility";
+    }
   }
 }
 

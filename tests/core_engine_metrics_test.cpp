@@ -32,8 +32,8 @@ TEST(EngineMetrics, SizeClassesPartitionAllJobs) {
             result.response_all.count());
   // DAS-s-128: ~51% small (<=16), ~47% medium, ~1-2% large (>64).
   const double total = static_cast<double>(result.response_all.count());
-  EXPECT_NEAR(result.response_small.count() / total, 0.513, 0.05);
-  EXPECT_NEAR(result.response_large.count() / total, 0.018, 0.01);
+  EXPECT_NEAR(static_cast<double>(result.response_small.count()) / total, 0.513, 0.05);
+  EXPECT_NEAR(static_cast<double>(result.response_large.count()) / total, 0.018, 0.01);
 }
 
 TEST(EngineMetrics, LargeJobsWaitLongestUnderFcfs) {
@@ -85,10 +85,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.2, 0.45),
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{2},
                                          std::uint64_t{3})),
-    [](const ::testing::TestParamInfo<std::tuple<PolicyKind, double, std::uint64_t>>& info) {
-      return std::string(policy_name(std::get<0>(info.param))) + "_rho" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 100)) + "_seed" +
-             std::to_string(std::get<2>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<PolicyKind, double, std::uint64_t>>&
+           param_info) {
+      return std::string(policy_name(std::get<0>(param_info.param))) + "_rho" +
+             std::to_string(static_cast<int>(std::get<1>(param_info.param) * 100)) + "_seed" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 }  // namespace

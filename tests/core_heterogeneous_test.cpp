@@ -22,7 +22,7 @@ TEST(Multicluster, SlowestSpeedOverAllocation) {
   EXPECT_DOUBLE_EQ(system.slowest_speed({{0, 8}}), 1.0);
   EXPECT_DOUBLE_EQ(system.slowest_speed({{0, 8}, {2, 8}}), 1.0);
   EXPECT_DOUBLE_EQ(system.slowest_speed({{1, 8}, {2, 8}}), 0.5);
-  EXPECT_THROW(system.slowest_speed({}), std::invalid_argument);
+  EXPECT_THROW((void)system.slowest_speed({}), std::invalid_argument);
 }
 
 TEST(Multicluster, MismatchedSpeedsThrow) {

@@ -65,7 +65,7 @@ TEST(JobQueue, EnableDisable) {
 
 TEST(JobQueue, EmptyAccessThrows) {
   JobQueue queue;
-  EXPECT_THROW(queue.front(), std::invalid_argument);
+  EXPECT_THROW((void)queue.front(), std::invalid_argument);
   EXPECT_THROW(queue.pop(), std::invalid_argument);
 }
 

@@ -97,12 +97,12 @@ TEST(JsonReader, RejectsDeepNesting) {
 
 TEST(JsonReader, KindMismatchesThrow) {
   const auto doc = parse_json(R"({"n": 1.5, "s": "x"})");
-  EXPECT_THROW(doc.at("n").as_string(), std::invalid_argument);
-  EXPECT_THROW(doc.at("s").as_double(), std::invalid_argument);
-  EXPECT_THROW(doc.at("n").as_uint(), std::invalid_argument);  // not integral
-  EXPECT_THROW(doc.at(0), std::invalid_argument);              // object, not array
-  EXPECT_THROW(parse_json("-3").as_uint(), std::invalid_argument);
-  EXPECT_THROW(doc.at("missing"), std::invalid_argument);
+  EXPECT_THROW((void)doc.at("n").as_string(), std::invalid_argument);
+  EXPECT_THROW((void)doc.at("s").as_double(), std::invalid_argument);
+  EXPECT_THROW((void)doc.at("n").as_uint(), std::invalid_argument);  // not integral
+  EXPECT_THROW((void)doc.at(0), std::invalid_argument);        // object, not array
+  EXPECT_THROW((void)parse_json("-3").as_uint(), std::invalid_argument);
+  EXPECT_THROW((void)doc.at("missing"), std::invalid_argument);
 }
 
 TEST(JsonReader, StreamAndStringAgree) {

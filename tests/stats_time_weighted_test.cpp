@@ -56,13 +56,13 @@ TEST(TimeWeightedStat, BackwardsTimeThrows) {
   TimeWeightedStat s;
   s.start(5.0, 1.0);
   EXPECT_THROW(s.update(4.0, 2.0), std::invalid_argument);
-  EXPECT_THROW(s.time_average(4.0), std::invalid_argument);
+  EXPECT_THROW((void)s.time_average(4.0), std::invalid_argument);
 }
 
 TEST(TimeWeightedStat, UseBeforeStartThrows) {
   TimeWeightedStat s;
   EXPECT_THROW(s.update(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(s.time_average(1.0), std::invalid_argument);
+  EXPECT_THROW((void)s.time_average(1.0), std::invalid_argument);
 }
 
 TEST(TimeWeightedStat, RepeatedUpdatesAtSameTime) {

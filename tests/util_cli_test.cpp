@@ -101,14 +101,14 @@ TEST(CliParser, NonNumericValueThrows) {
   auto parser = make_parser();
   const char* argv[] = {"prog", "--jobs=abc"};
   ASSERT_TRUE(parser.parse(2, argv));
-  EXPECT_THROW(parser.get_int("jobs"), std::invalid_argument);
+  EXPECT_THROW((void)parser.get_int("jobs"), std::invalid_argument);
 }
 
 TEST(CliParser, NegativeUintThrows) {
   auto parser = make_parser();
   const char* argv[] = {"prog", "--jobs=-3"};
   ASSERT_TRUE(parser.parse(2, argv));
-  EXPECT_THROW(parser.get_uint("jobs"), std::invalid_argument);
+  EXPECT_THROW((void)parser.get_uint("jobs"), std::invalid_argument);
 }
 
 TEST(CliParser, U32RejectsWiderValuesNamingTheOption) {
@@ -155,7 +155,7 @@ TEST(CliParser, UndeclaredGetThrows) {
   const char* argv[] = {"prog"};
   ASSERT_TRUE(parser.parse(1, argv));
   EXPECT_THROW(parser.get("missing"), std::invalid_argument);
-  EXPECT_THROW(parser.get_flag("missing"), std::invalid_argument);
+  EXPECT_THROW((void)parser.get_flag("missing"), std::invalid_argument);
 }
 
 TEST(CliParser, LastValueWins) {

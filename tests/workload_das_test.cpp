@@ -63,7 +63,9 @@ TEST(DasS128, Size64DominatesUpperRange) {
   // 19% of the jobs have size 64 — the single heaviest size (Sect. 3.3).
   const auto& dist = das_s_128();
   for (double v : dist.values()) {
-    if (v != 64.0) EXPECT_LT(dist.probability_of(v), 0.19 + 1e-12) << v;
+    if (v != 64.0) {
+      EXPECT_LT(dist.probability_of(v), 0.19 + 1e-12) << v;
+    }
   }
 }
 

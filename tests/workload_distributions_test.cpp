@@ -75,8 +75,8 @@ std::vector<MomentCase> moment_cases() {
 
 INSTANTIATE_TEST_SUITE_P(AllDistributions, DistributionMoments,
                          ::testing::ValuesIn(moment_cases()),
-                         [](const ::testing::TestParamInfo<MomentCase>& info) {
-                           return info.param.name;
+                         [](const ::testing::TestParamInfo<MomentCase>& param_info) {
+                           return param_info.param.name;
                          });
 
 // ---- Targeted behaviour tests. ----

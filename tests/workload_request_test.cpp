@@ -157,8 +157,8 @@ TEST_P(RequestTypeSimulation, RunsStablyAtLowLoad) {
 INSTANTIATE_TEST_SUITE_P(Types, RequestTypeSimulation,
                          ::testing::Values(RequestType::kOrdered, RequestType::kUnordered,
                                            RequestType::kFlexible),
-                         [](const ::testing::TestParamInfo<RequestType>& info) {
-                           return request_type_name(info.param);
+                         [](const ::testing::TestParamInfo<RequestType>& param_info) {
+                           return request_type_name(param_info.param);
                          });
 
 TEST(RequestTypeComparison, FlexibilityHelpsOrderingHurts) {

@@ -102,9 +102,9 @@ INSTANTIATE_TEST_SUITE_P(
     LimitsAndClusters, SplitterProperty,
     ::testing::Combine(::testing::Values(8u, 16u, 24u, 32u, 64u),
                        ::testing::Values(2u, 4u, 5u, 8u)),
-    [](const ::testing::TestParamInfo<std::tuple<std::uint32_t, std::uint32_t>>& info) {
-      return "limit" + std::to_string(std::get<0>(info.param)) + "_clusters" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<std::uint32_t, std::uint32_t>>& param_info) {
+      return "limit" + std::to_string(std::get<0>(param_info.param)) + "_clusters" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(SplitJob, Sect33FitArgument) {

@@ -88,7 +88,7 @@ TEST(TraceUtilization, ScaleIsInherentOverTarget) {
   const TraceStreamSummary summary = summary_of(records);
   EXPECT_DOUBLE_EQ(trace_scale_for_utilization(summary, 16, 0.5), 0.5);
   EXPECT_DOUBLE_EQ(trace_scale_for_utilization(summary, 16, 0.125), 2.0);
-  EXPECT_THROW(trace_scale_for_utilization(TraceStreamSummary{}, 16, 0.5),
+  EXPECT_THROW((void)trace_scale_for_utilization(TraceStreamSummary{}, 16, 0.5),
                std::invalid_argument);
 }
 

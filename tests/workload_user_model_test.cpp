@@ -80,7 +80,8 @@ TEST(UserWorkloadModel, SessionsProduceBurstyInterarrivals) {
   EXPECT_GT(short_gaps, gaps.size() / 2);  // most gaps are think times
   EXPECT_GT(long_gaps, 100);               // but real breaks exist
   // Mean session length ~8 -> roughly 1/8 of gaps are breaks.
-  EXPECT_NEAR(static_cast<double>(long_gaps) / gaps.size(), 1.0 / 8.0, 0.06);
+  EXPECT_NEAR(static_cast<double>(long_gaps) / static_cast<double>(gaps.size()), 1.0 / 8.0,
+              0.06);
 }
 
 TEST(UserWorkloadModel, MeanRateMatchesEmpirical) {
