@@ -153,8 +153,9 @@ struct SwfScan {
 };
 
 /// Bytes scan_swf_file reads per chunk, before cutting the chunk back to
-/// its last newline (a longer line makes a longer chunk).
-inline constexpr std::size_t kSwfScanChunkBytes = std::size_t{1} << 20;
+/// its last newline (a longer line makes a longer chunk). At 256 KiB the
+/// four chunks in flight stay near 1 MB, below a small replay's own peak.
+inline constexpr std::size_t kSwfScanChunkBytes = std::size_t{1} << 18;
 
 /// One validating pass over the log at `path`, bit-identical to folding
 /// every record of one SwfStreamReader pass into TraceStreamSummary::add.

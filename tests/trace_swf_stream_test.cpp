@@ -613,14 +613,14 @@ ScanOutcome expect_scan_matches_serial(const std::string& path) {
 /// A header, then records until the log holds at least `bytes` bytes: the
 /// times are fractional (so gross_work depends on the order of its sum),
 /// every 97th record has a zero run time (counted, not usable) and every
-/// 5000th line is a plain comment.
+/// 1000th line is a plain comment.
 std::string chunked_log(std::size_t bytes) {
   std::string text = "; MaxProcs: 128\n; Note: chunked scan test\n\n";
   for (std::uint64_t i = 1; text.size() < bytes; ++i) {
     const double run = i % 97 == 0 ? 0.0 : 0.37 + static_cast<double>(i % 1013) / 7.0;
     text += record_line(i, 0.3 * static_cast<double>(i), run,
                         static_cast<std::uint32_t>(1 + (i * 7) % 128));
-    if (i % 5000 == 0) text += "; checkpoint " + std::to_string(i) + "\n";
+    if (i % 1000 == 0) text += "; checkpoint " + std::to_string(i) + "\n";
   }
   return text;
 }
