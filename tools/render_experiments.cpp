@@ -17,8 +17,8 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
-#include <functional>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -100,50 +100,50 @@ struct Ceiling {
   double net = 0.0;
 };
 
-/// The observed block of data/golden/<stem>.golden.json. Errors name the file.
-JsonValue observed(const std::string& stem, const std::string& mode) {
+/// `read` applied to the observed block of data/golden/<stem>.golden.json,
+/// which must hold a run of `mode`. Every error names the file.
+template <typename Read>
+auto read_golden(const std::string& stem, const std::string& mode, Read read) {
   const std::string path = kGoldenDir + stem + ".golden.json";
   try {
-    JsonValue observed = mcsim::obs::parse_json_file(path).at("observed");
+    const JsonValue golden = mcsim::obs::parse_json_file(path);
+    const JsonValue& observed = golden.at("observed");
     MCSIM_REQUIRE(observed.at("mode").as_string() == mode, "not a " + mode + " golden");
-    return observed;
+    return read(observed);
   } catch (const std::exception& error) {
     throw std::invalid_argument(path + ": " + error.what());
   }
 }
 
+Point point(double utilization, const JsonValue& result) {
+  const JsonValue& response = result.at("response");
+  return {utilization,
+          result.at("unstable").as_bool(),
+          result.at("mean_response").as_double(),
+          response.at("local").at("mean").as_double(),
+          response.at("global").at("mean").as_double(),
+          response.at("p95").as_double(),
+          response.at("all").at("max").as_double(),
+          result.at("offered_gross_utilization").as_double(),
+          result.at("offered_net_utilization").as_double()};
+}
+
 Curve curve(const std::string& stem) {
-  const JsonValue golden = observed(stem, "sweep");
-  Curve curve{stem, {}};
-  try {
-    for (const JsonValue& item : golden.at("points").items()) {
-      const JsonValue& result = item.at("result");
-      const JsonValue& response = result.at("response");
-      curve.points.push_back({item.at("utilization").as_double(),
-                              result.at("unstable").as_bool(),
-                              result.at("mean_response").as_double(),
-                              response.at("local").at("mean").as_double(),
-                              response.at("global").at("mean").as_double(),
-                              response.at("p95").as_double(),
-                              response.at("all").at("max").as_double(),
-                              result.at("offered_gross_utilization").as_double(),
-                              result.at("offered_net_utilization").as_double()});
+  return read_golden(stem, "sweep", [&](const JsonValue& observed) {
+    Curve curve{stem, {}};
+    for (const JsonValue& item : observed.at("points").items()) {
+      curve.points.push_back(point(item.at("utilization").as_double(), item.at("result")));
     }
-  } catch (const std::exception& error) {
-    throw std::invalid_argument(kGoldenDir + stem + ".golden.json: " + error.what());
-  }
-  MCSIM_REQUIRE(!curve.points.empty(), stem + " has no points");
-  return curve;
+    MCSIM_REQUIRE(!curve.points.empty(), "a sweep without points");
+    return curve;
+  });
 }
 
 Ceiling ceiling(const std::string& stem) {
-  const JsonValue golden = observed(stem, "saturation");
-  try {
-    return {golden.at("maximal_gross_utilization").as_double(),
-            golden.at("maximal_net_utilization").as_double()};
-  } catch (const std::exception& error) {
-    throw std::invalid_argument(kGoldenDir + stem + ".golden.json: " + error.what());
-  }
+  return read_golden(stem, "saturation", [](const JsonValue& observed) {
+    return Ceiling{observed.at("maximal_gross_utilization").as_double(),
+                   observed.at("maximal_net_utilization").as_double()};
+  });
 }
 
 // -- Markdown ------------------------------------------------------------------
@@ -174,24 +174,28 @@ std::string response_cell(const Curve& curve, double utilization, int digits) {
   return point == nullptr || point->unstable ? kUnstable : format_double(point->mean, digits);
 }
 
-/// "A 0.65, B 0.60, ...": `labels[i]` names `curves[i]`, best first by the
-/// rule of print_panel's legends.
+/// The legend, best first by the rule of print_panel's legends:
+/// `labels[i]` names `curves[i]`.
 std::vector<std::string> legend(const std::vector<Curve>& curves,
                                 const std::vector<std::string>& labels) {
   std::vector<mcsim::SweepSeries> series;
-  for (std::size_t i = 0; i < curves.size(); ++i) series.push_back(curves[i].series(labels[i]));
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    series.push_back(curves[i].series(labels[i]));
+  }
   std::vector<std::string> order;
   for (std::size_t i : mcsim::performance_order(series)) order.push_back(labels[i]);
   return order;
 }
 
-std::string legend_cell(const std::vector<Curve>& curves, const std::vector<std::string>& labels,
+/// "A 0.65, B 0.60, ...": the legend with each curve's last stable point.
+std::string legend_cell(const std::vector<Curve>& curves,
+                        const std::vector<std::string>& labels,
                         const std::vector<std::string>& order) {
   std::vector<std::string> cells;
   for (const std::string& label : order) {
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (labels[i] == label) cells.push_back(label + " " + format_double(curves[i].last_stable(), 2));
-    }
+    const auto i = static_cast<std::size_t>(
+        std::find(labels.begin(), labels.end(), label) - labels.begin());
+    cells.push_back(label + " " + format_double(curves[i].last_stable(), 2));
   }
   return joined(cells, ", ");
 }
@@ -224,13 +228,13 @@ std::string response_table(const std::vector<std::string>& columns,
 
 // -- the paper's curves --------------------------------------------------------
 
-/// The Fig. 3 golden of a policy at a component limit. SC and GS have no
-/// local queues, so their curves serve both balances.
 std::string lower(std::string text) {
   for (char& c : text) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return text;
 }
 
+/// The Fig. 3 golden of a policy at a component limit. SC and GS have no
+/// local queues, so their curves serve both balances.
 std::string fig3_stem(const std::string& policy, std::uint32_t limit, bool balanced) {
   if (policy == "SC") return "fig3_sc";
   if (policy == "GS" && limit == 32) return "fig6_gs_limit32";
@@ -270,7 +274,9 @@ std::string fig1() {
   const mcsim::SwfTrace& log = synthetic_log();
   const mcsim::TraceSummary summary = mcsim::summarize_trace(log.records);
   double paper_mass = 0.0;
-  for (const auto& fraction : mcsim::das1_power_of_two_fractions()) paper_mass += fraction.fraction;
+  for (const auto& fraction : mcsim::das1_power_of_two_fractions()) {
+    paper_mass += fraction.fraction;
+  }
   std::string text = header({"quantity", "paper", "synthetic log"});
   text += row({"distinct sizes", "58", std::to_string(summary.distinct_sizes)});
   text += row({"size range", "[1, 128]",
@@ -302,24 +308,25 @@ std::string fig2() {
   const mcsim::TraceSummary cut =
       mcsim::summarize_trace(mcsim::cut_by_service(log.records, 900.0));
   const auto model = mcsim::das_t_900();
+  const auto mean_cv = [](double mean, double cv) {
+    return format_double(mean, 1) + " s (" + format_double(cv, 2) + ")";
+  };
   std::string text = header({"quantity", "synthetic log"});
   text += row({"jobs under 15 minutes", format_util(raw.fraction_under_15min)});
-  text += row({"raw log mean service (cv)", format_double(raw.mean_service, 1) + " s (" +
-                                                format_double(raw.service_cv, 2) + ")"});
+  text += row({"raw log mean service (cv)", mean_cv(raw.mean_service, raw.service_cv)});
   text += row({"cut log (DAS-t-900) mean service (cv)",
-               format_double(cut.mean_service, 1) + " s (" + format_double(cut.service_cv, 2) +
-                   ")"});
-  text += row({"model `das_t_900()` mean (cv)",
-               format_double(model->mean(), 1) + " s (" + format_double(model->cv(), 2) + ")"});
+               mean_cv(cut.mean_service, cut.service_cv)});
+  text += row({"model `das_t_900()` mean (cv)", mean_cv(model->mean(), model->cv())});
   text += "\n" + header({"service time", "share of jobs"});
   const mcsim::Histogram density = mcsim::service_time_density(log.records, 900.0, 6);
   const auto jobs = static_cast<double>(raw.job_count);
   for (std::size_t b = 0; b < density.bin_count(); ++b) {
-    text += row({format_double(density.bin_lo(b), 0) + "–" + format_double(density.bin_hi(b), 0) +
-                     " s",
-                 format_util(static_cast<double>(density.bin(b)) / jobs)});
+    const std::string bin =
+        format_double(density.bin_lo(b), 0) + "–" + format_double(density.bin_hi(b), 0);
+    text += row({bin + " s", format_util(static_cast<double>(density.bin(b)) / jobs)});
   }
-  text += row({"900 s and over", format_util(static_cast<double>(density.overflow()) / jobs)});
+  text += row({"900 s and over",
+               format_util(static_cast<double>(density.overflow()) / jobs)});
   return text + "\nFrom `summarize_trace`, `cut_by_service` and `service_time_density` over "
                 "the Table 1 log.\n";
 }
@@ -337,7 +344,8 @@ std::string table2() {
     }
     text += row({std::to_string(limit), paper.at(limit), joined(cells, ", ")});
   }
-  return text + "\nMeasured column from `component_count_fractions(das_s_128(), limit, 4)`.\n";
+  return text +
+         "\nMeasured column from `component_count_fractions(das_s_128(), limit, 4)`.\n";
 }
 
 std::string fig3() {
@@ -378,22 +386,22 @@ std::string fig4() {
                                      format_double(point.mean, 0),
                                      format_double(point.global, 0)};
       for (const char* policy : {"GS", "LS", "SC"}) {
-        cells.push_back(response_cell(curve(fig3_stem(policy, limit, balanced)), utilization, 0));
+        const Curve other = curve(fig3_stem(policy, limit, balanced));
+        cells.push_back(response_cell(other, utilization, 0));
       }
       cells.push_back(format_util(point.gross));
       cells.push_back(format_util(point.net));
       text += row(cells);
     }
   }
-  const JsonValue lp_point = observed("fig4_lp_point", "point");
-  const JsonValue& result = lp_point.at("result");
-  const JsonValue& response = result.at("response");
+  const Point lp = read_golden("fig4_lp_point", "point", [](const JsonValue& observed) {
+    return point(0.60, observed.at("result"));
+  });
   return text + "\nEach row is LP's last stable point in the panel's Fig. 3 goldens (above); "
                 "`" + kUnstable + "` is unstable. The 30 000-job LP point at 0.60 "
                 "(`fig4_lp_point`): local " +
-         format_double(response.at("local").at("mean").as_double(), 0) + " s, total " +
-         format_double(result.at("mean_response").as_double(), 0) + " s, global " +
-         format_double(response.at("global").at("mean").as_double(), 0) + " s.\n";
+         format_double(lp.local, 0) + " s, total " + format_double(lp.mean, 0) +
+         " s, global " + format_double(lp.global, 0) + " s.\n";
 }
 
 std::string fig5() {
@@ -465,8 +473,8 @@ std::string fig7() {
     const Point& ls = *curves[0].at(curves[0].last_stable());
     std::vector<std::string> cells{std::to_string(limit), format_util(ratio),
                                    format_util(ls.gross / ls.net)};
-    for (const Curve& policy : curves) {
-      const double gross = policy.last_stable();
+    for (const Curve& sweep : curves) {
+      const double gross = sweep.last_stable();
       cells.push_back(format_util(gross) + " → " + format_util(gross / ratio));
     }
     cells.push_back(stems(curves));
@@ -534,7 +542,8 @@ std::string ablation_request() {
 std::string ablation_backfill() {
   std::string text;
   for (const std::string policy : {"SC", "GS"}) {
-    text += "\n" + policy + " (DAS-s-128, limit 16):\n\n";
+    if (!text.empty()) text += "\n";
+    text += policy + " (DAS-s-128, limit 16):\n\n";
     text += response_table({"FCFS", "aggressive", "EASY", "FCFS + DAS-s-64"},
                            {curve(fig3_stem(policy, 16, true)),
                             curve("ablation_backfill_" + lower(policy) + "_aggressive"),
@@ -542,7 +551,7 @@ std::string ablation_backfill() {
                             curve("fig5_" + lower(policy) + "_das64")},
                            0.40, 0.85);
   }
-  return text.substr(1);
+  return text;
 }
 
 std::string ablation_discipline() {
@@ -562,7 +571,11 @@ std::string ablation_discipline() {
 }
 
 /// Every block, by the name in its markers.
-const std::vector<std::pair<std::string, std::function<std::string()>>> kBlocks = {
+struct Block {
+  const char* name;
+  std::string (*render)();
+};
+constexpr Block kBlocks[] = {
     {"table1", table1},
     {"fig1", fig1},
     {"fig2", fig2},
@@ -589,21 +602,23 @@ std::string render(const std::string& text) {
   while (std::getline(in, line)) {
     out += line + "\n";
     if (line.rfind(begin, 0) != 0) continue;
-    const std::string name = line.substr(begin.size(), line.size() - begin.size() - close.size());
-    const auto block = std::find_if(kBlocks.begin(), kBlocks.end(),
-                                    [&](const auto& entry) { return entry.first == name; });
-    MCSIM_REQUIRE(block != kBlocks.end(), std::string(kDocument) + ": unknown block " + name);
+    const std::string name =
+        line.substr(begin.size(), line.size() - begin.size() - close.size());
+    const Block* block = std::find_if(std::begin(kBlocks), std::end(kBlocks),
+                                      [&](const Block& entry) { return entry.name == name; });
+    MCSIM_REQUIRE(block != std::end(kBlocks),
+                  std::string(kDocument) + ": unknown block " + name);
     MCSIM_REQUIRE(seen.insert(name).second, std::string(kDocument) + ": block " + name +
                                                 " appears twice");
     const std::string end = "<!-- END rendered: " + name + close;
     while (std::getline(in, line) && line != end) {
     }
     MCSIM_REQUIRE(line == end, std::string(kDocument) + ": block " + name + " is not closed");
-    out += block->second() + end + "\n";
+    out += block->render() + end + "\n";
   }
-  for (const auto& block : kBlocks) {
-    MCSIM_REQUIRE(seen.count(block.first) == 1,
-                  std::string(kDocument) + " has no block " + block.first);
+  for (const Block& block : kBlocks) {
+    MCSIM_REQUIRE(seen.count(block.name) == 1,
+                  std::string(kDocument) + " has no block " + block.name);
   }
   return out;
 }
@@ -624,7 +639,7 @@ int main(int argc, char** /*argv*/) {
     std::ofstream out(kDocument);
     out << rendered;
     MCSIM_REQUIRE(out.good(), std::string("write failed: ") + kDocument);
-    std::cout << "rendered " << kBlocks.size() << " blocks into " << kDocument << '\n';
+    std::cout << "rendered " << std::size(kBlocks) << " blocks into " << kDocument << '\n';
     return 0;
   } catch (const std::exception& error) {
     std::cerr << "render_experiments: " << error.what() << '\n';
