@@ -10,14 +10,4 @@ Cluster::Cluster(ClusterId id, std::uint32_t num_processors, double speed)
   MCSIM_REQUIRE(speed > 0.0, "cluster speed must be positive");
 }
 
-void Cluster::allocate(std::uint32_t processors) {
-  MCSIM_REQUIRE(fits(processors), "allocation exceeds idle processors");
-  busy_ += processors;
-}
-
-void Cluster::release(std::uint32_t processors) {
-  MCSIM_REQUIRE(busy_ >= processors, "releasing more processors than busy");
-  busy_ -= processors;
-}
-
 }  // namespace mcsim

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 
+#include "util/assert.hpp"
+
 namespace mcsim {
 
 using ClusterId = std::uint32_t;
@@ -23,10 +25,16 @@ class Cluster {
   [[nodiscard]] bool fits(std::uint32_t processors) const { return processors <= idle(); }
 
   /// Allocate `processors` CPUs; precondition: fits(processors).
-  void allocate(std::uint32_t processors);
+  void allocate(std::uint32_t processors) {
+    MCSIM_REQUIRE(fits(processors), "allocation exceeds idle processors");
+    busy_ += processors;
+  }
 
   /// Release `processors` CPUs; precondition: busy() >= processors.
-  void release(std::uint32_t processors);
+  void release(std::uint32_t processors) {
+    MCSIM_REQUIRE(busy_ >= processors, "releasing more processors than busy");
+    busy_ -= processors;
+  }
 
  private:
   ClusterId id_;

@@ -1,7 +1,5 @@
 #include "cluster/multicluster.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace mcsim {
@@ -36,15 +34,6 @@ Multicluster::Multicluster(const std::vector<std::uint32_t>& cluster_sizes,
   }
 }
 
-double Multicluster::slowest_speed(const Allocation& allocation) const {
-  MCSIM_REQUIRE(!allocation.empty(), "allocation is empty");
-  double slowest = clusters_.at(allocation.front().cluster).speed();
-  for (const auto& placement : allocation) {
-    slowest = std::min(slowest, clusters_.at(placement.cluster).speed());
-  }
-  return slowest;
-}
-
 std::uint32_t Multicluster::total_idle() const {
   std::uint32_t idle = 0;
   for (const auto& c : clusters_) idle += c.idle();
@@ -64,7 +53,7 @@ void Multicluster::idle_counts_into(std::vector<std::uint32_t>& out) const {
   for (const auto& c : clusters_) out.push_back(c.idle());
 }
 
-void Multicluster::allocate(const Allocation& allocation) {
+void Multicluster::allocate_spread(const Allocation& allocation) {
   // Validate first so a failed allocation leaves the system unchanged.
   validate_scratch_.assign(clusters_.size(), 0);
   for (const auto& placement : allocation) {
@@ -77,13 +66,6 @@ void Multicluster::allocate(const Allocation& allocation) {
   }
   for (const auto& placement : allocation) {
     clusters_[placement.cluster].allocate(placement.processors);
-  }
-}
-
-void Multicluster::release(const Allocation& allocation) {
-  for (const auto& placement : allocation) {
-    MCSIM_REQUIRE(placement.cluster < clusters_.size(), "placement names an unknown cluster");
-    clusters_[placement.cluster].release(placement.processors);
   }
 }
 

@@ -4,10 +4,12 @@
 // departure releases exactly what was taken.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "util/assert.hpp"
 
 namespace mcsim {
 
@@ -38,7 +40,14 @@ class Multicluster {
   /// Slowest speed among the clusters in `allocation` — a co-allocated
   /// job's tasks synchronise, so it runs at the pace of its slowest
   /// cluster.
-  [[nodiscard]] double slowest_speed(const Allocation& allocation) const;
+  [[nodiscard]] double slowest_speed(const Allocation& allocation) const {
+    MCSIM_REQUIRE(!allocation.empty(), "allocation is empty");
+    double slowest = clusters_.at(allocation.front().cluster).speed();
+    for (std::size_t i = 1; i < allocation.size(); ++i) {
+      slowest = std::min(slowest, clusters_.at(allocation[i].cluster).speed());
+    }
+    return slowest;
+  }
 
   [[nodiscard]] std::uint32_t num_clusters() const {
     return static_cast<std::uint32_t>(clusters_.size());
@@ -57,13 +66,33 @@ class Multicluster {
   /// here instead of taking a fresh heap vector per attempt.
   void idle_counts_into(std::vector<std::uint32_t>& out) const;
 
-  /// Apply an allocation (allocates on each named cluster).
-  void allocate(const Allocation& allocation);
+  /// Apply an allocation (allocates on each named cluster). A failed
+  /// allocation leaves the system unchanged.
+  void allocate(const Allocation& allocation) {
+    if (allocation.size() != 1) {
+      allocate_spread(allocation);
+      return;
+    }
+    // One placement: Cluster::allocate's own check is the whole validation.
+    const ComponentPlacement& placement = allocation.front();
+    MCSIM_REQUIRE(placement.cluster < clusters_.size(), "placement names an unknown cluster");
+    clusters_[placement.cluster].allocate(placement.processors);
+  }
 
   /// Undo an allocation.
-  void release(const Allocation& allocation);
+  void release(const Allocation& allocation) {
+    for (const auto& placement : allocation) {
+      MCSIM_REQUIRE(placement.cluster < clusters_.size(),
+                    "placement names an unknown cluster");
+      clusters_[placement.cluster].release(placement.processors);
+    }
+  }
 
  private:
+  /// allocate() for zero or several placements: validates the summed
+  /// demand per cluster before touching any.
+  void allocate_spread(const Allocation& allocation);
+
   std::vector<Cluster> clusters_;
   std::uint32_t total_ = 0;
   /// Reused by allocate()'s validation pass (one job start per loop

@@ -43,19 +43,30 @@ bool is_non_increasing(const std::vector<std::uint32_t>& v) {
   return std::is_sorted(v.rbegin(), v.rend());
 }
 
-/// Fill `order` with cluster ids by (idle desc, id asc). Stable insertion
-/// sort into the scratch vector: no allocation once the scratch holds its
-/// capacity (std::stable_sort would take a temporary buffer per call), and
-/// C is small — the paper's systems have 4-8 clusters.
+/// Fill `order` with the cluster ids in ascending order, then move each
+/// id ahead of every earlier one that `ranks_below` it: an in-place stable
+/// insertion sort, so ties keep the lower id first. No allocation once the
+/// scratch holds its capacity (std::stable_sort would take a temporary
+/// buffer per call), and C is small — the paper's systems have 4-8
+/// clusters.
+template <typename RanksBelow>
+void order_clusters(std::size_t count, RanksBelow ranks_below, std::vector<ClusterId>& order) {
+  order.resize(count);
+  for (ClusterId c = 0; c < count; ++c) {
+    std::size_t slot = c;
+    while (slot > 0 && ranks_below(order[slot - 1], c)) {
+      order[slot] = order[slot - 1];
+      --slot;
+    }
+    order[slot] = c;
+  }
+}
+
+/// Cluster ids by (idle desc, id asc).
 void clusters_by_idle_desc(const std::vector<std::uint32_t>& idle,
                            std::vector<ClusterId>& order) {
-  order.clear();
-  order.reserve(idle.size());
-  for (ClusterId c = 0; c < idle.size(); ++c) {
-    auto it = order.begin();
-    while (it != order.end() && idle[*it] >= idle[c]) ++it;
-    order.insert(it, c);
-  }
+  order_clusters(
+      idle.size(), [&](ClusterId a, ClusterId b) { return idle[a] < idle[b]; }, order);
 }
 
 /// No placement spans more entries than there are clusters: reserving that
@@ -78,6 +89,28 @@ bool pair_in_order(const std::vector<std::uint32_t>& components,
     out.push_back(ComponentPlacement{order[i], components[i]});
   }
   return true;
+}
+
+/// Worst Fit: component i on the i-th most idle cluster. The pairing
+/// doubles as the complete fit test. Most attempts are settled by the
+/// most idle cluster alone — a reject when the largest component exceeds
+/// it, a start when the job has one component — so the full order is
+/// built only for a co-allocated job that clears that first test.
+bool place_worst_fit(const std::vector<std::uint32_t>& components,
+                     const std::vector<std::uint32_t>& idle, PlacementScratch& scratch,
+                     Allocation& out) {
+  ClusterId most_idle = 0;
+  for (ClusterId c = 1; c < idle.size(); ++c) {
+    if (idle[c] > idle[most_idle]) most_idle = c;
+  }
+  out.clear();
+  if (components.front() > idle[most_idle]) return false;
+  if (components.size() == 1) {
+    out.push_back(ComponentPlacement{most_idle, components.front()});
+    return true;
+  }
+  clusters_by_idle_desc(idle, scratch.order);
+  return pair_in_order(components, idle, scratch.order, out);
 }
 
 bool place_first_fit(const std::vector<std::uint32_t>& components,
@@ -110,18 +143,12 @@ bool place_first_fit(const std::vector<std::uint32_t>& components,
 void clusters_by_idle_fraction_desc(const std::vector<std::uint32_t>& idle,
                                     const std::vector<std::uint32_t>& capacities,
                                     std::vector<ClusterId>& order) {
-  order.clear();
-  order.reserve(idle.size());
-  const auto fraction_at_least = [&](ClusterId a, ClusterId b) {
-    // idle[a]/cap[a] >= idle[b]/cap[b], exactly.
-    return static_cast<std::uint64_t>(idle[a]) * capacities[b] >=
+  // idle[a]/cap[a] < idle[b]/cap[b], exactly.
+  const auto fraction_below = [&](ClusterId a, ClusterId b) {
+    return static_cast<std::uint64_t>(idle[a]) * capacities[b] <
            static_cast<std::uint64_t>(idle[b]) * capacities[a];
   };
-  for (ClusterId c = 0; c < idle.size(); ++c) {
-    auto it = order.begin();
-    while (it != order.end() && fraction_at_least(*it, c)) ++it;
-    order.insert(it, c);
-  }
+  order_clusters(idle.size(), fraction_below, order);
 }
 
 bool place_best_fit(const std::vector<std::uint32_t>& components,
@@ -162,9 +189,7 @@ bool place_components(const std::vector<std::uint32_t>& components,
   reserve_per_cluster(idle_counts, out);
   switch (rule) {
     case PlacementRule::kWorstFit:
-      // WF pairing doubles as the complete fit test.
-      clusters_by_idle_desc(idle_counts, scratch.order);
-      return pair_in_order(components, idle_counts, scratch.order, out);
+      return place_worst_fit(components, idle_counts, scratch, out);
     case PlacementRule::kFirstFit:
       return place_first_fit(components, idle_counts, scratch, out);
     case PlacementRule::kBestFit:

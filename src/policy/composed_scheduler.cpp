@@ -235,31 +235,32 @@ void ComposedScheduler::backfill_conservative() {
 // ---- kPerCluster (historical PolicyLs) ---------------------------------
 
 void ComposedScheduler::try_schedule_rotation() {
+  // visit_order_ holds exactly the enabled queues, each once, and a round
+  // visits each of them once; a queue disabled during the round drops out
+  // of the rotation for later rounds. So the round compacts visit_order_
+  // in place as it goes: nothing is copied and nothing is erased.
   bool any_started = true;
   while (any_started) {
     any_started = false;
-    // Snapshot: queues disabled during this round drop out of the rotation
-    // for subsequent rounds but finish being skipped in this one.
-    round_.assign(visit_order_.begin(), visit_order_.end());
-    for (std::uint32_t qid : round_) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < visit_order_.size(); ++i) {
+      const std::uint32_t qid = visit_order_[i];
       JobQueue& queue = locals_[qid];
-      if (!queue.enabled() || queue.empty()) continue;
-      if (place_for(*queue.front(), static_cast<std::int32_t>(qid))) {
-        context_.start_job(queue.pop());
-        any_started = true;
-      } else {
-        disable_queue(qid);
+      MCSIM_ASSERT(queue.enabled());
+      if (!queue.empty()) {
+        if (place_for(*queue.front(), static_cast<std::int32_t>(qid))) {
+          context_.start_job(queue.pop());
+          any_started = true;
+        } else {
+          queue.disable();
+          disabled_order_.push_back(qid);
+          continue;
+        }
       }
+      visit_order_[kept++] = qid;
     }
+    visit_order_.resize(kept);
   }
-}
-
-void ComposedScheduler::disable_queue(std::uint32_t qid) {
-  MCSIM_ASSERT(locals_[qid].enabled());
-  locals_[qid].disable();
-  disabled_order_.push_back(qid);
-  visit_order_.erase(std::remove(visit_order_.begin(), visit_order_.end(), qid),
-                     visit_order_.end());
 }
 
 // ---- kLocalPlusGlobal (historical PolicyLp) ----------------------------

@@ -74,7 +74,6 @@ class ComposedScheduler final : public Scheduler {
 
   // kPerCluster protocol (historical PolicyLs).
   void try_schedule_rotation();
-  void disable_queue(std::uint32_t qid);
 
   // kLocalPlusGlobal protocol (historical PolicyLp).
   void try_schedule_priority();
@@ -93,9 +92,6 @@ class ComposedScheduler final : public Scheduler {
   /// specifies) and the queues disabled since the last departure.
   std::vector<std::uint32_t> visit_order_;
   std::vector<std::uint32_t> disabled_order_;
-  /// One round's snapshot of visit_order_, reused across rounds so the
-  /// rotation never allocates (see try_schedule_rotation).
-  std::vector<std::uint32_t> round_;
 
   /// Backfilling state (kSingleGlobal with backfill only).
   ReservationTracker running_;

@@ -126,13 +126,16 @@ std::string scheduler_display_name(PolicyKind kind, const PipelineSpec& pipeline
            coallocation_rule_name(pipeline.coallocation);
   }
   if (pipeline.backfill != BackfillMode::kNone) {
-    name += std::string("+") + backfill_mode_name(pipeline.backfill);
+    name += '+';
+    name += backfill_mode_name(pipeline.backfill);
   }
   if (pipeline.discipline != QueueDiscipline::kFcfs) {
-    name += std::string("+") + queue_discipline_name(pipeline.discipline);
+    name += '+';
+    name += queue_discipline_name(pipeline.discipline);
   }
   if (pipeline.placement != PlacementRule::kWorstFit) {
-    name += std::string("+") + to_lower(placement_rule_name(pipeline.placement));
+    name += '+';
+    name += to_lower(placement_rule_name(pipeline.placement));
   }
   return name;
 }

@@ -2,14 +2,16 @@
 // protocol (Sect. 2.5): a queue whose head job does not fit is disabled
 // until the next departure from the system.
 //
-// The queue stores trivially-copyable JobPtr handles (core/job.hpp):
-// push/pop/remove_at and the priority-insert comparator path move plain
-// pointers and never touch an allocator or a refcount
-// (tests/core_queue_test.cpp pins this with a global-allocation probe).
+// The queue is a power-of-two ring of trivially-copyable JobPtr handles
+// (core/job.hpp). It grows by doubling and never shrinks, so once it has
+// held its run's longest queue, push/pop/remove_at and the priority-insert
+// comparator path move plain pointers and never touch an allocator or a
+// refcount (tests/core_queue_test.cpp pins this with a global-allocation
+// probe). A middle insert or removal shifts the shorter side.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "core/job.hpp"
 
@@ -35,8 +37,8 @@ class JobQueue {
   /// Remove and return the job at `index` (backfill start out of order).
   JobPtr remove_at(std::size_t index);
 
-  [[nodiscard]] bool empty() const { return jobs_.empty(); }
-  [[nodiscard]] std::size_t size() const { return jobs_.size(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   [[nodiscard]] bool enabled() const { return enabled_; }
   void enable() { enabled_ = true; }
@@ -46,7 +48,19 @@ class JobQueue {
   [[nodiscard]] std::uint64_t total_enqueued() const { return total_enqueued_; }
 
  private:
-  std::deque<JobPtr> jobs_;
+  /// The job `index` places behind the head.
+  [[nodiscard]] JobPtr& slot(std::size_t index) {
+    return ring_[(head_ + index) & (ring_.size() - 1)];
+  }
+  [[nodiscard]] JobPtr slot(std::size_t index) const {
+    return ring_[(head_ + index) & (ring_.size() - 1)];
+  }
+  /// Double the ring (first use: 16 slots), unwrapping it to head 0.
+  void grow();
+
+  std::vector<JobPtr> ring_;  // size is 0 or a power of two
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   JobOrder order_ = nullptr;  // null = FCFS
   bool enabled_ = true;
   std::uint64_t total_enqueued_ = 0;

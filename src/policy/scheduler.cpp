@@ -95,8 +95,11 @@ bool Scheduler::try_place(Job& job) const {
       break;
     case RequestType::kUnordered:
     case RequestType::kTotal:
-      fits = place_components(job.spec.components, idle_scratch_, capacities(), placement_,
-                              place_scratch_, job.allocation);
+      // Only the load-aware rule reads the capacities.
+      fits = place_components(job.spec.components, idle_scratch_,
+                              placement_ == PlacementRule::kLoadAware ? capacities()
+                                                                      : capacity_cache_,
+                              placement_, place_scratch_, job.allocation);
       break;
   }
   context_.record_placement(job, fits, /*cluster=*/-1);

@@ -1,8 +1,41 @@
 #include "serve/registry.hpp"
 
+#include <zlib.h>
+
+#include <stdexcept>
+
 #include "util/assert.hpp"
 
 namespace mcsim::serve {
+
+std::string deflate_text(std::string_view text) {
+  uLongf size = compressBound(static_cast<uLong>(text.size()));
+  std::string deflated(size, '\0');
+  if (compress2(reinterpret_cast<Bytef*>(deflated.data()), &size,
+                reinterpret_cast<const Bytef*>(text.data()), static_cast<uLong>(text.size()),
+                Z_BEST_SPEED) != Z_OK) {
+    throw std::runtime_error("mcsim: zlib could not deflate a manifest");
+  }
+  deflated.resize(size);
+  deflated.shrink_to_fit();
+  return deflated;
+}
+
+std::string inflate_text(std::string_view deflated, std::size_t size) {
+  std::string text(size, '\0');
+  uLongf inflated = static_cast<uLongf>(size);
+  if (uncompress(reinterpret_cast<Bytef*>(text.data()), &inflated,
+                 reinterpret_cast<const Bytef*>(deflated.data()),
+                 static_cast<uLong>(deflated.size())) != Z_OK ||
+      inflated != size) {
+    throw std::runtime_error("mcsim: a stored manifest does not inflate");
+  }
+  return text;
+}
+
+std::string RunSnapshot::manifest_json() const {
+  return inflate_text(manifest_deflated, manifest_size);
+}
 
 const char* run_state_name(RunState state) {
   switch (state) {
@@ -56,17 +89,19 @@ void RunRegistry::request_stop() {
   work_ready_.notify_all();
 }
 
-void RunRegistry::complete(std::uint64_t id, std::string manifest_json) {
+void RunRegistry::complete(std::uint64_t id, std::string_view manifest_json) {
+  std::string deflated = deflate_text(manifest_json);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     MCSIM_ASSERT(known(id));
     RunSnapshot& snapshot = runs_[id - 1];
     MCSIM_ASSERT(snapshot.state == RunState::kRunning);
     snapshot.state = RunState::kDone;
-    snapshot.manifest_json = std::move(manifest_json);
+    snapshot.manifest_deflated = std::move(deflated);
+    snapshot.manifest_size = manifest_json.size();
     --counters_.running;
     ++counters_.done;
-    counters_.manifest_bytes += snapshot.manifest_json.size();
+    counters_.manifest_bytes += snapshot.manifest_deflated.size();
   }
   notify_terminal();
 }

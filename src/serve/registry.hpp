@@ -18,6 +18,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,11 +41,25 @@ const char* run_state_name(RunState state);
 /// keeps changing under its own lock).
 struct RunSnapshot {
   std::uint64_t id = 0;
-  std::string name;           ///< client label; spec.label() when omitted
+  std::string name;  ///< client label; spec.label() when omitted
   RunState state = RunState::kQueued;
-  std::string manifest_json;  ///< kDone: the full manifest, compact JSON
-  std::string error;          ///< kFailed: what the run threw
+  /// kDone: the full manifest as compact JSON, zlib-deflated
+  /// (manifest_json() inflates it).
+  std::string manifest_deflated;
+  std::size_t manifest_size = 0;  ///< kDone: the inflated manifest's bytes
+  std::string error;              ///< kFailed: what the run threw
+
+  /// The manifest's compact JSON, byte for byte as the worker completed it.
+  [[nodiscard]] std::string manifest_json() const;
 };
+
+/// zlib-deflate `text` at level 1 (fast; a served point manifest shrinks
+/// to under half). Throws std::runtime_error if zlib fails.
+[[nodiscard]] std::string deflate_text(std::string_view text);
+/// Inverse of deflate_text, given the inflated size. Throws
+/// std::runtime_error when `deflated` does not inflate to exactly `size`
+/// bytes.
+[[nodiscard]] std::string inflate_text(std::string_view deflated, std::size_t size);
 
 /// Aggregate counters for the `stats` op.
 struct RegistryStats {
@@ -54,7 +69,7 @@ struct RegistryStats {
   std::uint64_t done = 0;
   std::uint64_t failed = 0;
   std::uint64_t cancelled = 0;
-  std::uint64_t manifest_bytes = 0;  ///< stored manifests of kDone runs
+  std::uint64_t manifest_bytes = 0;  ///< stored (deflated) manifests of kDone runs
 };
 
 class RunRegistry {
@@ -81,7 +96,9 @@ class RunRegistry {
   /// "no more work is coming, exit the claim loop".
   void request_stop();
 
-  void complete(std::uint64_t id, std::string manifest_json);
+  /// Store `manifest_json` deflated (on the calling worker, outside the
+  /// lock) and mark the run done.
+  void complete(std::uint64_t id, std::string_view manifest_json);
   void fail(std::uint64_t id, std::string error);
 
   /// Cancel a queued run. Returns the state the run was actually in:

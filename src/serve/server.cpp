@@ -108,13 +108,11 @@ struct Server::Impl {
       info.command_line = "mcsim serve: " + spec.label();
       info.scenario = &spec;
       write_run_manifest(out, sim_config, result, &metrics, info);
-      // Stored compact, once, here on the worker: the registry keeps every
-      // manifest for the daemon's lifetime, and `result` splices it as is.
-      // compact_json keeps every number spelling, so a client recovers the
-      // pretty writer's document bit for bit.
-      std::string manifest = compact_json(obs::parse_json(out.str()));
-      manifest.shrink_to_fit();
-      registry.complete(id, std::move(manifest));
+      // Compacted once, here on the worker: the registry keeps every
+      // manifest for the daemon's lifetime, deflated, and `result` splices
+      // it back inflated. compact_json keeps every number spelling, so a
+      // client recovers the pretty writer's document bit for bit.
+      registry.complete(id, compact_json(obs::parse_json(out.str())));
     } catch (const std::exception& error) {
       registry.fail(id, error.what());
     }
@@ -169,7 +167,7 @@ struct Server::Impl {
       case RunState::kDone:
         return ok_response(uint_field("id", snapshot.id) +
                            ",\"state\":\"done\",\"manifest\":" +
-                           snapshot.manifest_json);
+                           snapshot.manifest_json());
       case RunState::kFailed:
         return error_response(kErrRunFailed, "run " + std::to_string(snapshot.id) +
                                                  " failed: " + snapshot.error);

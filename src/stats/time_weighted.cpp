@@ -1,7 +1,5 @@
 #include "stats/time_weighted.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace mcsim {
@@ -14,16 +12,6 @@ void TimeWeightedStat::start(double time, double value) {
   integral_ = 0.0;
   min_ = value;
   max_ = value;
-}
-
-void TimeWeightedStat::update(double time, double value) {
-  MCSIM_REQUIRE(started_, "TimeWeightedStat::start must be called first");
-  MCSIM_REQUIRE(time >= last_time_, "time went backwards in TimeWeightedStat");
-  integral_ += value_ * (time - last_time_);
-  last_time_ = time;
-  value_ = value;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
 }
 
 double TimeWeightedStat::time_average(double time) const {

@@ -3,7 +3,10 @@
 //   (1/T) * integral of value(t) dt.
 #pragma once
 
+#include <algorithm>
 #include <limits>
+
+#include "util/assert.hpp"
 
 namespace mcsim {
 
@@ -14,7 +17,15 @@ class TimeWeightedStat {
 
   /// Record that the process changed to `value` at `time`.
   /// Times must be non-decreasing.
-  void update(double time, double value);
+  void update(double time, double value) {
+    MCSIM_REQUIRE(started_, "TimeWeightedStat::start must be called first");
+    MCSIM_REQUIRE(time >= last_time_, "time went backwards in TimeWeightedStat");
+    integral_ += value_ * (time - last_time_);
+    last_time_ = time;
+    value_ = value;
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
 
   /// Time average over [start_time, time]; advances the integral to `time`.
   [[nodiscard]] double time_average(double time) const;

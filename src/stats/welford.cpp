@@ -5,15 +5,6 @@
 
 namespace mcsim {
 
-void RunningStats::add(double x) {
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 void RunningStats::merge(const RunningStats& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {

@@ -5,6 +5,7 @@
 // because the paper characterises its workload distributions by mean + CV.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -12,7 +13,14 @@ namespace mcsim {
 
 class RunningStats {
  public:
-  void add(double x);
+  void add(double x) {
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
   /// Merge another accumulator (parallel reduction / batch combining).
   void merge(const RunningStats& other);
   void reset();

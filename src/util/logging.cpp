@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <mutex>
 
-#include "util/assert.hpp"
-
 namespace mcsim {
 
 namespace {
@@ -27,19 +25,6 @@ const char* level_name(LogLevel level) {
 void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
 
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-
-LogLevel parse_log_level(const std::string& name) {
-  std::string lower;
-  lower.reserve(name.size());
-  for (char c : name) lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "debug") return LogLevel::kDebug;
-  if (lower == "info") return LogLevel::kInfo;
-  if (lower == "warn" || lower == "warning") return LogLevel::kWarn;
-  if (lower == "error") return LogLevel::kError;
-  if (lower == "off" || lower == "none") return LogLevel::kOff;
-  MCSIM_REQUIRE(false, "unknown log level: " + name);
-  return LogLevel::kWarn;
-}
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& message) {

@@ -16,9 +16,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-/// Parse "debug"/"info"/"warn"/"error"/"off" (case-insensitive).
-LogLevel parse_log_level(const std::string& name);
-
 namespace detail {
 void log_emit(LogLevel level, const std::string& message);
 }

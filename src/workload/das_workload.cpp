@@ -108,18 +108,6 @@ DistributionPtr das_t_900() {
   return kDist;
 }
 
-double multi_component_fraction(const DiscreteDistribution& sizes, std::uint32_t limit,
-                                std::uint32_t clusters) {
-  double fraction = 0.0;
-  const auto& values = sizes.values();
-  const auto& probs = sizes.probabilities();
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const auto size = static_cast<std::uint32_t>(values[i]);
-    if (component_count(size, limit, clusters) > 1) fraction += probs[i];
-  }
-  return fraction;
-}
-
 std::vector<double> component_count_fractions(const DiscreteDistribution& sizes,
                                               std::uint32_t limit, std::uint32_t clusters) {
   std::vector<double> fractions(clusters, 0.0);

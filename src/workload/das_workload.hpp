@@ -63,11 +63,6 @@ DistributionPtr das_t_900();
 /// generator; jobs beyond 900 s exist in it and are removed by the cut).
 DistributionPtr das1_raw_service_times();
 
-/// Fraction of jobs that are multi-component under `limit` in a system of
-/// `clusters` clusters.
-double multi_component_fraction(const DiscreteDistribution& sizes, std::uint32_t limit,
-                                std::uint32_t clusters);
-
 /// Table 2 row: fractions of jobs with 1..clusters components.
 std::vector<double> component_count_fractions(const DiscreteDistribution& sizes,
                                               std::uint32_t limit, std::uint32_t clusters);

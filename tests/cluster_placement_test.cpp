@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -256,6 +258,78 @@ TEST(PlacementInPlace, AcceptReplacesAndRejectClearsTheAllocation) {
   EXPECT_FALSE(place_flexible(61, {32, 8, 16, 4}, scratch, out));
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(out.data(), buffer);
+}
+
+/// Worst Fit by its definition: sort the cluster ids by (idle desc, id asc),
+/// then pair component i with the i-th; the job fits iff every pair does.
+bool reference_worst_fit(const std::vector<std::uint32_t>& components,
+                         const std::vector<std::uint32_t>& idle, Allocation& out) {
+  std::vector<ClusterId> order(idle.size());
+  for (ClusterId c = 0; c < idle.size(); ++c) order[c] = c;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](ClusterId a, ClusterId b) { return idle[a] > idle[b]; });
+  out.clear();
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    if (components[i] > idle[order[i]]) {
+      out.clear();
+      return false;
+    }
+    out.push_back(ComponentPlacement{order[i], components[i]});
+  }
+  return true;
+}
+
+/// Every non-increasing list of 1..max_count components sized 1..max_size.
+std::vector<std::vector<std::uint32_t>> non_increasing_lists(std::uint32_t max_count,
+                                                             std::uint32_t max_size) {
+  std::vector<std::vector<std::uint32_t>> lists;
+  std::vector<std::uint32_t> list;
+  const auto extend = [&](const auto& self, std::uint32_t ceiling) -> void {
+    for (std::uint32_t size = 1; size <= ceiling; ++size) {
+      list.push_back(size);
+      lists.push_back(list);
+      if (list.size() < max_count) self(self, size);
+      list.pop_back();
+    }
+  };
+  extend(extend, max_size);
+  return lists;
+}
+
+// The Worst Fit attempt settles most jobs on the most idle cluster alone
+// and sorts only for co-allocated jobs. Exhaustively on 4 clusters of 0..8
+// idle processors, against every component list that fits or misses by
+// one, it must agree with the definition in both the decision and the
+// allocation — ties, zeros and all.
+TEST(WorstFit, AgreesWithSortAndPairOnEverySmallCase) {
+  constexpr std::uint32_t kMaxIdle = 8;
+  const auto lists = non_increasing_lists(4, kMaxIdle + 1);
+  ASSERT_EQ(lists.size(), 9u + 45u + 165u + 495u);
+  PlacementScratch scratch;
+  Allocation placed;
+  Allocation expected;
+  std::vector<std::uint32_t> idle(4);
+  std::size_t cases = 0;
+  std::size_t fits = 0;
+  for (std::uint32_t code = 0; code < 9 * 9 * 9 * 9; ++code) {
+    for (std::uint32_t c = 0, rest = code; c < 4; ++c, rest /= 9) idle[c] = rest % 9;
+    for (const auto& components : lists) {
+      const bool fit = place_components(components, idle, {}, PlacementRule::kWorstFit,
+                                        scratch, placed);
+      const bool reference = reference_worst_fit(components, idle, expected);
+      ++cases;
+      if (fit != reference || placed != expected) {
+        ADD_FAILURE() << "idle {" << idle[0] << ',' << idle[1] << ',' << idle[2] << ','
+                      << idle[3] << "}, " << components.size()
+                      << " components led by " << components.front();
+        return;
+      }
+      if (fit) ++fits;
+    }
+  }
+  EXPECT_EQ(cases, 6561u * lists.size());
+  EXPECT_GT(fits, 0u);
+  EXPECT_LT(fits, cases);
 }
 
 }  // namespace

@@ -6,10 +6,11 @@
 // Method: this TU replaces global operator new with a counting version
 // (as core_queue_test does) and runs the same configuration at N and 2N
 // jobs. Setup and result assembly cost the same in both runs, so the
-// difference is what the extra N jobs cost; it must stay below N/20. What
-// remains is container growth: the pool and each pooled job's vectors grow
-// with the run's peak population, and a FIFO JobQueue's std::deque takes
-// one new 512-byte block per 64 jobs (~0.016 per job).
+// difference is what the extra N jobs cost; it must stay below N/32. What
+// remains is container growth with the run's peak population: the pool,
+// each pooled job's vectors and the JobQueue rings (at N = 4000 the extra
+// jobs cost at most 95 allocations, against a bound of 125). A std::deque
+// queue took one more 512-byte block per 64 jobs, which put GS at 137.
 //
 // Scope: the paper's four policies on both job sources, the ordered and
 // flexible request types, every backfilling stage, and the constant-backlog
@@ -104,7 +105,7 @@ void expect_allocation_free(const SimulationConfig& n_jobs,
   const std::int64_t base = allocations_for(n_jobs);
   const std::int64_t doubled = allocations_for(twice_the_jobs);
   const auto extra_jobs = static_cast<std::int64_t>(n_jobs.total_jobs);
-  EXPECT_LT(doubled - base, extra_jobs / 20)
+  EXPECT_LT(doubled - base, extra_jobs / 32)
       << "the extra " << extra_jobs << " jobs cost " << (doubled - base)
       << " allocations (" << base << " for the first " << extra_jobs << ")";
 }
@@ -180,7 +181,7 @@ TEST(SaturationLifecycle, RefillsCostNoAllocations) {
   };
   const std::int64_t base = allocations(kJobs);
   const std::int64_t doubled = allocations(2 * kJobs);
-  EXPECT_LT(doubled - base, static_cast<std::int64_t>(kJobs / 20));
+  EXPECT_LT(doubled - base, static_cast<std::int64_t>(kJobs / 32));
 }
 
 }  // namespace

@@ -18,7 +18,11 @@ function(expect_failure case document golden_dir expected)
   if(status EQUAL 0)
     message(FATAL_ERROR "${case}: the render check passed")
   endif()
-  string(FIND "${out}${err}" "${expected}" at)
+  # CMake word-wraps the nested FATAL_ERROR message at a width that depends
+  # on the paths it quotes, so a phrase may span lines: compare with every
+  # whitespace run collapsed to one space.
+  string(REGEX REPLACE "[ \t\r\n]+" " " said "${out}${err}")
+  string(FIND "${said}" "${expected}" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "${case}: the check failed without naming "
                         "'${expected}':\n${out}${err}")

@@ -559,9 +559,11 @@ TEST(ServeServer, StatsReportsPoolAndRunCounters) {
   EXPECT_EQ(runs->at("done").as_uint(), 1u);
   EXPECT_EQ(runs->at("queued").as_uint(), 0u);
   EXPECT_EQ(runs->at("running").as_uint(), 0u);
-  // The daemon keeps the compact manifest `result` sends, and counts it.
-  EXPECT_EQ(runs->at("manifest_bytes").as_uint(),
-            compact_json(result.at("manifest")).size());
+  // The daemon keeps the compact manifest `result` sends, deflated, and
+  // counts the stored bytes.
+  const std::string compact = compact_json(result.at("manifest"));
+  EXPECT_EQ(runs->at("manifest_bytes").as_uint(), deflate_text(compact).size());
+  EXPECT_LT(runs->at("manifest_bytes").as_uint(), compact.size());
 }
 
 // -- the registry state machine (deterministic, no I/O) ---------------------
@@ -617,8 +619,24 @@ TEST(ServeRegistry, ClaimTakesQueuedRunsOneAtATimeInSubmissionOrder) {
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.queued, 0u);
   EXPECT_EQ(stats.running, 0u);
-  EXPECT_EQ(stats.manifest_bytes, 2u + 7u);
+  EXPECT_EQ(stats.manifest_bytes,
+            deflate_text("{}").size() + deflate_text("{\"x\":1}").size());
   EXPECT_EQ(registry.get(c)->error, "boom");
+  EXPECT_EQ(registry.get(d)->manifest_json(), "{\"x\":1}");
+}
+
+TEST(ServeRegistry, StoredManifestsInflateByteForByte) {
+  std::string text = "{\"result\":[";
+  for (int i = 0; i < 200; ++i) text += std::to_string(i * 0.125) + ',';
+  text += "0]}";
+  const std::string deflated = deflate_text(text);
+  EXPECT_LT(deflated.size(), text.size());
+  EXPECT_EQ(inflate_text(deflated, text.size()), text);
+  EXPECT_EQ(inflate_text(deflate_text(""), 0), "");
+  // A wrong size or corrupt bytes fail loudly instead of truncating.
+  EXPECT_THROW((void)inflate_text(deflated, text.size() - 1), std::runtime_error);
+  EXPECT_THROW((void)inflate_text(deflated, text.size() + 1), std::runtime_error);
+  EXPECT_THROW((void)inflate_text("not zlib", 8), std::runtime_error);
 }
 
 TEST(ServeRegistry, CompletionHookFiresPerTerminalTransition) {

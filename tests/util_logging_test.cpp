@@ -10,20 +10,6 @@ class LoggingTest : public ::testing::Test {
   void TearDown() override { set_log_level(LogLevel::kWarn); }  // restore default
 };
 
-TEST_F(LoggingTest, ParseLevelNames) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("INFO"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("Warn"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("warning"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("none"), LogLevel::kOff);
-}
-
-TEST_F(LoggingTest, ParseUnknownThrows) {
-  EXPECT_THROW(parse_log_level("verbose"), std::invalid_argument);
-}
-
 TEST_F(LoggingTest, LevelRoundTrips) {
   set_log_level(LogLevel::kDebug);
   EXPECT_EQ(log_level(), LogLevel::kDebug);

@@ -158,19 +158,16 @@ TEST(ComponentFractions, SingleComponentShareGrowsWithLimit) {
 
 TEST(ComponentFractions, Limit16HasManyMultiComponentJobs) {
   // Sect. 3.1.1: ~49% multi-component at limit 16, far fewer at 24/32.
-  const double multi16 = multi_component_fraction(das_s_128(), 16, 4);
-  const double multi24 = multi_component_fraction(das_s_128(), 24, 4);
-  const double multi32 = multi_component_fraction(das_s_128(), 32, 4);
+  // Multi-component = everything but the one-component column.
+  const auto multi = [](std::uint32_t limit) {
+    return 1.0 - component_count_fractions(das_s_128(), limit, 4)[0];
+  };
+  const double multi16 = multi(16);
+  const double multi24 = multi(24);
+  const double multi32 = multi(32);
   EXPECT_NEAR(multi16, 0.487, 0.08);
   EXPECT_GT(multi16, multi24);
   EXPECT_GT(multi24, multi32);
-}
-
-TEST(MultiComponentFraction, ConsistentWithFractionTable) {
-  for (std::uint32_t limit : das::kComponentLimits) {
-    const auto fractions = component_count_fractions(das_s_128(), limit, 4);
-    EXPECT_NEAR(multi_component_fraction(das_s_128(), limit, 4), 1.0 - fractions[0], 1e-12);
-  }
 }
 
 // ---- Gross/net utilization ratio (Sect. 4 closed form). ----
