@@ -11,6 +11,7 @@ Multicluster::Multicluster(std::uint32_t num_clusters, std::uint32_t cluster_siz
     clusters_.emplace_back(i, cluster_size);
     total_ += cluster_size;
   }
+  idle_.assign(num_clusters, cluster_size);
 }
 
 Multicluster::Multicluster(const std::vector<std::uint32_t>& cluster_sizes) {
@@ -20,6 +21,7 @@ Multicluster::Multicluster(const std::vector<std::uint32_t>& cluster_sizes) {
     clusters_.emplace_back(static_cast<ClusterId>(i), cluster_sizes[i]);
     total_ += cluster_sizes[i];
   }
+  idle_ = cluster_sizes;
 }
 
 Multicluster::Multicluster(const std::vector<std::uint32_t>& cluster_sizes,
@@ -31,26 +33,15 @@ Multicluster::Multicluster(const std::vector<std::uint32_t>& cluster_sizes,
   for (std::size_t i = 0; i < cluster_sizes.size(); ++i) {
     clusters_.emplace_back(static_cast<ClusterId>(i), cluster_sizes[i], cluster_speeds[i]);
     total_ += cluster_sizes[i];
+    unit_speeds_ = unit_speeds_ && cluster_speeds[i] == 1.0;
   }
+  idle_ = cluster_sizes;
 }
 
 std::uint32_t Multicluster::total_idle() const {
   std::uint32_t idle = 0;
   for (const auto& c : clusters_) idle += c.idle();
   return idle;
-}
-
-std::vector<std::uint32_t> Multicluster::idle_counts() const {
-  std::vector<std::uint32_t> idle;
-  idle.reserve(clusters_.size());
-  for (const auto& c : clusters_) idle.push_back(c.idle());
-  return idle;
-}
-
-void Multicluster::idle_counts_into(std::vector<std::uint32_t>& out) const {
-  out.clear();
-  out.reserve(clusters_.size());
-  for (const auto& c : clusters_) out.push_back(c.idle());
 }
 
 void Multicluster::allocate_spread(const Allocation& allocation) {
@@ -66,6 +57,7 @@ void Multicluster::allocate_spread(const Allocation& allocation) {
   }
   for (const auto& placement : allocation) {
     clusters_[placement.cluster].allocate(placement.processors);
+    idle_[placement.cluster] -= placement.processors;
   }
 }
 

@@ -49,6 +49,10 @@ class Multicluster {
     return slowest;
   }
 
+  /// True when every cluster runs at speed 1.0 (the paper's homogeneous
+  /// model): every job then runs for its gross service time as is.
+  [[nodiscard]] bool unit_speeds() const { return unit_speeds_; }
+
   [[nodiscard]] std::uint32_t num_clusters() const {
     return static_cast<std::uint32_t>(clusters_.size());
   }
@@ -57,14 +61,10 @@ class Multicluster {
   [[nodiscard]] std::uint32_t total_idle() const;
   [[nodiscard]] std::uint32_t total_busy() const { return total_ - total_idle(); }
 
-  /// Idle counts per cluster (a snapshot the placement policies work on).
-  [[nodiscard]] std::vector<std::uint32_t> idle_counts() const;
-
-  /// Allocation-free variant for the placement hot path: refills `out`
-  /// in place, reusing its capacity. Every placement attempt snapshots the
-  /// idle counts, so the schedulers pass a per-scheduler scratch vector
-  /// here instead of taking a fresh heap vector per attempt.
-  void idle_counts_into(std::vector<std::uint32_t>& out) const;
+  /// Idle counts per cluster, kept current by allocate() and release():
+  /// the placement rules read them in place, so an attempt copies nothing.
+  /// The reference stays valid for the system's lifetime.
+  [[nodiscard]] const std::vector<std::uint32_t>& idle_counts() const { return idle_; }
 
   /// Apply an allocation (allocates on each named cluster). A failed
   /// allocation leaves the system unchanged.
@@ -77,6 +77,7 @@ class Multicluster {
     const ComponentPlacement& placement = allocation.front();
     MCSIM_REQUIRE(placement.cluster < clusters_.size(), "placement names an unknown cluster");
     clusters_[placement.cluster].allocate(placement.processors);
+    idle_[placement.cluster] -= placement.processors;
   }
 
   /// Undo an allocation.
@@ -85,6 +86,7 @@ class Multicluster {
       MCSIM_REQUIRE(placement.cluster < clusters_.size(),
                     "placement names an unknown cluster");
       clusters_[placement.cluster].release(placement.processors);
+      idle_[placement.cluster] += placement.processors;
     }
   }
 
@@ -94,7 +96,10 @@ class Multicluster {
   void allocate_spread(const Allocation& allocation);
 
   std::vector<Cluster> clusters_;
+  /// clusters_[c].idle() for each c, as one vector.
+  std::vector<std::uint32_t> idle_;
   std::uint32_t total_ = 0;
+  bool unit_speeds_ = true;
   /// Reused by allocate()'s validation pass (one job start per loop
   /// iteration on the hot path; the scratch keeps it allocation-free).
   std::vector<std::uint32_t> validate_scratch_;

@@ -198,9 +198,9 @@ SimulationResult MulticlusterSimulation::run() {
   MCSIM_REQUIRE(!ran_, "MulticlusterSimulation::run may be called once");
   ran_ = true;
   const auto wall_start = std::chrono::steady_clock::now();
-  // The pending set is bounded by the running jobs (<= total processors)
-  // plus the one in-flight arrival, so the heap never reallocates mid-run.
-  events_.reserve(static_cast<std::size_t>(system_.total_processors()) + 8);
+  // The heap holds one departure per running job (<= total processors; the
+  // pending arrival waits beside it), so it never reallocates mid-run.
+  events_.reserve(static_cast<std::size_t>(system_.total_processors()));
   if (warmup_completions_ == 0) begin_measurement();
   if (config_.backlog > 0) {
     // Prime the backlog at t = 0; each departure then submits one more.
@@ -231,7 +231,7 @@ SimulationResult MulticlusterSimulation::run() {
   result_.end_time = now();
   result_.events_executed = events_.executed();
   result_.final_queue_lengths = scheduler_->queue_lengths();
-  result_.response_ci = response_batches_->confidence();
+  result_.response_ci = response_batches_->confidence(result_.response_all);
   result_.response_p95 = response_p95_.value();
   result_.busy_fraction = utilization_.busy_fraction(now());
   result_.carried_net_utilization = utilization_.net_utilization(now());
@@ -348,8 +348,12 @@ void MulticlusterSimulation::start_job(JobPtr job) {
   job->start_time = now();
   system_.allocate(job->allocation);
   // A co-allocated job's tasks synchronise, so its execution stretches by
-  // the slowest cluster it touches (speed 1.0 everywhere in the paper).
-  const double runtime = job->spec.gross_service_time / system_.slowest_speed(job->allocation);
+  // the slowest cluster it touches. With speed 1.0 everywhere (the paper)
+  // the division is skipped: x / 1.0 is x, bit for bit.
+  const double runtime =
+      system_.unit_speeds()
+          ? job->spec.gross_service_time
+          : job->spec.gross_service_time / system_.slowest_speed(job->allocation);
   utilization_.on_job_start(now(), job->spec.total_size, runtime,
                             job->spec.service_time);
   for (const auto& placement : job->allocation) {

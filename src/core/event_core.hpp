@@ -1,14 +1,21 @@
-// The engine's event core: a clock and a binary min-heap of the two timed
-// events the paper's model has, a job's arrival and its departure. This is
-// the CSIM18 substitute (DESIGN.md); process orientation is a convenience
-// the model does not need, and nothing in the engine ever cancels an event.
+// The engine's event core: a clock, one slot for the pending arrival and a
+// binary min-heap of departures — the two timed events the paper's model
+// has. This is the CSIM18 substitute (DESIGN.md); process orientation is a
+// convenience the model does not need, and nothing in the engine ever
+// cancels an event.
 //
-// Events fire in (time, push order). Each entry carries its push number in
+// The engine keeps at most one arrival pending: it draws the next arrival
+// only when the current one fires (and a constant-backlog run has none at
+// all). So the arrival waits in its own slot, and the heap holds only
+// departures — one per running job. A second pending arrival is refused.
+//
+// Events fire in (time, push order). Each event carries its push number in
 // `seq`, so equal times fire first-pushed first — including an event pushed
 // at the current time from inside a handler, which fires after every event
-// already pending at that time. run() pops one entry at a time and hands it
-// to the caller's dispatcher, which switches on the kind; there is no
-// type-erased handler, no per-event allocation and no cancellation state.
+// already pending at that time. run() compares the slot with the heap's top
+// by that same order, fires the earlier and hands it to the caller's
+// dispatcher, which switches on the kind; there is no type-erased handler,
+// no per-event allocation and no cancellation state.
 //
 // One EventCore drives one run; it is not thread-safe, and runs are made
 // parallel by giving each its own engine (docs/ARCHITECTURE.md, "Threading
@@ -41,17 +48,26 @@ class EventCore {
  public:
   /// Current simulation time (seconds): the time of the last event popped.
   [[nodiscard]] double now() const { return now_; }
-  /// Events pushed and not yet popped.
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// Events pushed and not yet popped: the pending arrival, if any, and
+  /// the departures.
+  [[nodiscard]] std::size_t pending() const {
+    return heap_.size() + (has_arrival_ ? 1u : 0u);
+  }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// Pre-size the heap for at most `capacity` simultaneous events.
+  /// Pre-size the heap for at most `capacity` simultaneous departures.
   void reserve(std::size_t capacity) { heap_.reserve(capacity); }
 
   /// Schedule `kind` for `job` at absolute time `time` (>= now; NaN is
-  /// refused too).
+  /// refused too). At most one arrival may be pending at a time.
   void push(double time, Event::Kind kind, Job* job) {
     MCSIM_REQUIRE(time >= now_, "cannot schedule an event in the past");
+    if (kind == Event::Kind::kArrival) {
+      MCSIM_REQUIRE(!has_arrival_, "an arrival is already pending");
+      arrival_ = Event{time, (pushed_++ << 1) | static_cast<std::uint64_t>(kind), job};
+      has_arrival_ = true;
+      return;
+    }
     const Event event{time, (pushed_++ << 1) | static_cast<std::uint64_t>(kind), job};
     // Sift up: move parents down into the hole until the event fits.
     std::size_t hole = heap_.size();
@@ -65,14 +81,20 @@ class EventCore {
     heap_[hole] = event;
   }
 
-  /// Pop events one at a time, advancing the clock to each and passing it
-  /// to `dispatch`, until none is pending or a handler calls stop(). Events
-  /// still pending after a stop fire when run() is called again.
+  /// Fire events one at a time, the earlier of the pending arrival and
+  /// the first departure each time, advancing the clock to each and
+  /// passing it to `dispatch`, until none is pending or a handler calls
+  /// stop(). Events still pending after a stop fire when run() is called
+  /// again.
   template <typename Dispatch>
   void run(Dispatch&& dispatch) {
     stop_ = false;
-    while (!stop_ && !heap_.empty()) {
-      const Event event = pop();
+    while (!stop_) {
+      const bool arrival_next =
+          has_arrival_ && (heap_.empty() || before(arrival_, heap_.front()));
+      if (!arrival_next && heap_.empty()) break;
+      const Event event = arrival_next ? arrival_ : pop();
+      if (arrival_next) has_arrival_ = false;
       now_ = event.time;
       ++executed_;
       dispatch(event);
@@ -84,7 +106,9 @@ class EventCore {
 
  private:
   [[nodiscard]] static bool before(const Event& a, const Event& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+    // Both tests evaluated and combined without a branch: which of two
+    // event times comes first is data, so a branch on it predicts badly.
+    return (a.time < b.time) | ((a.time == b.time) & (a.seq < b.seq));
   }
 
   Event pop() {
@@ -96,7 +120,7 @@ class EventCore {
     // Sift down: move the earlier child up into the hole until `last` fits.
     std::size_t hole = 0;
     for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
-      if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+      if (child + 1 < size) child += before(heap_[child + 1], heap_[child]) ? 1 : 0;
       if (!before(heap_[child], last)) break;
       heap_[hole] = heap_[child];
       hole = child;
@@ -105,7 +129,9 @@ class EventCore {
     return top;
   }
 
-  std::vector<Event> heap_;
+  Event arrival_{};
+  bool has_arrival_ = false;
+  std::vector<Event> heap_;  ///< departures only
   std::uint64_t pushed_ = 0;
   std::uint64_t executed_ = 0;
   double now_ = 0.0;

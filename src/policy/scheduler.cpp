@@ -82,21 +82,23 @@ JobOrder make_job_order(QueueDiscipline discipline) {
 }
 
 bool Scheduler::try_place(Job& job) const {
-  context_.system().idle_counts_into(idle_scratch_);
+  // The rules read the system's own idle counts; nothing changes them
+  // until the attempt has decided.
+  const std::vector<std::uint32_t>& idle = context_.system().idle_counts();
   bool fits = false;
   switch (job.spec.request_type) {
     case RequestType::kOrdered:
-      fits = place_ordered(job.spec.components, job.spec.ordered_clusters, idle_scratch_,
+      fits = place_ordered(job.spec.components, job.spec.ordered_clusters, idle,
                            place_scratch_, job.allocation);
       break;
     case RequestType::kFlexible:
-      fits = place_flexible(job.spec.total_size, idle_scratch_, place_scratch_,
+      fits = place_flexible(job.spec.total_size, idle, place_scratch_,
                             job.allocation);
       break;
     case RequestType::kUnordered:
     case RequestType::kTotal:
       // Only the load-aware rule reads the capacities.
-      fits = place_components(job.spec.components, idle_scratch_,
+      fits = place_components(job.spec.components, idle,
                               placement_ == PlacementRule::kLoadAware ? capacities()
                                                                       : capacity_cache_,
                               placement_, place_scratch_, job.allocation);

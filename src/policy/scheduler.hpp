@@ -129,12 +129,11 @@ class Scheduler {
   /// for a run); the load-aware placement rule orders by idle fraction.
   [[nodiscard]] const std::vector<std::uint32_t>& capacities() const;
 
-  /// Per-scheduler working memory for try_place/try_place_local: the idle
-  /// snapshot and the placement sort/mark buffers. Mutable because a
-  /// placement *attempt* is logically const — it observes the system and
-  /// decides — while physically reusing these buffers keeps the attempt
-  /// (and in particular every reject) off the allocator.
-  mutable std::vector<std::uint32_t> idle_scratch_;
+  /// Per-scheduler working memory for try_place: the placement sort/mark
+  /// buffers. Mutable because a placement *attempt* is logically const —
+  /// it observes the system and decides — while physically reusing these
+  /// buffers keeps the attempt (and in particular every reject) off the
+  /// allocator.
   mutable std::vector<std::uint32_t> capacity_cache_;
   mutable PlacementScratch place_scratch_;
 };

@@ -8,28 +8,19 @@ BatchMeans::BatchMeans(std::uint64_t batch_size) : batch_size_(batch_size) {
   MCSIM_REQUIRE(batch_size > 0, "batch size must be positive");
 }
 
-void BatchMeans::add(double x) {
-  all_.add(x);
-  current_.add(x);
-  if (current_.count() == batch_size_) {
-    batch_means_.push_back(current_.mean());
-    current_.reset();
-  }
-}
-
-double BatchMeans::grand_mean() const {
-  if (batch_means_.empty()) return all_.mean();
+double BatchMeans::grand_mean(const RunningStats& raw) const {
+  if (batch_means_.empty()) return raw.mean();
   RunningStats s;
   for (double m : batch_means_) s.add(m);
   return s.mean();
 }
 
-ConfidenceInterval BatchMeans::confidence(double confidence) const {
+ConfidenceInterval BatchMeans::confidence(const RunningStats& raw, double confidence) const {
   RunningStats s;
   for (double m : batch_means_) s.add(m);
   if (s.count() < 2) {
     // Not enough batches: fall back to the (optimistic) raw CI.
-    return mean_confidence(all_, confidence);
+    return mean_confidence(raw, confidence);
   }
   return mean_confidence(s, confidence);
 }

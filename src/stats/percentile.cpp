@@ -13,60 +13,12 @@ P2Quantile::P2Quantile(double q) : q_(q) {
   increments_ = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
 }
 
-void P2Quantile::add(double x) {
-  if (count_ < 5) {
-    heights_[count_] = x;
-    ++count_;
-    if (count_ == 5) {
-      std::sort(heights_.begin(), heights_.end());
-      for (int i = 0; i < 5; ++i) positions_[i] = i + 1;
-    }
-    return;
-  }
+void P2Quantile::add_initial(double x) {
+  heights_[count_] = x;
   ++count_;
-
-  // Locate the cell containing x and update extremes.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Adjust interior markers with parabolic (falling back to linear) moves.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double right_gap = positions_[i + 1] - positions_[i];
-    const double left_gap = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0)) {
-      const double sign = d >= 0 ? 1.0 : -1.0;
-      const double hp = heights_[i + 1];
-      const double hm = heights_[i - 1];
-      const double h = heights_[i];
-      const double np = positions_[i + 1];
-      const double nm = positions_[i - 1];
-      const double n = positions_[i];
-      // Parabolic prediction.
-      double candidate =
-          h + sign / (np - nm) *
-                  ((n - nm + sign) * (hp - h) / (np - n) + (np - n - sign) * (h - hm) / (n - nm));
-      if (hm < candidate && candidate < hp) {
-        heights_[i] = candidate;
-      } else {
-        // Linear fallback.
-        const int j = i + static_cast<int>(sign);
-        heights_[i] = h + sign * (heights_[j] - h) / (positions_[j] - n);
-      }
-      positions_[i] += sign;
-    }
+  if (count_ == 5) {
+    std::sort(heights_.begin(), heights_.end());
+    for (int i = 0; i < 5; ++i) positions_[i] = i + 1;
   }
 }
 
@@ -81,17 +33,6 @@ double P2Quantile::value() const {
     return copy[idx];
   }
   return heights_[2];
-}
-
-double exact_quantile(const std::vector<double>& sorted, double q) {
-  MCSIM_REQUIRE(!sorted.empty(), "exact_quantile needs a non-empty sample");
-  MCSIM_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  if (sorted.size() == 1) return sorted[0];
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const auto hi = static_cast<std::size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 }  // namespace mcsim

@@ -10,21 +10,6 @@ UtilizationTracker::UtilizationTracker(std::uint32_t total_processors, double st
   busy_integral_.start(start_time, 0.0);
 }
 
-void UtilizationTracker::on_job_start(double time, std::uint32_t processors,
-                                      double gross_service, double net_service) {
-  MCSIM_REQUIRE(busy_ + processors <= total_, "allocated more processors than exist");
-  busy_ += processors;
-  busy_integral_.update(time, static_cast<double>(busy_));
-  gross_work_ += static_cast<double>(processors) * gross_service;
-  net_work_ += static_cast<double>(processors) * net_service;
-}
-
-void UtilizationTracker::on_job_finish(double time, std::uint32_t processors) {
-  MCSIM_REQUIRE(busy_ >= processors, "released more processors than busy");
-  busy_ -= processors;
-  busy_integral_.update(time, static_cast<double>(busy_));
-}
-
 void UtilizationTracker::reset_at(double time) {
   busy_integral_.update(time, static_cast<double>(busy_));
   busy_integral_.reset_at(time);

@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "stats/time_weighted.hpp"
+#include "util/assert.hpp"
 
 namespace mcsim {
 
@@ -27,10 +28,20 @@ class UtilizationTracker {
   /// A job holding `processors` CPUs started at `time`; its gross (extended)
   /// service time is `gross_service`, its net service time `net_service`.
   void on_job_start(double time, std::uint32_t processors, double gross_service,
-                    double net_service);
+                    double net_service) {
+    MCSIM_REQUIRE(busy_ + processors <= total_, "allocated more processors than exist");
+    busy_ += processors;
+    busy_integral_.update(time, static_cast<double>(busy_));
+    gross_work_ += static_cast<double>(processors) * gross_service;
+    net_work_ += static_cast<double>(processors) * net_service;
+  }
 
   /// The job released `processors` CPUs at `time`.
-  void on_job_finish(double time, std::uint32_t processors);
+  void on_job_finish(double time, std::uint32_t processors) {
+    MCSIM_REQUIRE(busy_ >= processors, "released more processors than busy");
+    busy_ -= processors;
+    busy_integral_.update(time, static_cast<double>(busy_));
+  }
 
   /// Discard history before `time` (warmup deletion). In-flight gross/net
   /// work of jobs started before `time` is dropped proportionally — the

@@ -1,9 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
-#include "util/assert.hpp"
-
 namespace mcsim {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -13,103 +9,9 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-}
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random bits -> double in [0,1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) {
-  MCSIM_ASSERT(lo <= hi);
-  return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::uniform_int(std::uint64_t n) {
-  MCSIM_ASSERT(n > 0);
-  // Lemire's nearly-divisionless method (128-bit multiply; the GCC/Clang
-  // extension type is wrapped in __extension__ to stay -Wpedantic-clean).
-  __extension__ using uint128 = unsigned __int128;
-  std::uint64_t x = (*this)();
-  uint128 m = static_cast<uint128>(x) * n;
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < n) {
-    const std::uint64_t t = (0 - n) % n;
-    while (l < t) {
-      x = (*this)();
-      m = static_cast<uint128>(x) * n;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-double Rng::exponential_mean(double mean) {
-  MCSIM_ASSERT(mean > 0.0);
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
-}
-
-double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  double u, v, s;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  cached_normal_ = v * factor;
-  has_cached_normal_ = true;
-  return u * factor;
-}
-
-void Rng::jump() {
-  static constexpr std::uint64_t kJump[] = {0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL,
-                                            0xA9582618E03FC9AAULL, 0x39ABDC4529B1661CULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      (*this)();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
 }
 
 std::uint64_t derive_stream_seed(std::uint64_t master_seed, std::string_view stream_name) {

@@ -63,11 +63,7 @@ void DiscreteDistribution::build_alias_table() {
   for (std::uint32_t i : small) alias_prob_[i] = 1.0;  // numerical leftovers
 }
 
-double DiscreteDistribution::sample(Rng& rng) const {
-  const auto column = static_cast<std::size_t>(rng.uniform_int(values_.size()));
-  const bool keep = rng.uniform() < alias_prob_[column];
-  return values_[keep ? column : alias_[column]];
-}
+double DiscreteDistribution::sample(Rng& rng) const { return values_[sample_index(rng)]; }
 
 std::string DiscreteDistribution::describe() const {
   return str_printf("Discrete(%zu values, mean=%.3f, cv=%.3f)", values_.size(), mean_, cv());

@@ -22,7 +22,16 @@ class DiscreteDistribution final : public Distribution {
   /// before the real distribution is assigned.
   DiscreteDistribution() : DiscreteDistribution({1.0}, {1.0}) {}
 
+  /// values()[sample_index(rng)].
   double sample(Rng& rng) const override;
+  /// One draw as an index into values(): the column, then the alias coin
+  /// (two draws, uniform_int then uniform). A value of probability 0 is
+  /// never returned: its column keeps with probability 0 and no column
+  /// defers to it.
+  [[nodiscard]] std::size_t sample_index(Rng& rng) const {
+    const auto column = static_cast<std::size_t>(rng.uniform_int(values_.size()));
+    return rng.uniform() < alias_prob_[column] ? column : alias_[column];
+  }
   double mean() const override { return mean_; }
   double variance() const override { return variance_; }
   std::string describe() const override;

@@ -1,5 +1,7 @@
 #include "workload/workload.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 #include "workload/das_workload.hpp"
 #include "workload/job_splitter.hpp"
@@ -60,6 +62,32 @@ WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, std::uint64_t master
     queue_cumulative_.push_back(acc);
   }
   queue_cumulative_.back() = 1.0;
+
+  // Each value that can be drawn is split here, once, through the same
+  // split_job_into (and its checks) a job of that size would meet; a job
+  // body then copies its entry.
+  request_type_ = config_.split_jobs ? config_.request_type : RequestType::kTotal;
+  const auto& values = config_.size_distribution.values();
+  const auto& probabilities = config_.size_distribution.probabilities();
+  size_table_.resize(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (probabilities[i] <= 0.0) continue;
+    SizeEntry& entry = size_table_[i];
+    entry.total_size = static_cast<std::uint32_t>(values[i]);
+    MCSIM_ASSERT(entry.total_size > 0);
+    if (!config_.split_jobs || request_type_ == RequestType::kFlexible) {
+      // A total request, or a flexible one whose split is decided at
+      // placement time: only the total travels.
+      entry.components.assign(1, entry.total_size);
+      entry.wide_area = config_.split_jobs &&
+                        entry.total_size > config_.flexible_local_threshold;
+    } else {
+      split_job_into(entry.total_size, config_.component_limit, config_.num_clusters,
+                     entry.components);
+      entry.wide_area = entry.components.size() > 1;
+    }
+    max_components_ = std::max(max_components_, entry.components.size());
+  }
 }
 
 void WorkloadGenerator::next_into(JobSpec& out) {
@@ -87,49 +115,28 @@ JobSpec WorkloadGenerator::next_body() {
 
 void WorkloadGenerator::fill_body(JobSpec& job) {
   job.id = next_id_++;
-  job.total_size = static_cast<std::uint32_t>(config_.size_distribution.sample(size_rng_));
-  MCSIM_ASSERT(job.total_size > 0);
+  const SizeEntry& entry = size_table_[config_.size_distribution.sample_index(size_rng_)];
+  job.total_size = entry.total_size;
+  job.request_type = request_type_;
+  job.components.reserve(max_components_);
+  job.components.assign(entry.components.begin(), entry.components.end());
+  job.wide_area = entry.wide_area;
   // Only ordered requests name clusters; clear what a recycled spec held.
   job.ordered_clusters.clear();
-
-  if (!config_.split_jobs) {
-    job.request_type = RequestType::kTotal;
-    job.components.assign(1, job.total_size);
-    job.wide_area = false;
-  } else {
-    job.request_type = config_.request_type;
-    switch (config_.request_type) {
-      case RequestType::kTotal:
-      case RequestType::kUnordered:
-        split_job_into(job.total_size, config_.component_limit, config_.num_clusters,
-                       job.components);
-        job.wide_area = job.components.size() > 1;
-        break;
-      case RequestType::kOrdered: {
-        split_job_into(job.total_size, config_.component_limit, config_.num_clusters,
-                       job.components);
-        job.wide_area = job.components.size() > 1;
-        // Assign the components to distinct random clusters (a random
-        // prefix of a Fisher-Yates shuffle).
-        std::vector<std::uint32_t>& clusters = cluster_scratch_;
-        clusters.resize(config_.num_clusters);
-        for (std::uint32_t i = 0; i < config_.num_clusters; ++i) clusters[i] = i;
-        for (std::size_t i = 0; i < job.components.size(); ++i) {
-          const auto j = i + static_cast<std::size_t>(
-                                 placement_rng_.uniform_int(clusters.size() - i));
-          std::swap(clusters[i], clusters[j]);
-        }
-        job.ordered_clusters.reserve(config_.num_clusters);
-        job.ordered_clusters.assign(clusters.begin(),
-                                    clusters.begin() + static_cast<long>(job.components.size()));
-        break;
-      }
-      case RequestType::kFlexible:
-        // Split decided at placement time; only the total travels.
-        job.components.assign(1, job.total_size);
-        job.wide_area = job.total_size > config_.flexible_local_threshold;
-        break;
+  if (request_type_ == RequestType::kOrdered) {
+    // Assign the components to distinct random clusters (a random prefix
+    // of a Fisher-Yates shuffle).
+    std::vector<std::uint32_t>& clusters = cluster_scratch_;
+    clusters.resize(config_.num_clusters);
+    for (std::uint32_t i = 0; i < config_.num_clusters; ++i) clusters[i] = i;
+    for (std::size_t i = 0; i < job.components.size(); ++i) {
+      const auto j =
+          i + static_cast<std::size_t>(placement_rng_.uniform_int(clusters.size() - i));
+      std::swap(clusters[i], clusters[j]);
     }
+    job.ordered_clusters.reserve(config_.num_clusters);
+    job.ordered_clusters.assign(clusters.begin(),
+                                clusters.begin() + static_cast<long>(job.components.size()));
   }
 
   job.service_time = config_.service_distribution->sample(service_rng_);

@@ -111,10 +111,29 @@ class WorkloadGenerator {
   [[nodiscard]] const WorkloadConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t jobs_generated() const { return next_id_; }
 
+  /// One support value of the size distribution as a job body takes it,
+  /// prepared at construction: the size, the components (split_job_into's
+  /// split for split requests, the whole size otherwise) and whether the
+  /// job spans clusters.
+  struct SizeEntry {
+    std::uint32_t total_size = 0;
+    std::vector<std::uint32_t> components;
+    bool wide_area = false;
+  };
+  /// Entries aligned with config().size_distribution.values(); a value of
+  /// probability 0 cannot be drawn and keeps an empty entry.
+  [[nodiscard]] const std::vector<SizeEntry>& size_table() const { return size_table_; }
+
  private:
   void fill_body(JobSpec& job);
 
   WorkloadConfig config_;
+  /// The request type every job body carries (kTotal when jobs are not
+  /// split).
+  RequestType request_type_;
+  std::vector<SizeEntry> size_table_;
+  /// The widest entry: a recycled spec's components are sized for it once.
+  std::size_t max_components_ = 1;
   Rng arrival_rng_;
   Rng size_rng_;
   Rng service_rng_;

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <stdexcept>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "cluster/multicluster.hpp"
+#include "util/rng.hpp"
 
 namespace mcsim {
 namespace {
@@ -109,6 +114,51 @@ TEST(Multicluster, IdleCountsSnapshot) {
   EXPECT_EQ(idle[0], 16u);
   EXPECT_EQ(idle[1], 6u);
   EXPECT_EQ(idle[2], 16u);
+}
+
+// The placement rules read idle_counts() in place, so it must track every
+// allocate and release, the rejected ones (which change nothing) included.
+TEST(Multicluster, IdleCountsFollowEveryAllocateAndRelease) {
+  Multicluster system(std::vector<std::uint32_t>{8, 16, 4, 32});
+  Rng rng(29);
+  std::vector<Allocation> held;
+  const auto agree = [&] {
+    const std::vector<std::uint32_t>& idle = system.idle_counts();
+    ASSERT_EQ(idle.size(), system.num_clusters());
+    for (ClusterId c = 0; c < system.num_clusters(); ++c) {
+      ASSERT_EQ(idle[c], system.cluster(c).idle()) << "cluster " << c;
+    }
+  };
+  const std::vector<std::uint32_t>* const address = &system.idle_counts();
+  for (int step = 0; step < 4000; ++step) {
+    if (held.empty() || rng.uniform_int(3) != 0) {
+      Allocation allocation;
+      for (std::uint64_t n = 1 + rng.uniform_int(3); n > 0; --n) {
+        allocation.push_back({static_cast<ClusterId>(rng.uniform_int(4)),
+                              static_cast<std::uint32_t>(1 + rng.uniform_int(12))});
+      }
+      try {
+        system.allocate(allocation);
+        held.push_back(allocation);
+      } catch (const std::invalid_argument&) {
+        // Too large for what is idle: the system is unchanged.
+      }
+    } else {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(held.size()));
+      system.release(held[i]);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    agree();
+  }
+  EXPECT_EQ(&system.idle_counts(), address);
+}
+
+TEST(Multicluster, UnitSpeedsOnlyWhenEveryClusterRunsAtOne) {
+  EXPECT_TRUE(Multicluster(4, 32).unit_speeds());
+  EXPECT_TRUE(Multicluster(std::vector<std::uint32_t>{8, 16}).unit_speeds());
+  EXPECT_TRUE(Multicluster({8, 16}, {1.0, 1.0}).unit_speeds());
+  EXPECT_FALSE(Multicluster({8, 16}, {1.0, 0.5}).unit_speeds());
+  EXPECT_FALSE(Multicluster({8, 16}, {2.0, 2.0}).unit_speeds());
 }
 
 TEST(Multicluster, EmptyLayoutThrows) {

@@ -1,11 +1,15 @@
 // The engine's event core (src/core/event_core.hpp): (time, push order)
-// firing order, including events pushed at the current time from inside a
-// handler, stop and resume, the clock and pending count a dispatcher sees,
-// the refusal of past times, an M/M/1 queue against its closed form, and
-// seeded differential checks against reference models.
+// firing order across the arrival slot and the departure heap, including
+// events pushed at the current time from inside a handler, stop and
+// resume, the clock and pending count a dispatcher sees, the refusal of
+// past times and of a second pending arrival, an M/M/1 queue against its
+// closed form, and seeded differential checks against reference models.
 //
-// The `Calendar*` suites pin the heap's order; the `Simulator*` suites pin
-// the run loop around it.
+// The core holds at most one pending arrival, so cases that need many
+// pending events push departures and keep one arrival among them.
+//
+// The `Calendar*` suites pin the order; the `Simulator*` suites pin the
+// run loop around it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,7 +49,7 @@ using Simulator = EventCoreTest;
 
 TEST_F(Calendar, PopsInTimeOrder) {
   EventCore core;
-  core.push(3.0, Kind::kArrival, job(0));
+  core.push(3.0, Kind::kDeparture, job(0));
   core.push(1.0, Kind::kDeparture, job(1));
   core.push(2.0, Kind::kArrival, job(2));
   std::vector<double> times;
@@ -55,14 +59,16 @@ TEST_F(Calendar, PopsInTimeOrder) {
     kinds.push_back(event.kind());
   });
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_EQ(kinds, (std::vector<Kind>{Kind::kDeparture, Kind::kArrival, Kind::kArrival}));
+  EXPECT_EQ(kinds, (std::vector<Kind>{Kind::kDeparture, Kind::kArrival, Kind::kDeparture}));
   EXPECT_EQ(core.pending(), 0u);
 }
 
 TEST_F(Calendar, SimultaneousEventsFifoBySequence) {
   EventCore core;
+  // The arrival sits in the middle of the ties: the slot and the heap
+  // must interleave by push order.
   for (std::size_t i = 0; i < 6; ++i) {
-    core.push(5.0, i % 2 == 0 ? Kind::kArrival : Kind::kDeparture, job(i));
+    core.push(5.0, i == 3 ? Kind::kArrival : Kind::kDeparture, job(i));
   }
   std::vector<std::size_t> order;
   core.run([&](const Event& event) { order.push_back(index(event)); });
@@ -75,7 +81,8 @@ TEST_F(Calendar, StressRandomOrderIsSorted) {
   EventCore core;
   Rng rng(101);
   for (std::size_t i = 0; i < kN; ++i) {
-    core.push(rng.uniform(0.0, 1000.0), Kind::kArrival, job(i));
+    core.push(rng.uniform(0.0, 1000.0), i == kN / 2 ? Kind::kArrival : Kind::kDeparture,
+              job(i));
   }
   double last = -1.0;
   std::vector<bool> fired(kN, false);
@@ -92,7 +99,8 @@ TEST_F(Calendar, StressRandomOrderIsSorted) {
 
 // Pushes from outside the loop interleaved with single pops (a handler
 // that stops at once), checked pop by pop against an ordered set of
-// (time, push index).
+// (time, push index). The model keeps at most one arrival pending, as the
+// engine does; arrivals and departures tie often on the coarse grid.
 TEST(CalendarFuzz, MatchesReferenceModel) {
   constexpr std::size_t kPushes = 20000;
   std::vector<Job> jobs(kPushes);
@@ -101,13 +109,16 @@ TEST(CalendarFuzz, MatchesReferenceModel) {
     EventCore core;
     std::set<std::pair<double, std::size_t>> reference;
     std::vector<Kind> kinds;
+    bool arrival_pending = false;
     std::size_t pushed = 0;
     std::size_t popped = 0;
     while (pushed < kPushes || !reference.empty()) {
       if (pushed < kPushes && (reference.empty() || rng.uniform_int(5) < 3)) {
         // A coarse grid, so equal times are common.
         const double time = core.now() + 0.25 * static_cast<double>(rng.uniform_int(8));
-        const Kind kind = rng.uniform_int(2) == 0 ? Kind::kArrival : Kind::kDeparture;
+        const Kind kind = !arrival_pending && rng.uniform_int(2) == 0 ? Kind::kArrival
+                                                                      : Kind::kDeparture;
+        arrival_pending = arrival_pending || kind == Kind::kArrival;
         core.push(time, kind, &jobs[pushed]);
         reference.emplace(time, pushed);
         kinds.push_back(kind);
@@ -120,6 +131,7 @@ TEST(CalendarFuzz, MatchesReferenceModel) {
           EXPECT_EQ(event.time, expected.first);
           EXPECT_EQ(i, expected.second);
           EXPECT_EQ(event.kind(), kinds[expected.second]);
+          if (event.kind() == Kind::kArrival) arrival_pending = false;
           ++popped;
           core.stop();
         });
@@ -145,7 +157,7 @@ TEST_F(Simulator, ClockAdvancesToEventTimes) {
 TEST_F(Simulator, CountsExecutedEvents) {
   EventCore core;
   for (std::size_t i = 0; i < 10; ++i) {
-    core.push(static_cast<double>(i), Kind::kArrival, job(i));
+    core.push(static_cast<double>(i), Kind::kDeparture, job(i));
   }
   core.run([&](const Event& event) {
     if (index(event) == 3) core.stop();
@@ -171,7 +183,7 @@ TEST_F(Simulator, HandlersCanScheduleChains) {
 TEST_F(Simulator, StopHaltsTheLoop) {
   EventCore core;
   for (std::size_t i = 0; i < 4; ++i) {
-    core.push(static_cast<double>(i + 1), Kind::kArrival, job(i));
+    core.push(static_cast<double>(i + 1), Kind::kDeparture, job(i));
   }
   std::vector<std::size_t> order;
   core.run([&](const Event& event) {
@@ -205,10 +217,36 @@ TEST_F(Simulator, SchedulingInThePastThrows) {
   EXPECT_DOUBLE_EQ(core.now(), 5.0);
 }
 
+TEST_F(Simulator, SecondPendingArrivalThrows) {
+  EventCore core;
+  core.push(2.0, Kind::kArrival, job(0));
+  EXPECT_THROW(core.push(1.0, Kind::kArrival, job(1)), std::invalid_argument);
+  EXPECT_THROW(core.push(2.0, Kind::kArrival, job(1)), std::invalid_argument);
+  EXPECT_EQ(core.pending(), 1u);
+  // The refused pushes left the slot and the push order alone: the
+  // departure tied with the arrival still fires after it.
+  core.push(2.0, Kind::kDeparture, job(2));
+  std::vector<std::size_t> order;
+  core.run([&](const Event& event) {
+    order.push_back(index(event));
+    if (index(event) == 0) {
+      // Once the arrival fired its slot is free again, and only once.
+      core.push(core.now(), Kind::kArrival, job(3));
+      EXPECT_THROW(core.push(core.now(), Kind::kArrival, job(4)), std::invalid_argument);
+    }
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(core.executed(), 3u);
+  EXPECT_EQ(core.pending(), 0u);
+}
+
 TEST_F(Simulator, SimultaneousEventsRunInScheduleOrder) {
   // Three events at t = 1; the first handler pushes one more at t = 1 and
   // one at t = 2, the second pushes one at t = 1. The pushed ties fire
-  // after every event already pending at t = 1, in push order.
+  // after every event already pending at t = 1, in push order — the
+  // arrival the first handler pushes at the present included, which
+  // waits in the slot behind the departure pending before it and ahead of
+  // the departure pushed after it.
   EventCore core;
   core.push(1.0, Kind::kArrival, job(0));
   core.push(1.0, Kind::kDeparture, job(1));
@@ -217,10 +255,10 @@ TEST_F(Simulator, SimultaneousEventsRunInScheduleOrder) {
   core.run([&](const Event& event) {
     order.push_back(index(event));
     if (index(event) == 0) {
-      core.push(core.now(), Kind::kDeparture, job(3));
-      core.push(2.0, Kind::kArrival, job(5));
+      core.push(core.now(), Kind::kArrival, job(3));
+      core.push(2.0, Kind::kDeparture, job(5));
     }
-    if (index(event) == 1) core.push(core.now(), Kind::kArrival, job(4));
+    if (index(event) == 1) core.push(core.now(), Kind::kDeparture, job(4));
   });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
 }
@@ -229,7 +267,9 @@ TEST_F(Simulator, PendingEventsCountBatchRemnants) {
   // Three ties at t = 1 plus one later event: inside the i-th tie handler
   // the ties not yet fired are still pending.
   EventCore core;
-  for (std::size_t i = 0; i < 3; ++i) core.push(1.0, Kind::kArrival, job(i));
+  for (std::size_t i = 0; i < 3; ++i) {
+    core.push(1.0, i == 0 ? Kind::kArrival : Kind::kDeparture, job(i));
+  }
   core.push(2.0, Kind::kDeparture, job(3));
   std::vector<std::size_t> pending;
   core.run([&](const Event&) { pending.push_back(core.pending()); });
@@ -238,7 +278,9 @@ TEST_F(Simulator, PendingEventsCountBatchRemnants) {
 
 TEST_F(Simulator, StopMidBatchResumesRemnantsInOrder) {
   EventCore core;
-  for (std::size_t i = 0; i < 3; ++i) core.push(1.0, Kind::kArrival, job(i));
+  for (std::size_t i = 0; i < 3; ++i) {
+    core.push(1.0, i == 1 ? Kind::kArrival : Kind::kDeparture, job(i));
+  }
   core.push(2.0, Kind::kDeparture, job(3));
   std::vector<std::size_t> order;
   core.run([&](const Event& event) {
@@ -260,7 +302,7 @@ TEST_F(Simulator, StepHookSeesClockAndPendingCount) {
   // handler returned, events the handler pushed included.
   EventCore core;
   core.push(1.0, Kind::kArrival, job(0));
-  core.push(1.0, Kind::kArrival, job(1));
+  core.push(1.0, Kind::kDeparture, job(1));
   core.push(2.0, Kind::kDeparture, job(2));
   std::vector<std::pair<double, std::size_t>> samples;
   core.run([&](const Event& event) {
@@ -307,7 +349,9 @@ TEST_F(Simulator, MMOneQueueMatchesTheory) {
 // Differential check: handlers push random events (many equal times, zero
 // delays included) and sometimes stop the run. Every event pushed must fire
 // exactly once, in the order of a stable sort of the push log by time —
-// (time, push index) — with its kind intact.
+// (time, push index) — with its kind intact. At most one arrival is
+// pending at a time, so a handler may push the next arrival only once the
+// last one fired (its own, or an earlier one).
 TEST(SimulatorFuzz, RandomSelfSchedulingHandlersStayConsistent) {
   constexpr std::size_t kPushes = 20000;
   std::vector<Job> jobs(kPushes);
@@ -316,8 +360,11 @@ TEST(SimulatorFuzz, RandomSelfSchedulingHandlersStayConsistent) {
     EventCore core;
     std::vector<double> times;  // by push index
     std::vector<Kind> kinds;
+    bool arrival_pending = false;
     const auto push = [&](double time) {
-      const Kind kind = rng.uniform_int(2) == 0 ? Kind::kArrival : Kind::kDeparture;
+      const Kind kind = !arrival_pending && rng.uniform_int(2) == 0 ? Kind::kArrival
+                                                                    : Kind::kDeparture;
+      arrival_pending = arrival_pending || kind == Kind::kArrival;
       core.push(time, kind, &jobs[times.size()]);
       times.push_back(time);
       kinds.push_back(kind);
@@ -333,6 +380,7 @@ TEST(SimulatorFuzz, RandomSelfSchedulingHandlersStayConsistent) {
       EXPECT_EQ(event.time, times[i]);
       EXPECT_EQ(event.kind(), kinds[i]);
       EXPECT_EQ(core.now(), event.time);
+      if (event.kind() == Kind::kArrival) arrival_pending = false;
       fired.push_back(i);
       for (std::uint64_t n = rng.uniform_int(4); n > 0 && times.size() < kPushes; --n) {
         push(core.now() + delay());

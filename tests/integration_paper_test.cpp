@@ -1,6 +1,9 @@
 // Integration tests asserting the paper's qualitative findings at reduced
-// scale (full-scale numbers come from the bench harnesses; these runs are
-// sized to keep ctest fast while the orderings remain statistically solid).
+// scale. The full-scale numbers are the sealed scenario goldens under
+// data/golden (`mcsim verify` re-runs them bit for bit), and EXPERIMENTS.md
+// renders its measured tables from those goldens (tools/render_experiments);
+// these runs are sized to keep ctest fast while the orderings remain
+// statistically solid.
 #include <gtest/gtest.h>
 
 #include <limits>

@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 namespace mcsim {
@@ -89,15 +91,98 @@ TEST(Rng, NormalMomentsMatchStandardNormal) {
   EXPECT_NEAR(sumsq / kN, 1.0, 0.02);
 }
 
-TEST(Rng, JumpDecorrelatesStreams) {
-  Rng a(99);
-  Rng b(99);
-  b.jump();
-  int equal = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (a() == b()) ++equal;
+// Recorded bit patterns of the first outputs of every draw on two seeds.
+// The sealed goldens depend on these streams bit for bit; a change to a
+// draw's arithmetic (operand order, a reciprocal, a different rejection
+// test) fails here before any golden is re-run.
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+struct RecordedStreams {
+  std::uint64_t seed;
+  std::array<std::uint64_t, 4> raw;
+  std::array<std::uint64_t, 4> uniform;
+  std::array<std::uint64_t, 4> uniform_range;      // uniform(-2, 5)
+  std::array<std::uint64_t, 4> uniform_int_small;  // uniform_int(7)
+  std::array<std::uint64_t, 4> uniform_int_wide;   // uniform_int(2^63 + 1): rejects often
+  std::array<std::uint64_t, 4> exponential;        // exponential_mean(3)
+  std::array<std::uint64_t, 5> normal;             // the pair cache included
+};
+
+const RecordedStreams kRecorded[] = {
+    {1,
+     {0xB3F2AF6D0FC710C5ULL, 0x853B559647364CEAULL, 0x92F89756082A4514ULL,
+      0x642E1C7BC266A3A7ULL},
+     {0x3FE67E55EDA1F8E2ULL, 0x3FE0A76AB2C8E6C9ULL, 0x3FE25F12EAC10548ULL,
+      0x3FD90B871EF099A8ULL},
+     {0x40075D165FDB738CULL, 0x3FFA49F571BF27C0ULL, 0x400026611AD1C93EULL,
+      0x3FE7A858EC4A19CCULL},
+     {4, 3, 4, 2},
+     {0x429DAACB239B2675ULL, 0x497C4BAB0415228AULL, 0x32170E3DE13351D3ULL,
+      0x30CAA6E623D8F44EULL},
+     {0x3FF0EBA34490F76AULL, 0x3FFF592295A181ECULL, 0x3FFAA31FCFC0C0DAULL,
+      0x400684590C8D7FCCULL},
+     {0x3FFE267C87AC62EBULL, 0x3FC84ABD879D0E18ULL, 0x3FF4D55C9633557CULL,
+      0xBFFE8D0B0399EE9CULL, 0x3FDC0D732AE4B3DDULL}},
+    {20031128,
+     {0x68AAD13A75B84D6EULL, 0x4DD96C02625314E1ULL, 0x51B7C612CC946F82ULL,
+      0xB4CC4AF7CF421820ULL},
+     {0x3FDA2AB44E9D6E12ULL, 0x3FD3765B009894C4ULL, 0x3FD46DF184B3251AULL,
+      0x3FE699895EF9E843ULL},
+     {0x3FEB957713270140ULL, 0x3FC078FA085822C0ULL, 0x3FCE033541CC0770ULL,
+      0x40078CB066355676ULL},
+     {2, 2, 2, 4},
+     {0x26ECB60131298A70ULL, 0x5A66257BE7A10C10ULL, 0x6FA8C91CFE1CD56EULL,
+      0x4813D327B8A06643ULL},
+     {0x400577239A721771ULL, 0x400C91D535AB4972ULL, 0x400B67DCEE571F08ULL,
+      0x3FF0B1BA9DBA6313ULL},
+     {0xBFE8BAA3242F9281ULL, 0xBFFA9370A7C00F89ULL, 0xBFF058A188DCA0FBULL,
+      0x3FF2A5C4EBEEC81FULL, 0x3FD83485623BE7CEULL}},
+};
+
+TEST(Rng, RecordedBitPatternsOfEveryDraw) {
+  for (const RecordedStreams& rec : kRecorded) {
+    SCOPED_TRACE(rec.seed);
+    {
+      Rng rng(rec.seed);
+      for (std::uint64_t expected : rec.raw) EXPECT_EQ(rng(), expected);
+    }
+    {
+      Rng rng(rec.seed);
+      for (std::uint64_t expected : rec.uniform) EXPECT_EQ(bits_of(rng.uniform()), expected);
+    }
+    {
+      Rng rng(rec.seed);
+      for (std::uint64_t expected : rec.uniform_range) {
+        EXPECT_EQ(bits_of(rng.uniform(-2.0, 5.0)), expected);
+      }
+    }
+    {
+      Rng rng(rec.seed);
+      for (std::uint64_t expected : rec.uniform_int_small) {
+        EXPECT_EQ(rng.uniform_int(7), expected);
+      }
+    }
+    {
+      Rng rng(rec.seed);
+      for (std::uint64_t expected : rec.uniform_int_wide) {
+        EXPECT_EQ(rng.uniform_int((std::uint64_t{1} << 63) + 1), expected);
+      }
+    }
+    {
+      Rng rng(rec.seed);
+      for (std::uint64_t expected : rec.exponential) {
+        EXPECT_EQ(bits_of(rng.exponential_mean(3.0)), expected);
+      }
+    }
+    {
+      Rng rng(rec.seed);
+      for (std::uint64_t expected : rec.normal) EXPECT_EQ(bits_of(rng.normal()), expected);
+    }
   }
-  EXPECT_EQ(equal, 0);
 }
 
 TEST(DeriveStreamSeed, DistinctNamesGiveDistinctSeeds) {

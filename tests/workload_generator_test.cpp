@@ -5,6 +5,7 @@
 
 #include "workload/arrival.hpp"
 #include "workload/das_workload.hpp"
+#include "workload/job_splitter.hpp"
 #include "workload/workload.hpp"
 
 namespace mcsim {
@@ -98,6 +99,61 @@ TEST(WorkloadGenerator, ComponentsFollowSplitter) {
       EXPECT_DOUBLE_EQ(job.gross_service_time, job.service_time);
     }
   }
+}
+
+// The generator splits each support value once, at construction; every
+// job of that size copies the entry. Each entry must be split_job_into's
+// split of the value, for both paper distributions at each limit.
+TEST(WorkloadGenerator, SizeTableMatchesSplitterForEveryValue) {
+  for (const DiscreteDistribution& sizes : {das_s_128(), das_s_64()}) {
+    for (std::uint32_t limit : {16u, 24u, 32u}) {
+      SCOPED_TRACE(::testing::Message() << sizes.describe() << ", limit " << limit);
+      auto config = base_config();
+      config.size_distribution = sizes;
+      config.component_limit = limit;
+      WorkloadGenerator gen(config, 3);
+      const auto& table = gen.size_table();
+      ASSERT_EQ(table.size(), sizes.support_size());
+      for (std::size_t i = 0; i < table.size(); ++i) {
+        ASSERT_GT(sizes.probabilities()[i], 0.0);
+        const auto total = static_cast<std::uint32_t>(sizes.values()[i]);
+        std::vector<std::uint32_t> expected;
+        split_job_into(total, limit, 4, expected);
+        EXPECT_EQ(table[i].total_size, total);
+        EXPECT_EQ(table[i].components, expected) << "size " << total;
+        EXPECT_EQ(table[i].wide_area, expected.size() > 1) << "size " << total;
+      }
+    }
+  }
+}
+
+TEST(WorkloadGenerator, SizeTableForTotalAndFlexibleRequests) {
+  auto total = base_config();
+  total.split_jobs = false;
+  total.num_clusters = 1;
+  auto flexible = base_config();
+  flexible.request_type = RequestType::kFlexible;
+  flexible.flexible_local_threshold = 32;
+  for (const WorkloadConfig& config : {total, flexible}) {
+    WorkloadGenerator gen(config, 5);
+    const auto& values = config.size_distribution.values();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const auto size = static_cast<std::uint32_t>(values[i]);
+      const auto& entry = gen.size_table()[i];
+      EXPECT_EQ(entry.components, std::vector<std::uint32_t>{size});
+      EXPECT_EQ(entry.wide_area, config.split_jobs && size > 32u);
+    }
+  }
+}
+
+// Only values that can be drawn are split: a size of probability 0, which
+// split_job_into would refuse, neither throws nor is ever drawn.
+TEST(WorkloadGenerator, ZeroProbabilitySizesAreNeverSplit) {
+  auto config = base_config();
+  config.size_distribution = DiscreteDistribution({0.0, 8.0, 40.0}, {0.0, 1.0, 1.0});
+  WorkloadGenerator gen(config, 9);
+  EXPECT_TRUE(gen.size_table()[0].components.empty());
+  for (int i = 0; i < 2000; ++i) EXPECT_NE(gen.next().total_size, 0u);
 }
 
 TEST(WorkloadGenerator, TotalRequestsWhenSplitDisabled) {

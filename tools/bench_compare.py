@@ -13,9 +13,17 @@ scales with machine speed the same way the replay loop does, so the ratio
 is stable across hosts while still catching real regressions in the
 simulation hot path.
 
+A single run of the replay is noisy on a shared host, so the gate decides
+on repetitions (--benchmark_repetitions): each repetition's ratio divides
+the benchmark's rate by the calibration rate of the same repetition index,
+and the gate compares the median of those ratios with the baseline. One
+slow repetition cannot fail it; a slowdown in most of them does. A result
+without repetitions is one repetition.
+
 Usage:
   # Gate a fresh run against the checked-in baseline:
-  ./build/bench/replay_throughput --benchmark_format=json > results.json
+  ./build/bench/replay_throughput --benchmark_repetitions=9 \
+      --benchmark_format=json > results.json
   python3 tools/bench_compare.py results.json bench/baseline.json
 
   # Refresh the baseline after an intentional performance change
@@ -26,6 +34,7 @@ Usage:
 
 import argparse
 import json
+import statistics
 import sys
 
 CALIBRATION = "BM_HeapHoldCalibration"
@@ -33,7 +42,7 @@ GATED = ["BM_ReplayThroughput/GS", "BM_ReplayThroughput/LS"]
 
 
 def load_results(path):
-    """Return {benchmark name: items_per_second} from gbench JSON."""
+    """Return {benchmark name: {repetition index: items_per_second}}."""
     with open(path) as f:
         doc = json.load(f)
     rates = {}
@@ -44,18 +53,28 @@ def load_results(path):
             continue
         rate = bench.get("items_per_second")
         if rate:
-            rates[bench["name"]] = rate
+            name = bench.get("run_name", bench["name"])
+            rates.setdefault(name, {})[bench.get("repetition_index", 0)] = rate
     return rates
 
 
-def normalized_ratios(rates):
+def repetition_ratios(rates):
+    """{gated name: [ratio per repetition]}, each rate over the calibration
+    rate of the same repetition index."""
     calibration = rates.get(CALIBRATION)
     if not calibration:
         sys.exit(f"error: results lack {CALIBRATION}; cannot normalize")
     missing = [name for name in GATED if name not in rates]
     if missing:
         sys.exit(f"error: results lack gated benchmarks: {', '.join(missing)}")
-    return {name: rates[name] / calibration for name in GATED}
+    ratios = {}
+    for name in GATED:
+        unpaired = sorted(set(rates[name]) - set(calibration))
+        if unpaired:
+            sys.exit(f"error: {name} repetitions {unpaired} have no {CALIBRATION} "
+                     "repetition to divide by")
+        ratios[name] = [rates[name][i] / calibration[i] for i in sorted(rates[name])]
+    return ratios
 
 
 def main():
@@ -69,7 +88,8 @@ def main():
     args = parser.parse_args()
 
     rates = load_results(args.results)
-    ratios = normalized_ratios(rates)
+    per_repetition = repetition_ratios(rates)
+    ratios = {name: statistics.median(values) for name, values in per_repetition.items()}
 
     if args.update:
         baseline = {
@@ -110,7 +130,9 @@ def main():
         if change < -args.threshold:
             status = "REGRESSION"
             failed = True
-        print(f"{name}: ratio {current:.4f} vs baseline {base:.4f} "
+        values = per_repetition[name]
+        print(f"{name}: median ratio {current:.4f} of {len(values)} repetitions "
+              f"({min(values):.4f}-{max(values):.4f}) vs baseline {base:.4f} "
               f"({change:+.1%}) {status}")
 
     if failed:

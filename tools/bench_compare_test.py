@@ -40,6 +40,22 @@ def gbench_json(rates):
     return {"benchmarks": benchmarks}
 
 
+def repeated_gbench_json(repetitions):
+    """gbench JSON with --benchmark_repetitions: one {name: rate} dict per
+    repetition, rows grouped by benchmark as google-benchmark writes them,
+    plus the aggregate rows it appends (which the gate must skip)."""
+    benchmarks = []
+    for name in repetitions[0]:
+        for index, rates in enumerate(repetitions):
+            benchmarks.append({"name": name, "run_name": name, "run_type": "iteration",
+                               "repetitions": len(repetitions), "repetition_index": index,
+                               "items_per_second": rates[name]})
+        benchmarks.append({"name": name + "_median", "run_name": name,
+                           "run_type": "aggregate", "aggregate_name": "median",
+                           "items_per_second": 1.0})
+    return {"benchmarks": benchmarks}
+
+
 class BenchCompareTest(unittest.TestCase):
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
@@ -127,6 +143,68 @@ class BenchCompareTest(unittest.TestCase):
         written = json.loads(baseline.read_text())
         self.assertAlmostEqual(written["ratios"][GS], 0.5)
         self.assertEqual(written["note"], note)
+
+    def test_repetitions_gate_on_the_median_ratio(self):
+        # Nine repetitions on a drifting host: the calibration and the
+        # replay move together, so every per-repetition ratio is at the
+        # baseline except two slow outliers. The median decides: pass.
+        reps = []
+        for i in range(9):
+            calibration = 10e6 * (0.8 + 0.05 * i)
+            reps.append({CALIBRATION: calibration, GS: 0.4 * calibration,
+                         LS: 0.3 * calibration})
+        reps[2][GS] *= 0.7
+        reps[6][GS] *= 0.75
+        results = self.write("results.json", repeated_gbench_json(reps))
+        proc = self.run_gate(results, self.baseline(0.4, 0.3))
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("of 9 repetitions", proc.stdout)
+
+    def test_repetitions_fail_when_most_regress(self):
+        # Five of nine repetitions 20% slow relative to their calibration:
+        # the median ratio is 20% down, which must fail.
+        reps = []
+        for i in range(9):
+            calibration = 10e6
+            gs = 0.4 * calibration * (0.8 if i % 2 == 0 else 1.0)
+            reps.append({CALIBRATION: calibration, GS: gs, LS: 0.3 * calibration})
+        results = self.write("results.json", repeated_gbench_json(reps))
+        proc = self.run_gate(results, self.baseline(0.4, 0.3))
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("REGRESSION", proc.stdout)
+
+    def test_repetitions_pair_each_rate_with_its_own_calibration(self):
+        # The rule is the median of per-repetition ratios, not the ratio of
+        # the medians. Here they disagree: per repetition GS reads
+        # 0.2, 0.2, 0.4, 0.4, 0.4 of its calibration (median 0.4, at the
+        # baseline), while its median rate over the calibration's median
+        # rate is 4e6 / 20e6 = 0.2, a 50% "regression".
+        calibration = [20e6, 20e6, 20e6, 10e6, 10e6]
+        gs = [4e6, 4e6, 8e6, 4e6, 4e6]
+        reps = [{CALIBRATION: c, GS: g, LS: 0.3 * c} for c, g in zip(calibration, gs)]
+        results = self.write("results.json", repeated_gbench_json(reps))
+        proc = self.run_gate(results, self.baseline(0.4, 0.3))
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn(f"{GS}: median ratio 0.4000", proc.stdout)
+
+    def test_repetition_without_calibration_is_an_error(self):
+        reps = [{CALIBRATION: 10e6, GS: 4e6, LS: 3e6} for _ in range(3)]
+        doc = repeated_gbench_json(reps)
+        doc["benchmarks"] = [b for b in doc["benchmarks"]
+                             if not (b["name"] == CALIBRATION
+                                     and b.get("repetition_index") == 2)]
+        results = self.write("results.json", doc)
+        proc = self.run_gate(results, self.baseline(0.4, 0.3))
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("repetitions [2]", proc.stderr + proc.stdout)
+
+    def test_update_from_repetitions_writes_the_median(self):
+        reps = [{CALIBRATION: 10e6, GS: gs, LS: 3e6} for gs in (3e6, 5e6, 4e6)]
+        results = self.write("results.json", repeated_gbench_json(reps))
+        baseline = self.dir / "new_baseline.json"
+        proc = self.run_gate(results, baseline, "--update")
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertAlmostEqual(json.loads(baseline.read_text())["ratios"][GS], 0.4)
 
     def test_checked_in_baseline_is_well_formed(self):
         doc = json.loads((REPO_ROOT / "bench" / "baseline.json").read_text())
