@@ -80,10 +80,14 @@ int main(int argc, char** argv) {
   const auto sizes_64 = empirical_size_distribution_cut(trace.records, 64);
   const auto services = std::make_shared<DiscreteDistribution>(
       empirical_service_distribution(trace.records, 900.0));
+  const auto describe = [](const DiscreteDistribution& d) {
+    return str_printf("Discrete(%zu values, mean=%.3f, cv=%.3f)", d.support_size(), d.mean(),
+                      d.cv());
+  };
   std::cout << "derived distributions:\n"
-            << "  sizes (full): " << sizes_128.describe() << '\n'
-            << "  sizes (cut at 64): " << sizes_64.describe() << '\n'
-            << "  service times (cut at 900 s): " << services->describe() << "\n\n";
+            << "  sizes (full): " << describe(sizes_128) << '\n'
+            << "  sizes (cut at 64): " << describe(sizes_64) << '\n'
+            << "  service times (cut at 900 s): " << describe(*services) << "\n\n";
 
   // 4. Simulate LS on the 4x32 multicluster with the trace-derived workload.
   SimulationConfig config;

@@ -218,13 +218,6 @@ std::optional<Allocation> place_components(const std::vector<std::uint32_t>& com
   return allocation;
 }
 
-std::optional<Allocation> place_on_cluster(std::uint32_t processors, ClusterId cluster,
-                                           const std::vector<std::uint32_t>& idle_counts) {
-  MCSIM_REQUIRE(cluster < idle_counts.size(), "unknown cluster");
-  if (processors > idle_counts[cluster]) return std::nullopt;
-  return Allocation{ComponentPlacement{cluster, processors}};
-}
-
 bool place_ordered(const std::vector<std::uint32_t>& components,
                    const std::vector<ClusterId>& clusters,
                    const std::vector<std::uint32_t>& idle_counts, PlacementScratch& scratch,

@@ -58,10 +58,6 @@ std::optional<Allocation> place_components(const std::vector<std::uint32_t>& com
                                            const std::vector<std::uint32_t>& idle_counts,
                                            PlacementRule rule = PlacementRule::kWorstFit);
 
-/// Place a single-component job on one specific cluster (LS local jobs).
-std::optional<Allocation> place_on_cluster(std::uint32_t processors, ClusterId cluster,
-                                           const std::vector<std::uint32_t>& idle_counts);
-
 /// Place an ORDERED request (the authors' model, refs [6,7]): component i
 /// must go to cluster `clusters[i]` exactly; all-or-nothing. Writes into
 /// `out` and returns true on a fit, clears `out` otherwise.

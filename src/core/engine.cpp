@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 #include "util/rusage.hpp"
 
 namespace mcsim {
@@ -300,8 +299,6 @@ void MulticlusterSimulation::on_arrival(JobPtr job) {
   queue_length_.update(now(), static_cast<double>(scheduler_->queued_jobs()));
 
   if (scheduler_->max_queue_length() > config_.instability_queue_limit) {
-    MCSIM_LOG(kInfo) << result_.policy << ": queue exceeded "
-                     << config_.instability_queue_limit << " jobs; marking unstable";
     result_.unstable = true;
     events_.stop();
     return;
@@ -313,8 +310,6 @@ void MulticlusterSimulation::on_arrival(JobPtr job) {
         std::max(100.0, config_.instability_backlog_fraction *
                             static_cast<double>(config_.total_jobs)));
     if (scheduler_->queued_jobs() > backlog_limit) {
-      MCSIM_LOG(kInfo) << result_.policy << ": backlog of " << scheduler_->queued_jobs()
-                       << " jobs at end of arrivals; marking unstable";
       result_.unstable = true;
       events_.stop();
       return;

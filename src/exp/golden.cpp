@@ -21,7 +21,6 @@
 #include "obs/swf_builder.hpp"
 #include "trace/swf.hpp"
 #include "util/assert.hpp"
-#include "util/strings.hpp"
 
 // Provenance compiled into the verify binary (set in exp/CMakeLists.txt).
 #ifndef MCSIM_COMPILER_INFO
@@ -42,23 +41,6 @@ std::uint64_t fnv1a64(std::string_view text) {
     hash *= 0x100000001b3ull;
   }
   return hash;
-}
-
-const char* compare_mode_name(CompareMode mode) {
-  switch (mode) {
-    case CompareMode::kBitExact: return "bit-exact";
-    case CompareMode::kStatistical: return "statistical";
-  }
-  return "?";
-}
-
-CompareMode parse_compare_mode(const std::string& name) {
-  const std::string lower = to_lower(name);
-  if (lower == "bit-exact" || lower == "bitexact") return CompareMode::kBitExact;
-  if (lower == "statistical") return CompareMode::kStatistical;
-  MCSIM_REQUIRE(false, "unknown compare mode: " + name +
-                           " (expected bit-exact or statistical)");
-  return CompareMode::kBitExact;
 }
 
 const char* verify_status_name(VerifyStatus status) {
@@ -342,36 +324,21 @@ bool diverge(CompareOutcome& outcome, const std::string& path, std::string expec
 }
 
 bool numbers_match(const obs::JsonValue& expected, const obs::JsonValue& got,
-                   const GoldenOptions& options, const std::string& path,
-                   CompareOutcome& outcome) {
+                   const std::string& path, CompareOutcome& outcome) {
   if (expected.number_text() == got.number_text()) return true;
   const double e = expected.as_double();
   const double g = got.as_double();
-  const std::int64_t ulp = ulp_distance(e, g);
-  switch (options.mode) {
-    case CompareMode::kBitExact: {
-      std::uint64_t eb = 0;
-      std::uint64_t gb = 0;
-      std::memcpy(&eb, &e, sizeof eb);
-      std::memcpy(&gb, &g, sizeof gb);
-      if (eb == gb) return true;  // different spelling, identical bits
-      break;
-    }
-    case CompareMode::kStatistical: {
-      const double scale = std::max(std::abs(e), std::abs(g));
-      if (std::isfinite(e) && std::isfinite(g) &&
-          std::abs(e - g) <= options.abs_tol + options.rel_tol * scale) {
-        return true;
-      }
-      break;
-    }
-  }
-  return diverge(outcome, path, expected.number_text(), got.number_text(), ulp);
+  std::uint64_t eb = 0;
+  std::uint64_t gb = 0;
+  std::memcpy(&eb, &e, sizeof eb);
+  std::memcpy(&gb, &g, sizeof gb);
+  if (eb == gb) return true;  // different spelling, identical bits
+  return diverge(outcome, path, expected.number_text(), got.number_text(),
+                 ulp_distance(e, g));
 }
 
 bool compare_value(const obs::JsonValue& expected, const obs::JsonValue& got,
-                   const GoldenOptions& options, std::string& path,
-                   CompareOutcome& outcome) {
+                   std::string& path, CompareOutcome& outcome) {
   if (expected.kind() != got.kind()) {
     return diverge(outcome, path, kind_name(expected.kind()), kind_name(got.kind()));
   }
@@ -385,7 +352,7 @@ bool compare_value(const obs::JsonValue& expected, const obs::JsonValue& got,
         if (other == nullptr) {
           return diverge(outcome, path, kind_name(member.kind()), "<missing key>");
         }
-        if (!compare_value(member, *other, options, path, outcome)) return false;
+        if (!compare_value(member, *other, path, outcome)) return false;
         path.resize(mark);
       }
       for (const auto& [key, member] : got.members()) {
@@ -406,15 +373,13 @@ bool compare_value(const obs::JsonValue& expected, const obs::JsonValue& got,
         path += '[';
         path += std::to_string(i);
         path += ']';
-        if (!compare_value(expected.at(i), got.at(i), options, path, outcome)) {
-          return false;
-        }
+        if (!compare_value(expected.at(i), got.at(i), path, outcome)) return false;
         path.resize(mark);
       }
       return true;
     }
     case obs::JsonValue::Kind::kNumber:
-      return numbers_match(expected, got, options, path, outcome);
+      return numbers_match(expected, got, path, outcome);
     case obs::JsonValue::Kind::kString:
       if (expected.as_string() != got.as_string()) {
         return diverge(outcome, path, expected.as_string(), got.as_string());
@@ -441,11 +406,10 @@ std::string Divergence::describe() const {
 }
 
 CompareOutcome compare_observations(const obs::JsonValue& expected,
-                                    const obs::JsonValue& got,
-                                    const GoldenOptions& options) {
+                                    const obs::JsonValue& got) {
   CompareOutcome outcome;
   std::string path;
-  compare_value(expected, got, options, path, outcome);
+  compare_value(expected, got, path, outcome);
   return outcome;
 }
 
@@ -598,8 +562,7 @@ ScenarioVerdict verify_one(const fs::path& scenario_path,
   }
 
   const obs::JsonValue got = obs::parse_json(observation);
-  const CompareOutcome outcome =
-      compare_observations(*observed, got, options.compare);
+  const CompareOutcome outcome = compare_observations(*observed, got);
   if (!outcome.match) {
     verdict.status = VerifyStatus::kFail;
     verdict.detail = outcome.first.describe();

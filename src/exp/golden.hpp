@@ -10,15 +10,10 @@
 /// Everything wall-clock-dependent (wall_seconds, events/sec) is excluded,
 /// so on a fixed build the observation is a pure function of the scenario.
 ///
-/// Two comparison tiers:
-///   - kBitExact:    every number must reproduce the identical bits; the
-///                   same-build / same-libm replay gate (CI runs it on both
-///                   GCC and Clang — cross-compiler determinism is a gated
-///                   property of this codebase).
-///   - kStatistical: numeric leaves may drift within
-///                   |e - g| <= abs_tol + rel_tol * max(|e|, |g|); the
-///                   documented fallback for platforms with a different
-///                   libm (docs/GOLDEN.md).
+/// The comparison is bit-exact: every number must reproduce the identical
+/// bits (a different spelling of the same double passes). CI runs it on
+/// both GCC and Clang — cross-compiler determinism is a gated property of
+/// this codebase.
 ///
 /// `mcsim verify <golden-dir>` drives verify_goldens() over every scenario
 /// under data/scenarios/, fans the runs out over exp::Runner, prints a
@@ -51,22 +46,6 @@ inline constexpr std::int64_t kGoldenSchemaVersion = 1;
 
 /// 64-bit FNV-1a over `text` (the digest primitive; stable, dependency-free).
 std::uint64_t fnv1a64(std::string_view text);
-
-/// How verify compares a recomputed observation against the golden one.
-enum class CompareMode : std::uint8_t { kBitExact, kStatistical };
-
-const char* compare_mode_name(CompareMode mode);
-/// Parse "bit-exact" / "statistical" (case-insensitive). Throws
-/// std::invalid_argument otherwise.
-CompareMode parse_compare_mode(const std::string& name);
-
-struct GoldenOptions {
-  CompareMode mode = CompareMode::kBitExact;
-  /// Statistical tier: a numeric leaf passes when
-  /// |expected - got| <= abs_tol + rel_tol * max(|expected|, |got|).
-  double rel_tol = 1e-6;
-  double abs_tol = 1e-9;
-};
 
 /// The first point where an observation diverges from its golden.
 struct Divergence {
@@ -121,10 +100,9 @@ std::string manifest_observation(const obs::JsonValue& manifest);
 
 /// Compare two observation trees. Object members are matched by key
 /// (missing and extra keys are divergences), arrays element-wise, numeric
-/// leaves per `options`. Returns the first divergence in document order.
+/// leaves by their bits. Returns the first divergence in document order.
 CompareOutcome compare_observations(const obs::JsonValue& expected,
-                                    const obs::JsonValue& got,
-                                    const GoldenOptions& options);
+                                    const obs::JsonValue& got);
 
 /// Re-emit a parsed JSON value on an open writer, reproducing our own
 /// serialization byte-for-byte (integer-formatted numbers stay integers;
@@ -175,7 +153,6 @@ struct VerifyReport {
 };
 
 struct VerifyOptions {
-  GoldenOptions compare;
   /// Worker threads for the scenario fan-out (0 = all cores, 1 = serial).
   unsigned parallelism = 0;
   /// Regenerate goldens instead of comparing.

@@ -381,10 +381,6 @@ SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilizati
   return config;
 }
 
-std::unique_ptr<MulticlusterSimulation> build_simulation(const ScenarioSpec& spec) {
-  return std::make_unique<MulticlusterSimulation>(to_simulation_config(spec));
-}
-
 void write_scenario_json(obs::JsonWriter& json, const ScenarioSpec& spec) {
   json.begin_object();
   json.key("schema").value("mcsim-scenario");

@@ -7,8 +7,8 @@
 /// sizes and speeds), the workload model, the policy stack (scheduling
 /// policy, placement rule, backfill, queue discipline), the seed, run
 /// lengths, and the mode-specific parameters (point / sweep / saturation /
-/// replications). One construction path — to_simulation_config() /
-/// build_simulation() — turns a spec into a runnable engine. The CLI flag
+/// replications). One construction path — to_simulation_config() —
+/// turns a spec into a runnable engine's config. The CLI flag
 /// parsers, the bench harnesses and the examples all build a spec, so a
 /// scenario JSON file, a CLI invocation and a run manifest describe runs
 /// identically and reproduce them bit-exactly (docs/SCENARIOS.md).
@@ -206,10 +206,6 @@ SimulationConfig to_simulation_config(const ScenarioSpec& spec);
 SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilization);
 SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilization,
                                       const TraceResolver& resolve_trace);
-
-/// Build a ready-to-run engine for the spec (at spec.utilization).
-/// Callers attach sinks/metrics and call run().
-std::unique_ptr<MulticlusterSimulation> build_simulation(const ScenarioSpec& spec);
 
 /// Write the spec as a JSON object on an already-open writer (used to
 /// embed the spec in run manifests).

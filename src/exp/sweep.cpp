@@ -7,8 +7,6 @@
 #include "exp/runner.hpp"
 #include "exp/scenario_spec.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
-#include "util/strings.hpp"
 
 namespace mcsim {
 
@@ -45,17 +43,6 @@ double SweepSeries::max_stable_utilization() const {
   return best;
 }
 
-namespace {
-
-void log_point(const std::string& label, double util, const SimulationResult& result) {
-  MCSIM_LOG(kInfo) << label << " @ rho=" << format_util(util)
-                   << (result.unstable
-                           ? " UNSTABLE"
-                           : " mean response " + format_double(result.mean_response(), 1));
-}
-
-}  // namespace
-
 SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
   SweepSeries series;
   series.label = spec.label();
@@ -87,7 +74,6 @@ SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
     SweepPoint point;
     point.target_gross_utilization = grid[i];
     point.result = std::move(results[i]);
-    log_point(series.label, grid[i], point.result);
     const bool unstable = point.result.unstable;
     series.points.push_back(std::move(point));
     if (unstable) break;  // all higher loads are unstable too

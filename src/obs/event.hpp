@@ -31,9 +31,6 @@ enum class EventKind : std::uint8_t {
   kFinish = 5,            ///< The job departed and released its processors.
 };
 
-/// Human-readable name of an event kind ("arrival", "start", ...).
-const char* event_kind_name(EventKind kind);
-
 /// One observed event: a POD of 32 bytes, so a ring buffer of events is a
 /// contiguous binary recording.
 ///

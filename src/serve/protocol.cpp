@@ -8,18 +8,6 @@ namespace mcsim::serve {
 
 namespace fs = std::filesystem;
 
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kSubmit: return "submit";
-    case Op::kStatus: return "status";
-    case Op::kResult: return "result";
-    case Op::kCancel: return "cancel";
-    case Op::kStats: return "stats";
-    case Op::kShutdown: return "shutdown";
-  }
-  return "?";
-}
-
 namespace {
 
 Op parse_op(const std::string& name) {

@@ -45,8 +45,6 @@ inline constexpr const char* kErrShuttingDown = "shutting-down";
 /// What a request asks for.
 enum class Op : std::uint8_t { kSubmit, kStatus, kResult, kCancel, kStats, kShutdown };
 
-const char* op_name(Op op);
-
 /// A parsed, validated request. `spec` is populated for kSubmit only.
 struct Request {
   Op op = Op::kStats;

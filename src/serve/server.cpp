@@ -21,7 +21,6 @@
 #include "obs/json_reader.hpp"
 #include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "util/logging.hpp"
 
 namespace mcsim::serve {
 
@@ -337,9 +336,7 @@ struct Server::Impl {
   }
 
   void begin_drain() {
-    if (!draining.exchange(true, std::memory_order_relaxed)) {
-      MCSIM_LOG(kInfo) << "mcsim serve: draining (submissions closed)";
-    }
+    draining.store(true, std::memory_order_relaxed);
   }
 
   void accept_pending() {

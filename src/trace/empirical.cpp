@@ -1,11 +1,9 @@
 #include "trace/empirical.hpp"
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "trace/trace_stats.hpp"
-#include "workload/distributions.hpp"
 #include "util/assert.hpp"
 
 namespace mcsim {
@@ -46,17 +44,6 @@ DiscreteDistribution empirical_service_distribution(const std::vector<TraceRecor
     if (service > 0.0) ++counts[service];
   }
   return from_counts(counts);
-}
-
-DistributionPtr empirical_service_distribution_smooth(
-    const std::vector<TraceRecord>& records, double max_service) {
-  std::vector<double> samples;
-  for (const auto& rec : cut_by_service(records, max_service)) {
-    const double service = rec.service_time();
-    if (service > 0.0) samples.push_back(service);
-  }
-  return std::make_shared<PiecewiseLinearDistribution>(
-      PiecewiseLinearDistribution::from_samples(std::move(samples)));
 }
 
 }  // namespace mcsim

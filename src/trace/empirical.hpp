@@ -8,7 +8,6 @@
 
 #include "trace/record.hpp"
 #include "workload/discrete.hpp"
-#include "workload/distribution.hpp"
 
 namespace mcsim {
 
@@ -25,11 +24,5 @@ DiscreteDistribution empirical_size_distribution_cut(const std::vector<TraceReco
 /// as a discrete distribution over the observed values.
 DiscreteDistribution empirical_service_distribution(const std::vector<TraceRecord>& records,
                                                     double max_service);
-
-/// Smooth variant: the linearly interpolated ECDF of the cut service
-/// times, so simulated service times are not restricted to the trace's
-/// atoms. Returns a PiecewiseLinearDistribution.
-DistributionPtr empirical_service_distribution_smooth(
-    const std::vector<TraceRecord>& records, double max_service);
 
 }  // namespace mcsim

@@ -53,20 +53,19 @@ std::vector<double> utilization_profile(const std::vector<TraceRecord>& records,
 }
 
 std::string render_utilization_timeline(const std::vector<TraceRecord>& records,
-                                        std::uint32_t capacity,
-                                        const TimelineOptions& options) {
-  MCSIM_REQUIRE(options.height > 0, "timeline height must be positive");
-  const auto profile = utilization_profile(records, capacity, options.buckets);
+                                        std::uint32_t capacity) {
+  constexpr std::size_t kBuckets = 72;  // characters across
+  constexpr std::size_t kHeight = 8;    // rows of the chart
+  const auto profile = utilization_profile(records, capacity, kBuckets);
   std::ostringstream out;
-  out << "utilization over the log span (" << options.buckets << " buckets)\n";
-  for (std::size_t row = options.height; row-- > 0;) {
-    const double threshold =
-        (static_cast<double>(row) + 0.5) / static_cast<double>(options.height);
-    out << (row == options.height - 1 ? "1.0 |" : (row == 0 ? "0.0 |" : "    |"));
+  out << "utilization over the log span (" << kBuckets << " buckets)\n";
+  for (std::size_t row = kHeight; row-- > 0;) {
+    const double threshold = (static_cast<double>(row) + 0.5) / static_cast<double>(kHeight);
+    out << (row == kHeight - 1 ? "1.0 |" : (row == 0 ? "0.0 |" : "    |"));
     for (double value : profile) out << (value >= threshold ? '#' : ' ');
     out << "|\n";
   }
-  out << "    +" << std::string(options.buckets, '-') << "+\n";
+  out << "    +" << std::string(kBuckets, '-') << "+\n";
   double mean = 0.0;
   for (double value : profile) mean += value;
   mean /= static_cast<double>(profile.size());

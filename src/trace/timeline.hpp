@@ -11,19 +11,13 @@
 
 namespace mcsim {
 
-struct TimelineOptions {
-  std::size_t buckets = 72;  // characters across
-  /// Rows of the vertical chart; 1 collapses to a density strip.
-  std::size_t height = 8;
-};
-
 /// Per-bucket mean utilization in [0,1] over [first submit, last end].
 std::vector<double> utilization_profile(const std::vector<TraceRecord>& records,
                                         std::uint32_t capacity, std::size_t buckets);
 
-/// Render the profile as a bar chart (rows of '#') with a 0..1 axis.
+/// Render the profile as a bar chart (rows of '#') with a 0..1 axis,
+/// 72 buckets across and 8 rows high.
 std::string render_utilization_timeline(const std::vector<TraceRecord>& records,
-                                        std::uint32_t capacity,
-                                        const TimelineOptions& options = {});
+                                        std::uint32_t capacity);
 
 }  // namespace mcsim

@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -239,13 +238,6 @@ void install_shutdown_signals(const SelfPipe* pipe) {
       ::sigaction(SIGINT, &action, nullptr) != 0) {
     throw_errno("sigaction");
   }
-}
-
-long long monotonic_ms() {
-  timespec now{};
-  ::clock_gettime(CLOCK_MONOTONIC, &now);
-  return static_cast<long long>(now.tv_sec) * 1000 +
-         now.tv_nsec / 1'000'000;
 }
 
 }  // namespace mcsim

@@ -169,8 +169,4 @@ void install_shutdown_signals(const SelfPipe* pipe);
 /// *why* — the same pipe also carries run-completion wakeups.
 bool consume_shutdown_signal();
 
-/// Milliseconds of CLOCK_MONOTONIC — the timestamp base for latency
-/// accounting in the serve layer (never serialized into manifests).
-long long monotonic_ms();
-
 }  // namespace mcsim

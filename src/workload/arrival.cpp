@@ -6,14 +6,6 @@
 
 namespace mcsim {
 
-PoissonProcess::PoissonProcess(double rate) : rate_(rate) {
-  MCSIM_REQUIRE(rate > 0.0, "arrival rate must be positive");
-}
-
-double PoissonProcess::next_interarrival(double /*now*/, Rng& rng) const {
-  return rng.exponential_mean(1.0 / rate_);
-}
-
 PeriodicPoissonProcess::PeriodicPoissonProcess(double base_rate, double period,
                                                double (*profile)(double))
     : base_rate_(base_rate), period_(period), profile_(profile) {
@@ -42,8 +34,6 @@ double PeriodicPoissonProcess::next_interarrival(double now, Rng& rng) const {
     if (rng.uniform() < intensity) return t - now;
   }
 }
-
-double PeriodicPoissonProcess::rate() const { return mean_intensity_; }
 
 double arrival_rate_for_gross_utilization(double rho, std::uint32_t total_processors,
                                           double mean_extended_size, double mean_service) {

@@ -1,46 +1,27 @@
-// Job arrival processes. The paper uses exponential interarrival times
-// (Poisson arrivals); the open-ended ArrivalProcess interface lets the
-// examples plug in other processes (e.g. the day/night-modulated process the
-// synthetic log generator uses).
+// Job arrival processes. The paper's synthetic workloads use exponential
+// interarrival times (WorkloadConfig::arrival_rate, drawn in the
+// generator); the synthetic DAS1 log generator draws its submissions from
+// the day/night-modulated process below.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 
 #include "util/rng.hpp"
-#include "workload/distribution.hpp"
 
 namespace mcsim {
-
-class ArrivalProcess {
- public:
-  virtual ~ArrivalProcess() = default;
-  /// Time until the next arrival, given the current time.
-  [[nodiscard]] virtual double next_interarrival(double now, Rng& rng) const = 0;
-  /// Long-run arrival rate (jobs per second).
-  [[nodiscard]] virtual double rate() const = 0;
-};
-
-/// Homogeneous Poisson process.
-class PoissonProcess final : public ArrivalProcess {
- public:
-  explicit PoissonProcess(double rate);
-  double next_interarrival(double now, Rng& rng) const override;
-  double rate() const override { return rate_; }
-
- private:
-  double rate_;
-};
 
 /// Nonhomogeneous Poisson with a periodic (daily) intensity profile,
 /// sampled by thinning. Used by the synthetic DAS1 log generator to model
 /// the working-hours submission pattern.
-class PeriodicPoissonProcess final : public ArrivalProcess {
+class PeriodicPoissonProcess {
  public:
   /// `base_rate` is the peak intensity; `profile(t_in_period)` in [0,1]
   /// modulates it; `period` in seconds.
   PeriodicPoissonProcess(double base_rate, double period, double (*profile)(double));
-  double next_interarrival(double now, Rng& rng) const override;
-  double rate() const override;
+  /// Time until the next arrival, given the current time.
+  [[nodiscard]] double next_interarrival(double now, Rng& rng) const;
+  /// Long-run arrival rate (jobs per second).
+  [[nodiscard]] double rate() const { return mean_intensity_; }
 
  private:
   double base_rate_;

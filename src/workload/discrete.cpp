@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "util/assert.hpp"
-#include "util/strings.hpp"
 
 namespace mcsim {
 
@@ -64,10 +63,6 @@ void DiscreteDistribution::build_alias_table() {
 }
 
 double DiscreteDistribution::sample(Rng& rng) const { return values_[sample_index(rng)]; }
-
-std::string DiscreteDistribution::describe() const {
-  return str_printf("Discrete(%zu values, mean=%.3f, cv=%.3f)", values_.size(), mean_, cv());
-}
 
 double DiscreteDistribution::probability_of(double value) const {
   for (std::size_t i = 0; i < values_.size(); ++i) {

@@ -34,7 +34,6 @@ class DiscreteDistribution final : public Distribution {
   }
   double mean() const override { return mean_; }
   double variance() const override { return variance_; }
-  std::string describe() const override;
 
   [[nodiscard]] std::size_t support_size() const { return values_.size(); }
   [[nodiscard]] const std::vector<double>& values() const { return values_; }

@@ -1,12 +1,11 @@
 // Abstract random-variate distribution.
 //
-// All workload inputs (interarrival times, total job sizes, service times)
-// are Distributions. Means and variances are analytic wherever the sweep
-// driver needs them to convert a target utilization into an arrival rate.
+// The synthetic workload's job sizes and service times are Distributions.
+// Means and variances are analytic wherever the sweep driver needs them to
+// convert a target utilization into an arrival rate.
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "util/rng.hpp"
 
@@ -24,9 +23,6 @@ class Distribution {
 
   /// Coefficient of variation; 0 if the mean is 0.
   [[nodiscard]] double cv() const;
-
-  /// Human-readable description, e.g. "Exponential(mean=120)".
-  [[nodiscard]] virtual std::string describe() const = 0;
 };
 
 using DistributionPtr = std::shared_ptr<const Distribution>;

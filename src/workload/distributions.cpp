@@ -1,10 +1,8 @@
 #include "workload/distributions.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/assert.hpp"
-#include "util/strings.hpp"
 
 namespace mcsim {
 
@@ -12,62 +10,6 @@ double Distribution::cv() const {
   const double m = mean();
   if (m == 0.0) return 0.0;
   return std::sqrt(variance()) / m;
-}
-
-DeterministicDistribution::DeterministicDistribution(double value) : value_(value) {}
-
-std::string DeterministicDistribution::describe() const {
-  return "Deterministic(" + format_double(value_) + ")";
-}
-
-UniformRealDistribution::UniformRealDistribution(double lo, double hi) : lo_(lo), hi_(hi) {
-  MCSIM_REQUIRE(hi > lo, "uniform range must be non-empty");
-}
-
-double UniformRealDistribution::sample(Rng& rng) const { return rng.uniform(lo_, hi_); }
-
-double UniformRealDistribution::variance() const {
-  const double w = hi_ - lo_;
-  return w * w / 12.0;
-}
-
-std::string UniformRealDistribution::describe() const {
-  return "Uniform(" + format_double(lo_) + ", " + format_double(hi_) + ")";
-}
-
-ExponentialDistribution::ExponentialDistribution(double mean) : mean_(mean) {
-  MCSIM_REQUIRE(mean > 0.0, "exponential mean must be positive");
-}
-
-double ExponentialDistribution::sample(Rng& rng) const { return rng.exponential_mean(mean_); }
-
-std::string ExponentialDistribution::describe() const {
-  return "Exponential(mean=" + format_double(mean_) + ")";
-}
-
-HyperExponentialDistribution::HyperExponentialDistribution(double p, double mean1, double mean2)
-    : p_(p), mean1_(mean1), mean2_(mean2) {
-  MCSIM_REQUIRE(p >= 0.0 && p <= 1.0, "mixing probability must be in [0,1]");
-  MCSIM_REQUIRE(mean1 > 0.0 && mean2 > 0.0, "phase means must be positive");
-}
-
-double HyperExponentialDistribution::sample(Rng& rng) const {
-  return rng.exponential_mean(rng.uniform() < p_ ? mean1_ : mean2_);
-}
-
-double HyperExponentialDistribution::mean() const {
-  return p_ * mean1_ + (1.0 - p_) * mean2_;
-}
-
-double HyperExponentialDistribution::variance() const {
-  // E[X^2] for a mixture of exponentials: sum_i w_i * 2*m_i^2.
-  const double second = p_ * 2.0 * mean1_ * mean1_ + (1.0 - p_) * 2.0 * mean2_ * mean2_;
-  const double m = mean();
-  return second - m * m;
-}
-
-std::string HyperExponentialDistribution::describe() const {
-  return str_printf("HyperExp(p=%.3f, m1=%.3f, m2=%.3f)", p_, mean1_, mean2_);
 }
 
 LognormalDistribution::LognormalDistribution(double mu, double sigma) : mu_(mu), sigma_(sigma) {
@@ -90,73 +32,6 @@ double LognormalDistribution::mean() const { return std::exp(mu_ + sigma_ * sigm
 double LognormalDistribution::variance() const {
   const double s2 = sigma_ * sigma_;
   return (std::exp(s2) - 1.0) * std::exp(2.0 * mu_ + s2);
-}
-
-std::string LognormalDistribution::describe() const {
-  return str_printf("Lognormal(mu=%.4f, sigma=%.4f)", mu_, sigma_);
-}
-
-WeibullDistribution::WeibullDistribution(double shape, double scale)
-    : shape_(shape), scale_(scale) {
-  MCSIM_REQUIRE(shape > 0.0 && scale > 0.0, "Weibull parameters must be positive");
-}
-
-double WeibullDistribution::sample(Rng& rng) const {
-  double u;
-  do {
-    u = rng.uniform();
-  } while (u <= 0.0);
-  return scale_ * std::pow(-std::log(u), 1.0 / shape_);
-}
-
-double WeibullDistribution::mean() const {
-  return scale_ * std::tgamma(1.0 + 1.0 / shape_);
-}
-
-double WeibullDistribution::variance() const {
-  const double g1 = std::tgamma(1.0 + 1.0 / shape_);
-  const double g2 = std::tgamma(1.0 + 2.0 / shape_);
-  return scale_ * scale_ * (g2 - g1 * g1);
-}
-
-std::string WeibullDistribution::describe() const {
-  return str_printf("Weibull(shape=%.3f, scale=%.3f)", shape_, scale_);
-}
-
-BoundedParetoDistribution::BoundedParetoDistribution(double lo, double hi, double alpha)
-    : lo_(lo), hi_(hi), alpha_(alpha) {
-  MCSIM_REQUIRE(lo > 0.0 && hi > lo, "bounded Pareto needs 0 < lo < hi");
-  MCSIM_REQUIRE(alpha > 0.0, "bounded Pareto alpha must be positive");
-}
-
-double BoundedParetoDistribution::sample(Rng& rng) const {
-  // Inverse-CDF.
-  const double u = rng.uniform();
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha_);
-}
-
-double BoundedParetoDistribution::raw_moment(double k) const {
-  // E[X^k] for bounded Pareto.
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  if (std::fabs(alpha_ - k) < 1e-12) {
-    return alpha_ * la / (1.0 - la / ha) * (std::log(hi_) - std::log(lo_));
-  }
-  return alpha_ * la / (1.0 - la / ha) *
-         (std::pow(lo_, k - alpha_) - std::pow(hi_, k - alpha_)) / (alpha_ - k);
-}
-
-double BoundedParetoDistribution::mean() const { return raw_moment(1.0); }
-
-double BoundedParetoDistribution::variance() const {
-  const double m = mean();
-  return raw_moment(2.0) - m * m;
-}
-
-std::string BoundedParetoDistribution::describe() const {
-  return str_printf("BoundedPareto(lo=%.3f, hi=%.3f, alpha=%.3f)", lo_, hi_, alpha_);
 }
 
 TruncatedDistribution::TruncatedDistribution(DistributionPtr inner, double lo, double hi)
@@ -192,15 +67,9 @@ double TruncatedDistribution::sample(Rng& rng) const {
   return x;
 }
 
-std::string TruncatedDistribution::describe() const {
-  return "Truncated(" + inner_->describe() + ", [" + format_double(lo_) + ", " +
-         format_double(hi_) + "])";
-}
-
 MixtureDistribution::MixtureDistribution(std::vector<DistributionPtr> components,
                                          std::vector<double> weights)
     : components_(std::move(components)), weights_(std::move(weights)) {
-  MCSIM_REQUIRE(!components_.empty(), "mixture needs components");
   MCSIM_REQUIRE(components_.size() == weights_.size(), "mixture weights/components mismatch");
   double total = 0.0;
   for (double w : weights_) {
@@ -241,147 +110,6 @@ double MixtureDistribution::variance() const {
   }
   const double m = mean();
   return second - m * m;
-}
-
-std::string MixtureDistribution::describe() const {
-  std::string out = "Mixture(";
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (i) out += ", ";
-    out += format_double(weights_[i]) + "*" + components_[i]->describe();
-  }
-  return out + ")";
-}
-
-PiecewiseLinearDistribution PiecewiseLinearDistribution::from_samples(
-    std::vector<double> samples) {
-  MCSIM_REQUIRE(samples.size() >= 2, "need at least two samples");
-  std::sort(samples.begin(), samples.end());
-  MCSIM_REQUIRE(samples.front() < samples.back(),
-                "samples must contain at least two distinct values");
-  return PiecewiseLinearDistribution(std::move(samples));
-}
-
-PiecewiseLinearDistribution::PiecewiseLinearDistribution(std::vector<double> sorted)
-    : sorted_(std::move(sorted)) {
-  // Moments of the interpolated ECDF: uniform mixture over the segments
-  // [x_i, x_{i+1}], each with weight 1/(n-1).
-  const std::size_t n = sorted_.size();
-  double mean = 0.0;
-  double second = 0.0;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    const double a = sorted_[i];
-    const double b = sorted_[i + 1];
-    mean += (a + b) / 2.0;
-    second += (a * a + a * b + b * b) / 3.0;  // E[U(a,b)^2]
-  }
-  mean /= static_cast<double>(n - 1);
-  second /= static_cast<double>(n - 1);
-  mean_ = mean;
-  variance_ = std::max(0.0, second - mean * mean);
-}
-
-double PiecewiseLinearDistribution::sample(Rng& rng) const {
-  // Inverse of the interpolated ECDF: pick a segment uniformly, then a
-  // uniform point within it.
-  const std::size_t segment =
-      static_cast<std::size_t>(rng.uniform_int(sorted_.size() - 1));
-  const double a = sorted_[segment];
-  const double b = sorted_[segment + 1];
-  return a == b ? a : rng.uniform(a, b);
-}
-
-std::string PiecewiseLinearDistribution::describe() const {
-  return str_printf("EmpiricalECDF(%zu samples, mean=%.3f, cv=%.3f)", sorted_.size(), mean_,
-                    cv());
-}
-
-ErlangDistribution::ErlangDistribution(std::uint32_t k, double phase_mean)
-    : k_(k), phase_mean_(phase_mean) {
-  MCSIM_REQUIRE(k > 0, "Erlang needs at least one phase");
-  MCSIM_REQUIRE(phase_mean > 0.0, "Erlang phase mean must be positive");
-}
-
-double ErlangDistribution::sample(Rng& rng) const {
-  // Product of uniforms: sum of k exponentials = -mean * ln(prod u_i).
-  double product = 1.0;
-  for (std::uint32_t i = 0; i < k_; ++i) {
-    double u;
-    do {
-      u = rng.uniform();
-    } while (u <= 0.0);
-    product *= u;
-  }
-  return -phase_mean_ * std::log(product);
-}
-
-double ErlangDistribution::mean() const { return k_ * phase_mean_; }
-
-double ErlangDistribution::variance() const { return k_ * phase_mean_ * phase_mean_; }
-
-std::string ErlangDistribution::describe() const {
-  return str_printf("Erlang(k=%u, phase_mean=%.3f)", k_, phase_mean_);
-}
-
-GammaDistribution::GammaDistribution(double shape, double scale)
-    : shape_(shape), scale_(scale) {
-  MCSIM_REQUIRE(shape > 0.0 && scale > 0.0, "Gamma parameters must be positive");
-}
-
-double GammaDistribution::sample(Rng& rng) const {
-  // Marsaglia-Tsang squeeze; for shape < 1 boost via the power trick.
-  double shape = shape_;
-  double boost = 1.0;
-  if (shape < 1.0) {
-    double u;
-    do {
-      u = rng.uniform();
-    } while (u <= 0.0);
-    boost = std::pow(u, 1.0 / shape);
-    shape += 1.0;
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  while (true) {
-    double x;
-    double v;
-    do {
-      x = rng.normal();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = rng.uniform();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return boost * d * v * scale_;
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return boost * d * v * scale_;
-    }
-  }
-}
-
-std::string GammaDistribution::describe() const {
-  return str_printf("Gamma(shape=%.3f, scale=%.3f)", shape_, scale_);
-}
-
-ShiftedDistribution::ShiftedDistribution(DistributionPtr inner, double shift)
-    : inner_(std::move(inner)), shift_(shift) {
-  MCSIM_REQUIRE(inner_ != nullptr, "shifted distribution needs an inner distribution");
-}
-
-double ShiftedDistribution::sample(Rng& rng) const { return inner_->sample(rng) + shift_; }
-
-std::string ShiftedDistribution::describe() const {
-  return inner_->describe() + "+" + format_double(shift_);
-}
-
-ScaledDistribution::ScaledDistribution(DistributionPtr inner, double factor)
-    : inner_(std::move(inner)), factor_(factor) {
-  MCSIM_REQUIRE(inner_ != nullptr, "scaled distribution needs an inner distribution");
-  MCSIM_REQUIRE(factor > 0.0, "scale factor must be positive");
-}
-
-double ScaledDistribution::sample(Rng& rng) const { return factor_ * inner_->sample(rng); }
-
-std::string ScaledDistribution::describe() const {
-  return format_double(factor_) + "*" + inner_->describe();
 }
 
 }  // namespace mcsim

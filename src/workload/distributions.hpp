@@ -1,7 +1,6 @@
-// Continuous distribution library: exponential, deterministic, uniform,
-// hyperexponential, lognormal, Weibull, bounded Pareto, truncated wrappers
-// and mixtures. The DAS service-time model (das_workload.hpp) is composed
-// from these.
+// The continuous distributions the DAS-t-900 service-time model
+// (das_workload.hpp) is composed from: lognormal bodies, a two-component
+// mixture of them, truncated to the 900 s cut.
 #pragma once
 
 #include <memory>
@@ -10,56 +9,6 @@
 #include "workload/distribution.hpp"
 
 namespace mcsim {
-
-class DeterministicDistribution final : public Distribution {
- public:
-  explicit DeterministicDistribution(double value);
-  double sample(Rng&) const override { return value_; }
-  double mean() const override { return value_; }
-  double variance() const override { return 0.0; }
-  std::string describe() const override;
-
- private:
-  double value_;
-};
-
-class UniformRealDistribution final : public Distribution {
- public:
-  UniformRealDistribution(double lo, double hi);
-  double sample(Rng& rng) const override;
-  double mean() const override { return (lo_ + hi_) / 2.0; }
-  double variance() const override;
-  std::string describe() const override;
-
- private:
-  double lo_, hi_;
-};
-
-class ExponentialDistribution final : public Distribution {
- public:
-  explicit ExponentialDistribution(double mean);
-  double sample(Rng& rng) const override;
-  double mean() const override { return mean_; }
-  double variance() const override { return mean_ * mean_; }
-  std::string describe() const override;
-
- private:
-  double mean_;
-};
-
-/// Two-phase hyperexponential: with probability p the mean is m1, else m2.
-/// CV > 1; used to model bursty service times.
-class HyperExponentialDistribution final : public Distribution {
- public:
-  HyperExponentialDistribution(double p, double mean1, double mean2);
-  double sample(Rng& rng) const override;
-  double mean() const override;
-  double variance() const override;
-  std::string describe() const override;
-
- private:
-  double p_, mean1_, mean2_;
-};
 
 class LognormalDistribution final : public Distribution {
  public:
@@ -70,36 +19,9 @@ class LognormalDistribution final : public Distribution {
   double sample(Rng& rng) const override;
   double mean() const override;
   double variance() const override;
-  std::string describe() const override;
 
  private:
   double mu_, sigma_;
-};
-
-class WeibullDistribution final : public Distribution {
- public:
-  WeibullDistribution(double shape, double scale);
-  double sample(Rng& rng) const override;
-  double mean() const override;
-  double variance() const override;
-  std::string describe() const override;
-
- private:
-  double shape_, scale_;
-};
-
-/// Pareto density on [lo, hi] with tail index alpha (job-size-like tails).
-class BoundedParetoDistribution final : public Distribution {
- public:
-  BoundedParetoDistribution(double lo, double hi, double alpha);
-  double sample(Rng& rng) const override;
-  double mean() const override;
-  double variance() const override;
-  std::string describe() const override;
-
- private:
-  [[nodiscard]] double raw_moment(double k) const;
-  double lo_, hi_, alpha_;
 };
 
 /// Rejection-truncation of an inner distribution to [lo, hi]: variates are
@@ -112,7 +34,6 @@ class TruncatedDistribution final : public Distribution {
   double sample(Rng& rng) const override;
   double mean() const override { return mean_; }
   double variance() const override { return variance_; }
-  std::string describe() const override;
 
  private:
   DistributionPtr inner_;
@@ -127,95 +48,11 @@ class MixtureDistribution final : public Distribution {
   double sample(Rng& rng) const override;
   double mean() const override;
   double variance() const override;
-  std::string describe() const override;
 
  private:
   std::vector<DistributionPtr> components_;
   std::vector<double> cumulative_;
   std::vector<double> weights_;
-};
-
-/// Continuous empirical distribution: samples by inverting the linearly
-/// interpolated ECDF of a data set. Unlike a DiscreteDistribution over the
-/// observed values, it does not replay the sample's atoms — the right
-/// choice when deriving a *continuous* quantity (service times) from a
-/// finite trace.
-class PiecewiseLinearDistribution final : public Distribution {
- public:
-  /// Build from raw samples (need not be sorted; at least 2 distinct values).
-  static PiecewiseLinearDistribution from_samples(std::vector<double> samples);
-
-  double sample(Rng& rng) const override;
-  double mean() const override { return mean_; }
-  double variance() const override { return variance_; }
-  std::string describe() const override;
-
-  [[nodiscard]] double min_value() const { return sorted_.front(); }
-  [[nodiscard]] double max_value() const { return sorted_.back(); }
-
- private:
-  explicit PiecewiseLinearDistribution(std::vector<double> sorted);
-  std::vector<double> sorted_;
-  double mean_ = 0.0;
-  double variance_ = 0.0;
-};
-
-/// Erlang-k: sum of k independent exponentials (CV = 1/sqrt(k) < 1); the
-/// smooth-service-time counterpart to the hyperexponential.
-class ErlangDistribution final : public Distribution {
- public:
-  /// k phases, each with mean `phase_mean` (total mean = k * phase_mean).
-  ErlangDistribution(std::uint32_t k, double phase_mean);
-  double sample(Rng& rng) const override;
-  double mean() const override;
-  double variance() const override;
-  std::string describe() const override;
-
- private:
-  std::uint32_t k_;
-  double phase_mean_;
-};
-
-/// Gamma(shape, scale) via Marsaglia-Tsang; generalises Erlang to
-/// non-integer shape.
-class GammaDistribution final : public Distribution {
- public:
-  GammaDistribution(double shape, double scale);
-  double sample(Rng& rng) const override;
-  double mean() const override { return shape_ * scale_; }
-  double variance() const override { return shape_ * scale_ * scale_; }
-  std::string describe() const override;
-
- private:
-  double shape_, scale_;
-};
-
-/// A distribution shifted right by a constant (e.g. minimum service time).
-class ShiftedDistribution final : public Distribution {
- public:
-  ShiftedDistribution(DistributionPtr inner, double shift);
-  double sample(Rng& rng) const override;
-  double mean() const override { return inner_->mean() + shift_; }
-  double variance() const override { return inner_->variance(); }
-  std::string describe() const override;
-
- private:
-  DistributionPtr inner_;
-  double shift_;
-};
-
-/// Scale an inner distribution by a constant factor (service-time extension).
-class ScaledDistribution final : public Distribution {
- public:
-  ScaledDistribution(DistributionPtr inner, double factor);
-  double sample(Rng& rng) const override;
-  double mean() const override { return factor_ * inner_->mean(); }
-  double variance() const override { return factor_ * factor_ * inner_->variance(); }
-  std::string describe() const override;
-
- private:
-  DistributionPtr inner_;
-  double factor_;
 };
 
 }  // namespace mcsim

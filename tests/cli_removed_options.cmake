@@ -1,8 +1,10 @@
 # CLI contract: `run` is the one verb that builds and runs a spec. The
 # retired verbs point, sweep, saturation, replications, rerun and replay
 # are unknown commands. `--emit-spec`, `--engine` (any verb),
-# `--queue-discipline` (a second spelling of `--discipline`) and
-# `--whole-file` on a trace replay (every replay streams) are not options.
+# `--queue-discipline` (a second spelling of `--discipline`),
+# `--whole-file` on a trace replay (every replay streams) and verify's
+# `--mode`, `--rel-tol` and `--abs-tol` (bit-exact is the only comparison)
+# are not options.
 # Each must exit 2 with an "unknown command" or "unknown option" message,
 # never be accepted and ignored.
 #
@@ -39,3 +41,6 @@ expect_unknown_option(engine verify --engine=serial)
 expect_unknown_option(queue-discipline run --sim-jobs=100 --queue-discipline=sjf)
 expect_unknown_option(queue-discipline run "${smoke}" --queue-discipline=sjf)
 expect_unknown_option(whole-file run --trace-in=${log} --whole-file)
+expect_unknown_option(mode verify --mode=statistical)
+expect_unknown_option(rel-tol verify --rel-tol=1e-6)
+expect_unknown_option(abs-tol verify --abs-tol=1e-9)

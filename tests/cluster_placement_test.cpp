@@ -77,14 +77,6 @@ TEST(BestFit, DistinctClustersForComponents) {
   EXPECT_EQ((*alloc)[1].cluster, 1u);
 }
 
-TEST(PlaceOnCluster, RestrictsToNamedCluster) {
-  const auto ok = place_on_cluster(16, 2, {0, 0, 20, 32});
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_EQ((*ok)[0].cluster, 2u);
-  EXPECT_FALSE(place_on_cluster(25, 2, {0, 0, 20, 32}).has_value());
-  EXPECT_THROW(place_on_cluster(1, 9, {0, 0}), std::invalid_argument);
-}
-
 TEST(ComponentsFit, AgreesWithWorstFitPlacement) {
   Rng rng(404);
   for (int trial = 0; trial < 2000; ++trial) {

@@ -87,13 +87,6 @@ TEST(Fnv1a64, KnownVectors) {
   EXPECT_NE(exp::fnv1a64("abc"), exp::fnv1a64("abd"));
 }
 
-TEST(CompareMode, NameParseRoundTrip) {
-  EXPECT_EQ(exp::parse_compare_mode("bit-exact"), exp::CompareMode::kBitExact);
-  EXPECT_EQ(exp::parse_compare_mode("STATISTICAL"), exp::CompareMode::kStatistical);
-  EXPECT_STREQ(exp::compare_mode_name(exp::CompareMode::kBitExact), "bit-exact");
-  EXPECT_THROW(exp::parse_compare_mode("fuzzy"), std::invalid_argument);
-}
-
 TEST(Observation, DeterministicAcrossRepeatedRuns) {
   const exp::ScenarioSpec spec = tiny_point(PolicyKind::kLS);
   EXPECT_EQ(exp::canonical_observation(spec), exp::canonical_observation(spec));
@@ -115,8 +108,7 @@ TEST(Observation, GoldenSelfVerifiesForEveryPolicy) {
     EXPECT_EQ(golden.at("schema").as_string(), "mcsim-golden");
     const obs::JsonValue& observed = golden.at("observed");
 
-    const exp::CompareOutcome outcome =
-        exp::compare_observations(observed, got, exp::GoldenOptions{});
+    const exp::CompareOutcome outcome = exp::compare_observations(observed, got);
     EXPECT_TRUE(outcome.match) << policy_name(policy) << ": "
                                << outcome.first.describe();
     // Writing and re-reading the observation must not disturb the digest:
@@ -136,9 +128,7 @@ TEST(Observation, FlattenProducesPathValueLines) {
 TEST(Compare, BitExactFlagsOneUlpAndReportsDistance) {
   const obs::JsonValue expected = obs::parse_json(R"({"x": 100.00000000000001})");
   const obs::JsonValue got = obs::parse_json(R"({"x": 100.00000000000003})");
-  exp::GoldenOptions options;  // bit-exact
-  const exp::CompareOutcome outcome =
-      exp::compare_observations(expected, got, options);
+  const exp::CompareOutcome outcome = exp::compare_observations(expected, got);
   ASSERT_FALSE(outcome.match);
   EXPECT_EQ(outcome.first.path, "x");
   EXPECT_GE(outcome.first.ulp, 1);
@@ -152,55 +142,30 @@ TEST(Compare, BitExactAcceptsDifferentSpellingOfSameDouble) {
   // 0.5 and 5e-1 parse to identical bits; the compare is on values.
   const obs::JsonValue expected = obs::parse_json(R"({"x": 0.5})");
   const obs::JsonValue got = obs::parse_json(R"({"x": 5e-1})");
-  EXPECT_TRUE(
-      exp::compare_observations(expected, got, exp::GoldenOptions{}).match);
-}
-
-TEST(Compare, StatisticalToleranceIsHonored) {
-  const obs::JsonValue expected = obs::parse_json(R"({"x": 100.0})");
-  const obs::JsonValue got = obs::parse_json(R"({"x": 100.00002})");
-
-  exp::GoldenOptions loose;
-  loose.mode = exp::CompareMode::kStatistical;
-  loose.rel_tol = 1e-6;  // tolerance 1e-4 at magnitude 100 — passes
-  EXPECT_TRUE(exp::compare_observations(expected, got, loose).match);
-
-  exp::GoldenOptions tight = loose;
-  tight.rel_tol = 1e-12;
-  tight.abs_tol = 0.0;
-  const exp::CompareOutcome outcome =
-      exp::compare_observations(expected, got, tight);
-  ASSERT_FALSE(outcome.match);
-  EXPECT_EQ(outcome.first.path, "x");
-
-  // Bit-exact always fails on a real difference.
-  EXPECT_FALSE(
-      exp::compare_observations(expected, got, exp::GoldenOptions{}).match);
+  EXPECT_TRUE(exp::compare_observations(expected, got).match);
 }
 
 TEST(Compare, MissingExtraAndStructuralDivergences) {
-  const exp::GoldenOptions options;
   const obs::JsonValue base = obs::parse_json(R"({"a": 1, "b": [1, 2]})");
 
-  const auto missing = exp::compare_observations(
-      base, obs::parse_json(R"({"b": [1, 2]})"), options);
+  const auto missing = exp::compare_observations(base, obs::parse_json(R"({"b": [1, 2]})"));
   ASSERT_FALSE(missing.match);
   EXPECT_EQ(missing.first.path, "a");
   EXPECT_EQ(missing.first.got, "<missing key>");
 
-  const auto extra = exp::compare_observations(
-      base, obs::parse_json(R"({"a": 1, "b": [1, 2], "c": 3})"), options);
+  const auto extra =
+      exp::compare_observations(base, obs::parse_json(R"({"a": 1, "b": [1, 2], "c": 3})"));
   ASSERT_FALSE(extra.match);
   EXPECT_EQ(extra.first.path, "c");
   EXPECT_EQ(extra.first.expected, "<missing key>");
 
-  const auto shorter = exp::compare_observations(
-      base, obs::parse_json(R"({"a": 1, "b": [1]})"), options);
+  const auto shorter =
+      exp::compare_observations(base, obs::parse_json(R"({"a": 1, "b": [1]})"));
   ASSERT_FALSE(shorter.match);
   EXPECT_EQ(shorter.first.path, "b.length");
 
-  const auto kind = exp::compare_observations(
-      base, obs::parse_json(R"({"a": "1", "b": [1, 2]})"), options);
+  const auto kind =
+      exp::compare_observations(base, obs::parse_json(R"({"a": "1", "b": [1, 2]})"));
   ASSERT_FALSE(kind.match);
   EXPECT_EQ(kind.first.path, "a");
   EXPECT_EQ(kind.first.expected, "number");
@@ -240,7 +205,7 @@ TEST_F(VerifyDriverTest, TamperedStatisticFailsNamingScenarioAndField) {
   exp::verify_goldens(scenario_dir_, golden_dir_, options);
 
   // Flip the leading digit of the pinned mean response — a real value
-  // change, in both tiers' terms.
+  // change.
   const std::string golden_path =
       exp::golden_path_for(golden_dir_, "tiny_gs.json");
   std::string text = slurp(golden_path);
@@ -259,10 +224,6 @@ TEST_F(VerifyDriverTest, TamperedStatisticFailsNamingScenarioAndField) {
   EXPECT_EQ(report.verdicts[0].scenario_file, "tiny_gs.json");
   EXPECT_NE(report.verdicts[0].detail.find("mean_response"), std::string::npos)
       << report.verdicts[0].detail;
-
-  // The statistical tier must also reject a leading-digit change.
-  options.compare.mode = exp::CompareMode::kStatistical;
-  EXPECT_FALSE(exp::verify_goldens(scenario_dir_, golden_dir_, options).ok());
 }
 
 TEST_F(VerifyDriverTest, BrokenDigestSealFailsEvenWhenValuesMatch) {

@@ -27,15 +27,6 @@ TEST(TraceEvent, IsCompactAndTriviallyCopyable) {
   EXPECT_TRUE(std::is_trivially_copyable_v<TraceEvent>);
 }
 
-TEST(TraceEvent, KindNamesAreStable) {
-  EXPECT_STREQ(event_kind_name(EventKind::kArrival), "arrival");
-  EXPECT_STREQ(event_kind_name(EventKind::kHeadOfQueue), "head-of-queue");
-  EXPECT_STREQ(event_kind_name(EventKind::kPlacementAttempt), "placement-attempt");
-  EXPECT_STREQ(event_kind_name(EventKind::kPlacementReject), "placement-reject");
-  EXPECT_STREQ(event_kind_name(EventKind::kStart), "start");
-  EXPECT_STREQ(event_kind_name(EventKind::kFinish), "finish");
-}
-
 TEST(RingRecorder, KeepsEverythingBelowCapacity) {
   RingRecorder ring(8);
   for (std::uint64_t i = 0; i < 5; ++i) {

@@ -8,6 +8,28 @@
 
 #include <cstdint>
 
+#include "util/assert.hpp"
+#include "workload/distribution.hpp"
+
+namespace mcsim {
+
+/// Exponential service times, the "M" of M/M/c. The paper's workloads never
+/// draw them, so the class lives here beside the oracle that needs it.
+class ExponentialDistribution final : public Distribution {
+ public:
+  explicit ExponentialDistribution(double mean) : mean_(mean) {
+    MCSIM_REQUIRE(mean > 0.0, "exponential mean must be positive");
+  }
+  double sample(Rng& rng) const override { return rng.exponential_mean(mean_); }
+  double mean() const override { return mean_; }
+  double variance() const override { return mean_ * mean_; }
+
+ private:
+  double mean_;
+};
+
+}  // namespace mcsim
+
 namespace mcsim::queueing {
 
 /// Erlang-C: probability an arriving job waits in an M/M/c queue with

@@ -52,7 +52,7 @@ struct ExportedRun {
 /// Run the spec with an SWF builder attached — the exact export path
 /// `mcsim run --trace-out` uses.
 ExportedRun run_and_export(const exp::ScenarioSpec& spec) {
-  auto sim = exp::build_simulation(spec);
+  auto sim = std::make_unique<MulticlusterSimulation>(exp::to_simulation_config(spec));
   obs::SwfTraceBuilder builder;
   sim->set_trace_sink(&builder);
   ExportedRun out;

@@ -55,12 +55,12 @@ TEST(UtilizationProfile, InvalidArgsThrow) {
 }
 
 TEST(RenderTimeline, ContainsAxisAndMean) {
-  const std::string chart =
-      render_utilization_timeline({job(0.0, 100.0, 5)}, 10, {.buckets = 20, .height = 4});
+  const std::string chart = render_utilization_timeline({job(0.0, 100.0, 5)}, 10);
+  EXPECT_NE(chart.find("(72 buckets)"), std::string::npos);
   EXPECT_NE(chart.find("1.0 |"), std::string::npos);
   EXPECT_NE(chart.find("0.0 |"), std::string::npos);
   EXPECT_NE(chart.find("mean utilization: 0.500"), std::string::npos);
-  // Half load with height 4: rows below 0.5 filled, above empty.
+  // Half load over 8 rows: rows below 0.5 filled, above empty.
   EXPECT_NE(chart.find('#'), std::string::npos);
 }
 

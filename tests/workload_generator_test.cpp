@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include "workload/arrival.hpp"
 #include "workload/das_workload.hpp"
@@ -20,20 +21,6 @@ WorkloadConfig base_config() {
   config.extension_factor = 1.25;
   config.arrival_rate = 0.05;
   return config;
-}
-
-TEST(PoissonProcess, InterarrivalMeanMatchesRate) {
-  PoissonProcess process(0.25);
-  Rng rng(1);
-  double sum = 0.0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) sum += process.next_interarrival(0.0, rng);
-  EXPECT_NEAR(sum / kN, 4.0, 0.1);
-  EXPECT_DOUBLE_EQ(process.rate(), 0.25);
-}
-
-TEST(PoissonProcess, InvalidRateThrows) {
-  EXPECT_THROW(PoissonProcess(0.0), std::invalid_argument);
 }
 
 TEST(PeriodicPoissonProcess, RespectsProfile) {
@@ -105,9 +92,11 @@ TEST(WorkloadGenerator, ComponentsFollowSplitter) {
 // job of that size copies the entry. Each entry must be split_job_into's
 // split of the value, for both paper distributions at each limit.
 TEST(WorkloadGenerator, SizeTableMatchesSplitterForEveryValue) {
-  for (const DiscreteDistribution& sizes : {das_s_128(), das_s_64()}) {
+  const std::pair<const char*, DiscreteDistribution> models[] = {{"das-s-128", das_s_128()},
+                                                                 {"das-s-64", das_s_64()}};
+  for (const auto& [model, sizes] : models) {
     for (std::uint32_t limit : {16u, 24u, 32u}) {
-      SCOPED_TRACE(::testing::Message() << sizes.describe() << ", limit " << limit);
+      SCOPED_TRACE(::testing::Message() << model << ", limit " << limit);
       auto config = base_config();
       config.size_distribution = sizes;
       config.component_limit = limit;

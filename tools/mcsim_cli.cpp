@@ -423,9 +423,6 @@ int cmd_verify(int argc, const char* const* argv) {
       "mcsim verify: run every checked-in scenario and compare against its "
       "golden record (docs/GOLDEN.md)");
   parser.add_option("scenarios", "data/scenarios", "directory of scenario files");
-  parser.add_option("mode", "bit-exact", "comparison tier: bit-exact or statistical");
-  parser.add_option("rel-tol", "1e-6", "statistical tier: relative tolerance");
-  parser.add_option("abs-tol", "1e-9", "statistical tier: absolute tolerance");
   parser.add_option("jobs", std::to_string(exp::Runner::default_jobs()),
                     "parallel scenario runs (worker threads)");
   parser.add_flag("update", "regenerate the goldens from the current build");
@@ -434,10 +431,6 @@ int cmd_verify(int argc, const char* const* argv) {
   const std::string golden_dir =
       parser.positional().empty() ? "data/golden" : parser.positional().front();
   exp::VerifyOptions options;
-  options.compare.mode =
-      as_usage([&] { return exp::parse_compare_mode(parser.get("mode")); });
-  options.compare.rel_tol = parser.get_double("rel-tol");
-  options.compare.abs_tol = parser.get_double("abs-tol");
   options.parallelism = parser.get_u32("jobs");
   options.update = parser.get_flag("update");
 
@@ -456,9 +449,8 @@ int cmd_verify(int argc, const char* const* argv) {
   }
   std::cout << table.render();
   std::cout << (options.update ? "updated " : "verified ") << passed << '/'
-            << report.verdicts.size() << " scenarios ("
-            << exp::compare_mode_name(options.compare.mode) << " tier) against "
-            << golden_dir << '\n';
+            << report.verdicts.size() << " scenarios (bit-exact) against " << golden_dir
+            << '\n';
   if (!report.ok()) {
     std::cerr << "mcsim verify: FAILED — " << (report.verdicts.size() - passed)
               << " scenario(s) diverge from their goldens\n";
